@@ -327,6 +327,7 @@ def cmd_evaluate(args) -> int:
     trials = read_corpus(args.corpus, _policy(args))
     cfg = _window(args)
     hyper = _hyper(args)
+    folds = None
     if args.model:
         params = load(args.model)
         scored = [(t, run_trial(t, params, cfg)) for t in trials]
@@ -335,9 +336,9 @@ def cmd_evaluate(args) -> int:
         folds = loocv_folds(trials, hyper, cfg)
         scored = [pair for fold in folds for pair in fold.scored]
         mode = "loocv"
-    report = corpus_report(scored)
-    report["mode"] = mode
     score = score_corpus(scored)
+    report = corpus_report(scored, score)
+    report["mode"] = mode
     print(format_table(score))
     if args.finetune_per_participant:
         comparison = finetune_comparison(
@@ -345,6 +346,7 @@ def cmd_evaluate(args) -> int:
             TrainConfig(epochs=args.finetune_epochs,
                         learning_rate=args.finetune_learning_rate,
                         seed=args.seed),
+            folds=folds,
         )
         report["finetune"] = comparison.to_obj()
         base = comparison.base_mean_delay_s

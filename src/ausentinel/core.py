@@ -99,20 +99,32 @@ class ClampCounter:
 def as_au_vector(values, counter: ClampCounter | None = None) -> np.ndarray:
     """Validate and normalize a 17-entry AU intensity vector.
 
-    Entries must be finite; values outside [0, 5] are clamped (live
-    estimators occasionally overshoot) and tallied on `counter`.
+    `values` is a list, tuple or 1-d array of 17 numbers (anything `float()`
+    converts, so numeric strings and bools pass). Entries must be finite;
+    values outside [0, 5] are clamped (live estimators occasionally
+    overshoot) and tallied on `counter`. The checks run in plain Python,
+    which for 17 values costs a fraction of numpy's per-call overhead.
     """
-    au = np.asarray(values, dtype=np.float64)
-    if au.shape != (N_AUS,):
-        raise ContractError(f"AU vector must have exactly {N_AUS} entries, got shape {au.shape}")
-    if not np.all(np.isfinite(au)):
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # a 0-d or 2-d array then fails a check below
+    if not isinstance(values, (list, tuple)):
+        raise ContractError(
+            f"AU vector must be a list of {N_AUS} numbers, got {type(values).__name__}"
+        )
+    if len(values) != N_AUS:
+        raise ContractError(f"AU vector must have exactly {N_AUS} entries, got {len(values)}")
+    try:
+        au = list(map(float, values))
+    except TypeError as exc:
+        raise ContractError(f"AU vector entry is not a number: {exc}") from None
+    if not all(map(math.isfinite, au)):
         raise ContractError("AU vector contains non-finite values")
-    out_of_range = int(np.count_nonzero((au < AU_INTENSITY_MIN) | (au > AU_INTENSITY_MAX)))
-    if out_of_range:
+    lo, hi = AU_INTENSITY_MIN, AU_INTENSITY_MAX
+    if min(au) < lo or max(au) > hi:
         if counter is not None:
-            counter.clamped += out_of_range
-        au = np.clip(au, AU_INTENSITY_MIN, AU_INTENSITY_MAX)
-    return au
+            counter.clamped += sum(1 for v in au if v < lo or v > hi)
+        au = [lo if v < lo else hi if v > hi else v for v in au]
+    return np.array(au, dtype=np.float64)
 
 
 def zero_au_vector() -> np.ndarray:

@@ -8,9 +8,11 @@ earliest positive-weight timestep in the window. A detection within
 estimated start) is merged into that prior event rather than counted as new;
 merges chain — each merged detection advances the reference timestep.
 
-The detector is streaming: O(1) work and O(window_len) memory per timestep,
-and its output is identical to evaluating every window of the completed
-sequence independently.
+The detector is streaming: O(window_len) work and memory per timestep, and
+its output is identical to evaluating every window of the completed sequence
+independently. The window is summed afresh, oldest weight first, at every
+timestep rather than kept as a running total: the chronological sum is what
+makes six weights of 1.0 score exactly 6.0 (acceptance criterion 2).
 """
 
 from __future__ import annotations

@@ -253,23 +253,31 @@ class FinetuneComparison:
 def finetune_comparison(corpus: list[TrialRecord],
                         hyper: TrainConfig | None = None,
                         cfg: WindowConfig | None = None,
-                        finetune_hyper: TrainConfig | None = None) -> FinetuneComparison:
+                        finetune_hyper: TrainConfig | None = None,
+                        folds: list[Fold] | None = None) -> FinetuneComparison:
+    """Compare each participant's fold model with its fine-tuned copy.
+
+    `folds` are the corpus's LOOCV folds when the caller already has them
+    (they must come from `loocv_folds(corpus, hyper, cfg)`); their scored
+    events are the base model's events, so nothing is trained or run twice.
+    """
     hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
     finetune_hyper = finetune_hyper or TrainConfig(
         epochs=100, learning_rate=hyper.learning_rate / 3.0, seed=hyper.seed
     )
+    if folds is None:
+        folds = loocv_folds(corpus, hyper, cfg)
     base_scored: list[ScoredTrial] = []
     tuned_scored: list[ScoredTrial] = []
     rows = []
-    for fold in loocv_folds(corpus, hyper, cfg):
-        trials = sorted((t for t, _ in fold.scored), key=lambda t: t.trial_id)
-        if len(trials) < 2:
+    for fold in folds:
+        scored = sorted(fold.scored, key=lambda pair: pair[0].trial_id)
+        if len(scored) < 2:
             continue  # nothing left to evaluate after holding out one trial
-        adapt, rest = trials[0], trials[1:]
+        adapt, base_pairs = scored[0][0], scored[1:]
         tuned = finetune(fold.params, [adapt], finetune_hyper)
-        base_pairs = [(t, run_trial(t, fold.params, cfg)) for t in rest]
-        tuned_pairs = [(t, run_trial(t, tuned, cfg)) for t in rest]
+        tuned_pairs = [(t, run_trial(t, tuned, cfg)) for t, _ in base_pairs]
         base_scored.extend(base_pairs)
         tuned_scored.extend(tuned_pairs)
         b = [match(ev, t.annotations).detection_delay_s for t, ev in base_pairs]
@@ -426,8 +434,11 @@ def reaction_stats(corpus: list[TrialRecord]) -> dict:
 # ---------------------------------------------------------------------------
 # Report output.
 
-def corpus_report(scored: list[ScoredTrial]) -> dict:
-    """Full evaluation report: corpus score plus per-trial rows."""
+def corpus_report(scored: list[ScoredTrial], score: CorpusScore | None = None) -> dict:
+    """Full evaluation report: corpus score plus per-trial rows.
+
+    `score` is `score_corpus(scored)` when the caller has already computed it.
+    """
     rows = []
     for trial, events in scored:
         s = match(events, trial.annotations)
@@ -441,7 +452,9 @@ def corpus_report(scored: list[ScoredTrial]) -> dict:
             "reaction_diff_s": s.reaction_diff_s,
             "internal_delay_s": s.internal_delay_s,
         })
-    return {"score": score_corpus(scored).to_obj(), "trials": rows}
+    if score is None:
+        score = score_corpus(scored)
+    return {"score": score.to_obj(), "trials": rows}
 
 
 def write_report_json(path, report: dict) -> None:

@@ -40,6 +40,10 @@ from ausentinel.core import (
 
 logger = logging.getLogger(__name__)
 
+# json.loads minus its wrapper: lines arrive stripped, so the two whitespace
+# scans it makes around the document are dead work on the per-frame path.
+_raw_decode = json.JSONDecoder().raw_decode
+
 # CSV stream header: intensities first, then occurrences, both in catalog order.
 CSV_HEADER = (
     ["source_id", "t", "confidence"]
@@ -181,12 +185,11 @@ def _parse_jsonl_record(obj: dict, counter: ClampCounter) -> AuFrame:
 def _parse_csv_record(row: list[str], counter: ClampCounter) -> AuFrame:
     if len(row) != len(CSV_HEADER):
         raise ContractError(f"expected {len(CSV_HEADER)} columns, got {len(row)}")
-    au = [float(v) for v in row[3 : 3 + N_AUS]]
     occ = [v.strip().lower() in ("1", "true") for v in row[3 + N_AUS :]]
     return AuFrame(
         source_id=row[0],
         t=float(row[1]),
-        au=as_au_vector(au, counter),
+        au=as_au_vector(row[3 : 3 + N_AUS], counter),  # float() parses each cell
         occurrences=np.asarray(occ, dtype=bool),
         confidence=float(row[2]),
     )
@@ -198,10 +201,18 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
 
     JSONL streams may open with a header object ``{"catalog": [...]}``; when
     present it must match the canonical AU ordering. CSV streams must open
-    with the exact canonical header. Malformed records (bad JSON, wrong
-    arity, non-finite values, out-of-range confidence, time running backward
-    within a source) are skipped and counted; exceeding `error_budget`
-    skips is fatal. Counters accumulate on `stats` when provided.
+    with the exact canonical header.
+
+    Each record is validated in plain Python (see `as_au_vector`). A record
+    is malformed when its line is not one JSON object with nothing after it
+    (JSONL) or has the wrong column count (CSV); when a field is missing or
+    a value does not convert to a number; when the AU vector is not 17
+    finite numbers or the occurrence vector not 17 entries; when the
+    confidence lies outside [0, 1]; or when its time runs backward within
+    its source. Malformed records are skipped and counted; exceeding
+    `error_budget` skips is fatal. AU values outside [0, 5] are clamped,
+    not rejected, and counted as `values_clamped`. Counters accumulate on
+    `stats` when provided.
     """
     if stats is None:
         stats = StreamStats()
@@ -256,7 +267,9 @@ def _read_jsonl(source, error_budget, stats, counter):
             # no header: fall through and treat the first line as a frame
         else:
             try:
-                obj = json.loads(line)
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 _check_budget(stats, error_budget, line_no, exc)
                 continue
@@ -267,7 +280,7 @@ def _read_jsonl(source, error_budget, stats, counter):
             prev = last_t.get(frame.source_id)
             if prev is not None and frame.t < prev:
                 raise ContractError(f"time ran backward for {frame.source_id}")
-        except (ContractError, KeyError, TypeError, ValueError) as exc:
+        except (ContractError, KeyError, TypeError, ValueError, OverflowError) as exc:
             _check_budget(stats, error_budget, line_no, exc)
             continue
         last_t[frame.source_id] = frame.t
@@ -350,21 +363,29 @@ class TimestepBuilder:
     from its first frame). Gap timesteps are emitted as zero-vector/invalid
     rather than stalling the clock, keeping downstream latency accounting
     truthful.
+
+    A frame whose timestep was already emitted can only come from a source
+    not seen before (a live source never falls below the watermark). It is
+    dropped and counted on `late_frames`, and its source stays unseen, so
+    it cannot pull the watermark back.
     """
 
     def __init__(self, policy: ArbitrationPolicy | None = None,
                  trial_start: float = 0.0):
         self.policy = policy or ArbitrationPolicy()
         self.trial_start = trial_start
+        self._fps = self.policy.fps
+        self._fpt = self.policy.frames_per_timestep
         self._pending: dict[int, dict[str, AuFrame]] = {}
         self._last_slot: dict[str, int] = {}
         self._ended: set[str] = set()
         self._next_index = 0
         self.duplicate_frames = 0
+        self.late_frames = 0
 
     def add(self, frame: AuFrame) -> list[Timestep]:
         """Absorb one frame; return any timesteps that became final."""
-        slot = round((frame.t - self.trial_start) * self.policy.fps)
+        slot = round((frame.t - self.trial_start) * self._fps)
         if slot < 0:
             raise ContractError(f"frame at t={frame.t} precedes trial start")
         src = frame.source_id
@@ -373,12 +394,20 @@ class TimestepBuilder:
         prev = self._last_slot.get(src)
         if prev is not None and slot < prev:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
+        index = slot // self._fpt
+        if index < self._next_index:
+            self.late_frames += 1
+            return []
         self._last_slot[src] = slot
         per_source = self._pending.setdefault(slot, {})
         if src in per_source:
             self.duplicate_frames += 1  # first frame for a (slot, source) wins
         else:
             per_source[src] = frame
+        if index <= self._next_index:
+            # This source is live at `slot`, so the watermark is at most
+            # `slot` and no timestep can close yet.
+            return []
         return self._drain()
 
     def end_source(self, source_id: str) -> list[Timestep]:
@@ -393,7 +422,7 @@ class TimestepBuilder:
         slots = [s for s in self._pending] + list(self._last_slot.values())
         if not slots:
             return out
-        hi_index = max(slots) // self.policy.frames_per_timestep
+        hi_index = max(slots) // self._fpt
         while self._next_index <= hi_index:
             out.append(self._emit(self._next_index))
         return out
@@ -409,13 +438,13 @@ class TimestepBuilder:
         wm = self._watermark()
         if wm is None:
             return out
-        wm_index = wm // self.policy.frames_per_timestep
+        wm_index = wm // self._fpt
         while self._next_index < wm_index:
             out.append(self._emit(self._next_index))
         return out
 
     def _emit(self, index: int) -> Timestep:
-        fpt = self.policy.frames_per_timestep
+        fpt = self._fpt
         arbitrated = []
         for slot in range(index * fpt, (index + 1) * fpt):
             per_source = self._pending.pop(slot, None)

@@ -178,6 +178,37 @@ def test_evaluate_loocv_with_finetune(cli_env, tmp_path, capsys):
     assert "fine-tuning: mean delay" in capsys.readouterr().out
 
 
+def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch):
+    from ausentinel import cli, evaluation
+
+    calls = []
+    loocv_folds = evaluation.loocv_folds
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loocv_folds(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "loocv_folds", counted)
+    monkeypatch.setattr(evaluation, "loocv_folds", counted)
+    argv = ["evaluate", "--corpus", str(cli_env["corpus"]), "--epochs", "60",
+            "--finetune-per-participant", "--finetune-epochs", "20"]
+    reused = tmp_path / "reused.json"
+    assert main(argv + ["--report-json", str(reused)]) == 0
+    assert len(calls) == 1
+
+    # The earlier path: finetune_comparison runs a LOOCV pass of its own.
+    real = evaluation.finetune_comparison
+
+    def own_folds(*args, folds=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "finetune_comparison", own_folds)
+    retrained = tmp_path / "retrained.json"
+    assert main(argv + ["--report-json", str(retrained)]) == 0
+    assert len(calls) == 3
+    assert reused.read_bytes() == retrained.read_bytes()
+
+
 def test_analyze_report(cli_env, tmp_path, capsys):
     rj = tmp_path / "aus.json"
     rc = main(["analyze", "--corpus", str(cli_env["corpus"]),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ausentinel.core import (
     AU_IDS,
@@ -72,6 +74,72 @@ def test_as_au_vector_rejects_bad_input():
         as_au_vector([1.0] * 16, ClampCounter())
     with pytest.raises(ContractError):
         as_au_vector([math.nan] + [0.0] * 16, ClampCounter())
+    for not_a_vector in ("1" * N_AUS, 1.0, None, np.float64(1.0), np.ones((N_AUS, 1)),
+                         [[1.0]] * N_AUS, {str(k): 1.0 for k in range(N_AUS)}):
+        with pytest.raises(ContractError):
+            as_au_vector(not_a_vector, ClampCounter())
+
+
+def _numpy_as_au_vector(values, counter):
+    """The numpy implementation as_au_vector replaced: the parity reference."""
+    au = np.asarray(values, dtype=np.float64)
+    if au.shape != (N_AUS,):
+        raise ContractError(f"AU vector must have exactly {N_AUS} entries")
+    if not np.all(np.isfinite(au)):
+        raise ContractError("AU vector contains non-finite values")
+    out_of_range = int(np.count_nonzero((au < 0.0) | (au > 5.0)))
+    if out_of_range:
+        counter.clamped += out_of_range
+        au = np.clip(au, 0.0, 5.0)
+    return au
+
+
+_AU_ENTRIES = st.one_of(
+    st.floats(0.0, 5.0),
+    st.sampled_from([0.0, -0.0, 5.0, 5.000000000000001, -5e-324]),  # range edges
+    st.floats(-1e300, 1e300),  # mostly out of range: clamped
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.floats(-10.0, 10.0).map(repr),
+    st.sampled_from(["3", " 2.5 ", "1_0", "-0.0", "1e3"]),
+)
+_BAD_AU_ENTRIES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, "nan", "-inf", "1e400", "abc", "", None]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_AU_ENTRIES, min_size=N_AUS - 1, max_size=N_AUS + 1),
+       bad=st.none() | st.tuples(st.integers(0, N_AUS), _BAD_AU_ENTRIES),
+       as_tuple=st.booleans())
+def test_as_au_vector_matches_numpy_reference(values, bad, as_tuple):
+    # Both versions accept exactly the same inputs, with the same bytes and
+    # clamp count. A rejection may be ContractError or ValueError (the
+    # readers skip and count either): the order of the checks differs, so
+    # e.g. a 16-entry list holding "abc" is a ValueError for numpy, which
+    # converts first, and a ContractError here, which checks length first.
+    if bad is not None:
+        at, entry = bad
+        values[at % len(values)] = entry
+    if as_tuple:
+        values = tuple(values)
+
+    def run(fn):
+        counter = ClampCounter()
+        try:
+            return fn(values, counter), counter.clamped
+        except (ContractError, ValueError) as exc:
+            return exc, None
+
+    got, got_clamped = run(as_au_vector)
+    want, want_clamped = run(_numpy_as_au_vector)
+    if isinstance(want, Exception):
+        assert isinstance(got, (ContractError, ValueError))
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (N_AUS,)
+        assert got.tobytes() == want.tobytes()
+        assert got_clamped == want_clamped
 
 
 def test_zero_au_vector():

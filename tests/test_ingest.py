@@ -210,6 +210,25 @@ def test_builder_end_source_releases_watermark():
     assert [ts.index for ts in out] == [0, 1, 2]
 
 
+def test_builder_drops_late_first_frame_of_a_new_source():
+    # cam_b's first frame lands in timestep 0, which cam_a has already closed.
+    builder = TimestepBuilder()
+    out = []
+    for k in range(60):
+        out.extend(builder.add(frame("cam_a", t=k / 30.0)))
+    assert [ts.index for ts in out] == [0, 1, 2, 3, 4]
+    assert builder.add(frame("cam_b", t=0.0)) == []
+    assert builder.late_frames == 1
+    # the late source does not hold the watermark back
+    for k in range(60, 71):
+        out.extend(builder.add(frame("cam_a", t=k / 30.0)))
+    assert [ts.index for ts in out] == [0, 1, 2, 3, 4, 5, 6]
+    out.extend(builder.finish())
+    assert [ts.index for ts in out] == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert builder._pending == {}
+    assert builder.late_frames == 1
+
+
 def test_builder_finish_idempotent():
     builder = TimestepBuilder()
     builder.add(frame(t=0.0))
@@ -295,6 +314,17 @@ def test_read_stream_error_budget():
     with pytest.raises(StreamFormatError) as info:
         list(read_stream(io.StringIO("\n".join(lines)), error_budget=2))
     assert "line 4" in str(info.value)
+
+
+def test_read_stream_skips_integers_too_large_for_a_float():
+    good = frame_to_obj(frame(t=0.0))
+    lines = [json.dumps(good),
+             json.dumps(dict(good, t=10**400)),
+             json.dumps(dict(good, t=1.0, au=[10**400] + [0.0] * (N_AUS - 1)))]
+    stats = StreamStats()
+    got = list(read_stream(io.StringIO("\n".join(lines)), stats=stats))
+    assert len(got) == 1
+    assert stats.records_skipped == 2
 
 
 def test_read_stream_backward_time_is_malformed():
