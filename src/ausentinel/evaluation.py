@@ -434,10 +434,10 @@ def reaction_stats(corpus: list[TrialRecord]) -> dict:
 # ---------------------------------------------------------------------------
 # Report output.
 
-def corpus_report(scored: list[ScoredTrial], score: CorpusScore | None = None) -> dict:
+def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
     """Full evaluation report: corpus score plus per-trial rows.
 
-    `score` is `score_corpus(scored)` when the caller has already computed it.
+    `score` is `score_corpus(scored)`, which the caller also prints.
     """
     rows = []
     for trial, events in scored:
@@ -452,8 +452,6 @@ def corpus_report(scored: list[ScoredTrial], score: CorpusScore | None = None) -
             "reaction_diff_s": s.reaction_diff_s,
             "internal_delay_s": s.internal_delay_s,
         })
-    if score is None:
-        score = score_corpus(scored)
     return {"score": score.to_obj(), "trials": rows}
 
 
