@@ -6,6 +6,9 @@ are session-scoped so the acceptance tests and unit tests share one build.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, label, status in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"criterion {num:2d} {label}: {status}")
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_fixture_script(name: str):
+    """Import fixtures/<name>/generate.py, the recipe that wrote that fixture."""
+    path = FIXTURES / name / "generate.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 PINNED_SEED = 42

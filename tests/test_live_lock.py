@@ -7,14 +7,13 @@ of one checkout; this test compares against bytes written by an earlier
 version of the package, so it catches drift between versions.
 """
 
-from pathlib import Path
-
 import pytest
 
+from conftest import FIXTURES, load_fixture_script
 from ausentinel.cli import main
 from ausentinel.ingest import StreamStats, read_stream
 
-FIXTURE = Path(__file__).parent / "fixtures" / "live_lock"
+FIXTURE = FIXTURES / "live_lock"
 
 # Counters read_stream reports on each stream: 1200 frames (20 s, two
 # cameras at 30 fps), six bad lines, two ticks with two out-of-range values
@@ -40,3 +39,11 @@ def test_read_stream_counters_are_pinned(fmt):
     assert n == stats.frames_read
     assert {k: getattr(stats, k) for k in PINNED_STATS} == PINNED_STATS
     assert stats.sources == {"cam_a", "cam_b"}
+
+
+def test_model_recipe_reproduces_locked_model(tmp_path):
+    # generate.py trains the model (simgen corpus, seed 0, 120 epochs); any
+    # change to training that moves a weight's bits fails here.
+    path = tmp_path / "model.json"
+    load_fixture_script("live_lock")._model(str(path))
+    assert path.read_bytes() == (FIXTURE / "model.json").read_bytes()

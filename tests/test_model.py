@@ -234,3 +234,127 @@ def test_load_rejects_corrupt_files(tmp_path):
     (tmp_path / "bad4.json").write_text(path.read_text()[:40])
     with pytest.raises(ModelIntegrityError):
         load(tmp_path / "bad4.json")
+
+
+# ---------------------------------------------------------------------------
+# Parity with the reference training loop: a verbatim copy (relu only) of the
+# straightforward implementation the package shipped with. Training may be
+# rewritten for speed, but every weight and logged loss must keep its bits.
+
+
+def _ref_softmax_rows(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_loss_and_gradients(w1, b1, w2, b2, X, y):
+    n = X.shape[0]
+    h_pre = X @ w1 + b1
+    h = np.maximum(h_pre, 0.0)
+    logits = h @ w2 + b2
+    p = _ref_softmax_rows(logits)
+    loss = float(-np.mean(np.log(p[np.arange(n), y] + 1e-300)))
+    d_logits = p.copy()
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    g_w2 = h.T @ d_logits
+    g_b2 = d_logits.sum(axis=0)
+    d_h = d_logits @ w2.T
+    d_pre = d_h * (h_pre > 0)
+    g_w1 = X.T @ d_pre
+    g_b1 = d_pre.sum(axis=0)
+    return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
+
+
+def _ref_fit(start, X, y_labels, hyper):
+    err_idx = np.flatnonzero(y_labels)
+    noerr_idx = np.flatnonzero(~y_labels)
+    n_err = err_idx.size
+    degenerate = noerr_idx.size < n_err
+    rng = np.random.default_rng(hyper.seed)
+    w1, b1 = start.w1.copy(), start.b1.copy()
+    w2, b2 = start.w2.copy(), start.b2.copy()
+    y_int = y_labels.astype(np.int64)
+    log = []
+    for epoch in range(hyper.epochs):
+        if degenerate:
+            sampled = noerr_idx
+        else:
+            sampled = rng.choice(noerr_idx, size=n_err, replace=False)
+        idx = np.concatenate([err_idx, sampled])
+        loss, grads = _ref_loss_and_gradients(w1, b1, w2, b2, X[idx], y_int[idx])
+        w1 -= hyper.learning_rate * grads["w1"]
+        b1 -= hyper.learning_rate * grads["b1"]
+        w2 -= hyper.learning_rate * grads["w2"]
+        b2 -= hyper.learning_rate * grads["b2"]
+        log.append({"epoch": epoch, "loss": loss, "n_error": int(n_err),
+                    "n_no_error": int(sampled.size)})
+    return (w1, b1, w2, b2), log
+
+
+def _weight_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_training_matches_reference_loop_bit_for_bit(tiny_corpus, seed, degenerate):
+    # Degenerate: 4 no-error timesteps for 10 error ones, so every epoch
+    # trains on the full no-error set instead of a sample.
+    corpus = separable_corpus(4, 10, seed) if degenerate else tiny_corpus
+    hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=seed)
+    X, y = corpus_matrices(corpus)
+    want, want_log = _ref_fit(init_params(seed), X, y, hyper)
+    log: list = []
+    got = train(corpus, hyper, log)
+    assert _weight_bytes((got.w1, got.b1, got.w2, got.b2)) == _weight_bytes(want)
+    assert log == want_log
+    assert [e["loss"] for e in log] == [e["loss"] for e in want_log]
+    # Without an epoch log the weights are the same.
+    quiet = train(corpus, hyper)
+    assert _weight_bytes((quiet.w1, quiet.b1, quiet.w2, quiet.b2)) == _weight_bytes(want)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_finetune_matches_reference_loop_bit_for_bit(tiny_corpus, seed):
+    base = train(tiny_corpus, TrainConfig(epochs=30, learning_rate=0.3, seed=0))
+    hyper = TrainConfig(epochs=40, learning_rate=0.1, seed=seed)
+    trials = tiny_corpus[:1]
+    X, y = corpus_matrices(trials)
+    want, want_log = _ref_fit(base, X, y, hyper)
+    log: list = []
+    got = finetune(base, trials, hyper, log)
+    assert _weight_bytes((got.w1, got.b1, got.w2, got.b2)) == _weight_bytes(want)
+    assert log == want_log
+    assert _weight_bytes((base.w1, base.b1, base.w2, base.b2)) != _weight_bytes(want)
+
+
+def test_loss_and_gradients_match_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        params = replace(
+            init_params(0),
+            w1=rng.normal(0.0, 0.5, (N_AUS, N_HIDDEN)),
+            b1=rng.normal(0.0, 0.3, N_HIDDEN),
+            w2=rng.normal(0.0, 1.0, (N_HIDDEN, N_CLASSES)),
+            b2=rng.normal(0.0, 0.3, N_CLASSES),
+        )
+        n = int(rng.integers(1, 40))
+        X = rng.uniform(0.0, 5.0, (n, N_AUS))
+        y = rng.integers(0, 2, n)
+        loss, grads = loss_and_gradients(params, X, y)
+        want_loss, want = _ref_loss_and_gradients(
+            params.w1, params.b1, params.w2, params.b2, X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for name in ("w1", "b1", "w2", "b2"):
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+def test_forward_matches_reference_softmax_bit_for_bit():
+    params = replace(init_params(5), b2=np.array([0.4, -0.7]))
+    rng = np.random.default_rng(23)
+    for x in rng.uniform(0.0, 5.0, (2000, N_AUS)):
+        logits = np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
+        want = _ref_softmax_rows(logits)
+        assert forward(params, x) == (float(want[0]), float(want[1]))
