@@ -6,7 +6,10 @@ AU intensities in this order; the ordering hash is embedded in serialized
 artifacts so mismatched producers are rejected at load time instead of
 silently misaligning features.
 
-All types are immutable value objects and safe to share across threads.
+All types are value objects and safe to share across threads once built.
+They are immutable, except `AuFrame`: the per-frame type is a plain slotted
+class (a frozen dataclass pays for `object.__setattr__` on every field),
+and is read-only by convention.
 """
 
 from __future__ import annotations
@@ -148,12 +151,13 @@ def timesteps_to_seconds(n_timesteps: float) -> float:
     return n_timesteps / RATE_HZ
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class AuFrame:
     """One camera-frame observation from a single source.
 
     `valid_face` is True for raw extractor output; confidence arbitration
-    may emit zeroed frames with it cleared.
+    may emit zeroed frames with it cleared. Frames are read-only by
+    convention: nothing changes a field after construction.
     """
 
     source_id: str
@@ -164,6 +168,8 @@ class AuFrame:
     valid_face: bool = True
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise ContractError(f"frame time {self.t} is not finite")
         if not 0.0 <= self.confidence <= 1.0:
             raise ContractError(f"confidence {self.confidence} outside [0, 1]")
 

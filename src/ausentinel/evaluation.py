@@ -217,13 +217,6 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     return folds
 
 
-def loocv(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
-          cfg: WindowConfig | None = None) -> CorpusScore:
-    folds = loocv_folds(corpus, hyper, cfg)
-    scored = [pair for fold in folds for pair in fold.scored]
-    return score_corpus(scored)
-
-
 @dataclass(frozen=True)
 class FinetuneComparison:
     """Base vs per-participant fine-tuned model on held-out trials.

@@ -208,11 +208,11 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     (JSONL) or has the wrong column count (CSV); when a field is missing or
     a value does not convert to a number; when the AU vector is not 17
     finite numbers or the occurrence vector not 17 entries; when the
-    confidence lies outside [0, 1]; or when its time runs backward within
-    its source. Malformed records are skipped and counted; exceeding
-    `error_budget` skips is fatal. AU values outside [0, 5] are clamped,
-    not rejected, and counted as `values_clamped`. Counters accumulate on
-    `stats` when provided.
+    confidence lies outside [0, 1]; or when its time is not finite or runs
+    backward within its source. Malformed records are skipped and counted;
+    exceeding `error_budget` skips is fatal. AU values outside [0, 5] of
+    the records yielded are clamped, not rejected, and counted as
+    `values_clamped`. Counters accumulate on `stats` when provided.
     """
     if stats is None:
         stats = StreamStats()
@@ -273,6 +273,7 @@ def _read_jsonl(source, error_budget, stats, counter):
             except json.JSONDecodeError as exc:
                 _check_budget(stats, error_budget, line_no, exc)
                 continue
+        clamped = counter.clamped
         try:
             if not isinstance(obj, dict):
                 raise ContractError("record is not an object")
@@ -281,6 +282,7 @@ def _read_jsonl(source, error_budget, stats, counter):
             if prev is not None and frame.t < prev:
                 raise ContractError(f"time ran backward for {frame.source_id}")
         except (ContractError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
         last_t[frame.source_id] = frame.t
@@ -300,12 +302,14 @@ def _read_csv(source, error_budget, stats, counter):
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
+        clamped = counter.clamped
         try:
             frame = _parse_csv_record(row, counter)
             prev = last_t.get(frame.source_id)
             if prev is not None and frame.t < prev:
                 raise ContractError(f"time ran backward for {frame.source_id}")
         except (ContractError, TypeError, ValueError) as exc:
+            counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
         last_t[frame.source_id] = frame.t

@@ -1,4 +1,4 @@
-"""Per-timestep classifier: a 17-4-2 network with confidence-weighted output.
+"""Per-timestep classifier: a 17-4-2 relu network with confidence-weighted output.
 
 Each 1/3 s timestep is classified independently from its 17 AU intensities
 (no temporal features). The softmax error probability becomes the timestep's
@@ -9,7 +9,10 @@ downstream sums them.
 Training rebalances classes by randomly undersampling no-error timesteps
 every epoch to match the error-timestep count, then takes one full-batch
 gradient step on the softmax cross-entropy. Everything is deterministic
-given the seed.
+given the seed. One kernel, `_gradients`, computes the batch loss and
+gradients for `train`, `finetune` and `loss_and_gradients`; it and
+`forward` share one two-class softmax, so live scores and training see the
+same probabilities bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ logger = logging.getLogger(__name__)
 N_HIDDEN = 4
 N_CLASSES = 2
 MODEL_FILE_VERSION = 1
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
+HIDDEN_ACTIVATIONS = ("relu",)  # model files name it; nothing else is built
 
 
 @dataclass(frozen=True)
@@ -102,27 +105,26 @@ class TrainConfig:
             raise UnusableCorpusError("learning_rate must be > 0")
 
 
-def init_params(seed: int = 0, hidden_activation: str = "relu") -> ModelParams:
+def init_params(seed: int = 0) -> ModelParams:
     """Seeded initialization: weights U(-0.5, 0.5)/sqrt(fan_in), zero biases."""
     rng = np.random.default_rng(seed)
     w1 = (rng.random((N_AUS, N_HIDDEN)) - 0.5) / math.sqrt(N_AUS)
     w2 = (rng.random((N_HIDDEN, N_CLASSES)) - 0.5) / math.sqrt(N_HIDDEN)
     return ModelParams(
-        w1=w1, b1=np.zeros(N_HIDDEN), w2=w2, b2=np.zeros(N_CLASSES),
-        hidden_activation=hidden_activation, seed=seed,
+        w1=w1, b1=np.zeros(N_HIDDEN), w2=w2, b2=np.zeros(N_CLASSES), seed=seed,
     )
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(pre, 0.0)
-    return np.tanh(pre)
+def _softmax2(logits: np.ndarray) -> np.ndarray:
+    """Two-class softmax over the last axis of one logit pair or an (n, 2) batch.
 
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    Bit-identical to the generic max-shift softmax: the max and the sum of
+    a pair are each one operation, so no reduction is needed.
+    """
+    e = logits - np.maximum(logits[..., 0], logits[..., 1])[..., np.newaxis]
+    np.exp(e, out=e)
+    e /= (e[..., 0] + e[..., 1])[..., np.newaxis]
+    return e
 
 
 def forward(params: ModelParams, x) -> tuple[float, float]:
@@ -132,11 +134,11 @@ def forward(params: ModelParams, x) -> tuple[float, float]:
     offline scores are bit-identical to streaming behavior.
     """
     x = np.asarray(x, dtype=np.float64)
-    h = _activate(x @ params.w1 + params.b1, params.hidden_activation)
+    h = np.maximum(x @ params.w1 + params.b1, 0.0)
     logits = h @ params.w2 + params.b2
     if not np.all(np.isfinite(logits)):
         raise ModelIntegrityError("non-finite logits in forward pass")
-    p = _softmax_rows(logits)
+    p = _softmax2(logits)
     return float(p[0]), float(p[1])
 
 
@@ -166,31 +168,45 @@ def corpus_matrices(corpus: list[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
 
+def _gradients(w1, b1, w2, b2, X, y_err, y_ok, want_loss: bool):
+    """The training kernel: mean cross-entropy and its gradients on one batch.
+
+    `y_err` and `y_ok` are the batch's label columns as 1.0/0.0 floats. The
+    loss is None unless `want_loss`. Temporaries are updated in place; the
+    matmul operand shapes and the axis-0 sums fix the summation order, so
+    the results are bit-identical to the textbook formulation.
+    """
+    h = X @ w1
+    h += b1
+    active = h > 0
+    np.maximum(h, 0.0, out=h)
+    d_logits = h @ w2
+    d_logits += b2
+    d_logits = _softmax2(d_logits)
+    loss = None
+    if want_loss:
+        p_true = np.where(y_err, d_logits[:, 1], d_logits[:, 0])
+        loss = float(-np.mean(np.log(p_true + 1e-300)))  # guards log(0) only
+    d_logits[:, 0] -= y_ok
+    d_logits[:, 1] -= y_err
+    d_logits /= X.shape[0]
+    g_w2 = h.T @ d_logits
+    g_b2 = d_logits.sum(axis=0)
+    d_pre = d_logits @ w2.T
+    d_pre *= active
+    g_w1 = X.T @ d_pre
+    g_b1 = d_pre.sum(axis=0)
+    return loss, g_w1, g_b1, g_w2, g_b2
+
+
 def loss_and_gradients(params: ModelParams, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over a batch plus analytic gradients for all params.
 
     y holds integer class indices (0 = no error, 1 = error).
     """
-    n = X.shape[0]
-    h_pre = X @ params.w1 + params.b1
-    h = _activate(h_pre, params.hidden_activation)
-    logits = h @ params.w2 + params.b2
-    p = _softmax_rows(logits)
-    eps = 1e-300  # guards log(0) only; softmax of finite logits is positive
-    loss = float(-np.mean(np.log(p[np.arange(n), y] + eps)))
-
-    d_logits = p.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n
-    g_w2 = h.T @ d_logits
-    g_b2 = d_logits.sum(axis=0)
-    d_h = d_logits @ params.w2.T
-    if params.hidden_activation == "relu":
-        d_pre = d_h * (h_pre > 0)
-    else:
-        d_pre = d_h * (1.0 - h * h)
-    g_w1 = X.T @ d_pre
-    g_b1 = d_pre.sum(axis=0)
+    y_err = np.asarray(y, dtype=np.float64)
+    loss, g_w1, g_b1, g_w2, g_b2 = _gradients(
+        params.w1, params.b1, params.w2, params.b2, X, y_err, 1.0 - y_err, True)
     return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
 
 
@@ -210,34 +226,38 @@ def _fit(start: ModelParams, X: np.ndarray, y_labels: np.ndarray,
             "undersampling degenerates to the full no-error set",
             noerr_idx.size, n_err,
         )
+    n_ok = noerr_idx.size if degenerate else n_err  # equal class counts, every epoch
+    # The batch is the error rows, then this epoch's no-error rows; only the
+    # second block changes between epochs (never, when degenerate).
+    batch = np.empty((n_err + n_ok, X.shape[1]))
+    X.take(err_idx, axis=0, out=batch[:n_err])
+    if degenerate:
+        X.take(noerr_idx, axis=0, out=batch[n_err:])
+    y_err = np.zeros(n_err + n_ok)
+    y_err[:n_err] = 1.0
+    y_ok = 1.0 - y_err
     rng = np.random.default_rng(hyper.seed)
+    lr = hyper.learning_rate
     w1, b1 = start.w1.copy(), start.b1.copy()
     w2, b2 = start.w2.copy(), start.b2.copy()
-    y_int = y_labels.astype(np.int64)
     for epoch in range(hyper.epochs):
-        if degenerate:
-            sampled = noerr_idx
-        else:
+        if not degenerate:
             sampled = rng.choice(noerr_idx, size=n_err, replace=False)
-            assert sampled.size == n_err  # equal class counts, every epoch
-        idx = np.concatenate([err_idx, sampled])
-        cur = ModelParams(w1=w1, b1=b1, w2=w2, b2=b2,
-                          hidden_activation=start.hidden_activation)
-        loss, grads = loss_and_gradients(cur, X[idx], y_int[idx])
-        w1 -= hyper.learning_rate * grads["w1"]
-        b1 -= hyper.learning_rate * grads["b1"]
-        w2 -= hyper.learning_rate * grads["w2"]
-        b2 -= hyper.learning_rate * grads["b2"]
+            X.take(sampled, axis=0, out=batch[n_err:])
+        loss, g_w1, g_b1, g_w2, g_b2 = _gradients(
+            w1, b1, w2, b2, batch, y_err, y_ok, epoch_log is not None)
+        for param, grad in ((w1, g_w1), (b1, g_b1), (w2, g_w2), (b2, g_b2)):
+            grad *= lr
+            param -= grad
         if epoch_log is not None:
             epoch_log.append({
                 "epoch": epoch,
                 "loss": loss,
                 "n_error": int(n_err),
-                "n_no_error": int(sampled.size),
+                "n_no_error": int(n_ok),
             })
     return ModelParams(
         w1=w1, b1=b1, w2=w2, b2=b2,
-        hidden_activation=start.hidden_activation,
         seed=hyper.seed, epochs=hyper.epochs, learning_rate=hyper.learning_rate,
     )
 

@@ -7,6 +7,7 @@ are session-scoped so the acceptance tests and unit tests share one build.
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from ausentinel.core import GroundTruth, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
+from ausentinel.evaluation import loocv_folds
 from ausentinel.model import TrainConfig, train
 from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate
 
@@ -74,6 +76,17 @@ def pinned_params(pinned_corpus):
 @pytest.fixture(scope="session")
 def window_cfg():
     return WindowConfig()
+
+
+@pytest.fixture(scope="session")
+def pinned_folds(pinned_corpus, window_cfg):
+    """LOOCV folds of the pinned corpus and the seconds they took to compute.
+
+    Criteria 6 and 7 share this one pass, as `evaluate` does.
+    """
+    t0 = time.perf_counter()
+    folds = loocv_folds(pinned_corpus, TRAIN_HYPER, window_cfg)
+    return folds, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

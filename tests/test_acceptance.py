@@ -37,7 +37,6 @@ from ausentinel.evaluation import (
     detection_delay,
     finetune_comparison,
     internal_delay,
-    loocv_folds,
     match,
     score_corpus,
     welch_ttest,
@@ -200,14 +199,12 @@ def test_criterion_05_balanced_epochs():
             assert entry["n_error"] == entry["n_no_error"] == 10
 
 
-def test_criterion_06_population_benchmark(pinned_corpus, window_cfg):
+def test_criterion_06_population_benchmark(pinned_folds):
     """Leave-one-participant-out on the pinned 20x3 corpus: no misses,
     at most one false positive per trial on average, RMSE detection delay
     within 4 s, full run within five minutes."""
     with criterion(6, "population cross-validation bar"):
-        t0 = time.perf_counter()
-        folds = loocv_folds(pinned_corpus, TRAIN_HYPER, window_cfg)
-        elapsed = time.perf_counter() - t0
+        folds, elapsed = pinned_folds  # timed where the fixture computes them
         scored = [pair for fold in folds for pair in fold.scored]
         score = score_corpus(scored)
         assert score.n_trials == 60
@@ -218,11 +215,15 @@ def test_criterion_06_population_benchmark(pinned_corpus, window_cfg):
         assert elapsed <= 300.0, f"LOOCV took {elapsed:.0f}s"
 
 
-def test_criterion_07_per_person_adaptation(pinned_corpus, window_cfg):
+def test_criterion_07_per_person_adaptation(pinned_corpus, pinned_folds,
+                                            window_cfg):
     """Fine-tuning on one trial of the held-out participant must not worsen
     the mean detection delay on their remaining trials."""
     with criterion(7, "fine-tuning never worsens mean delay"):
-        cmp_ = finetune_comparison(pinned_corpus, TRAIN_HYPER, window_cfg)
+        # Reuses criterion 6's folds, as `evaluate` does; test_cli pins this
+        # path byte-equal to the one that computes its own folds.
+        cmp_ = finetune_comparison(pinned_corpus, TRAIN_HYPER, window_cfg,
+                                   folds=pinned_folds[0])
         assert cmp_.base_mean_delay_s is not None
         assert cmp_.tuned_mean_delay_s is not None
         assert cmp_.tuned_mean_delay_s <= cmp_.base_mean_delay_s, (

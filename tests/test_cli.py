@@ -209,6 +209,27 @@ def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch
     assert reused.read_bytes() == retrained.read_bytes()
 
 
+def test_detect_skips_a_non_finite_time(tmp_path, capsys, caplog):
+    # A "t": NaN line used to pass read_stream and crash the timestep builder.
+    from ausentinel.model import init_params, save
+
+    model = tmp_path / "model.json"
+    save(init_params(0), model)
+    good = {"source_id": "cam_a", "confidence": 0.9, "au": [0.5] * 17,
+            "occ": [False] * 17}
+    lines = [json.dumps(dict(good, t=k / 30.0)) for k in range(5)]
+    lines.append(json.dumps(dict(good, t=float("nan"))))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    with caplog.at_level("WARNING"):
+        rc = main(["detect", "--model", str(model), "--input", str(stream),
+                   "--out", str(tmp_path / "events.jsonl")])
+    assert rc == 0
+    assert "skipped 1 malformed records" in caplog.text
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["timesteps"] == 1
+
+
 def test_analyze_report(cli_env, tmp_path, capsys):
     rj = tmp_path / "aus.json"
     rc = main(["analyze", "--corpus", str(cli_env["corpus"]),

@@ -1,5 +1,6 @@
 """Stream parsing, arbitration, and the streaming timestep builder."""
 
+import csv
 import io
 import json
 
@@ -342,6 +343,42 @@ def test_read_stream_clamps_and_counts():
     got = list(read_stream(io.StringIO(json.dumps(obj) + "\n"), stats=stats))
     assert got[0].au[0] == 5.0
     assert stats.values_clamped == 1
+
+
+def stream_text(objs, fmt):
+    """Frame records (`frame_to_obj` dicts, possibly invalid) as a stream."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(obj) + "\n" for obj in objs)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for obj in objs:
+        writer.writerow([obj["source_id"], repr(obj["t"]), repr(obj["confidence"])]
+                        + [repr(v) for v in obj["au"]] + [int(v) for v in obj["occ"]])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("bad_t", [float("nan"), float("inf"), float("-inf")])
+def test_read_stream_non_finite_time_is_malformed(fmt, bad_t):
+    objs = [frame_to_obj(frame(t=k / 30.0)) for k in range(3)]
+    objs.insert(2, dict(objs[0], t=bad_t))
+    stats = StreamStats()
+    got = list(read_stream(io.StringIO(stream_text(objs, fmt)), fmt, stats=stats))
+    assert [f.t for f in got] == [0.0, 1 / 30.0, 2 / 30.0]
+    assert stats.records_skipped == 1 and stats.frames_read == 3
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_values_clamped_counts_yielded_records_only(fmt):
+    objs = [frame_to_obj(frame(t=k / 30.0)) for k in range(3)]
+    hot = [7.5] + objs[0]["au"][1:]
+    objs.append(dict(objs[1], au=hot, confidence=1.5))  # confidence out of range
+    objs.append(dict(objs[0], au=hot))  # time runs backward
+    stats = StreamStats()
+    got = list(read_stream(io.StringIO(stream_text(objs, fmt)), fmt, stats=stats))
+    assert len(got) == 3
+    assert stats.values_clamped == 0 and stats.records_skipped == 2
 
 
 def test_csv_header_is_strict():

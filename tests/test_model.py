@@ -235,6 +235,11 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(ModelIntegrityError):
         load(tmp_path / "bad4.json")
 
+    bad = dict(obj, activation="tanh")  # relu is the only activation
+    (tmp_path / "bad5.json").write_text(json.dumps(bad))
+    with pytest.raises(ModelIntegrityError):
+        load(tmp_path / "bad5.json")
+
 
 # ---------------------------------------------------------------------------
 # Parity with the reference training loop: a verbatim copy (relu only) of the
