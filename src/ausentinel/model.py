@@ -26,6 +26,7 @@ import numpy as np
 
 from ausentinel.core import (
     N_AUS,
+    ContractError,
     ModelIntegrityError,
     TrialRecord,
     UnusableCorpusError,
@@ -172,9 +173,11 @@ def _gradients(w1, b1, w2, b2, X, y_err, y_ok, want_loss: bool):
     """The training kernel: mean cross-entropy and its gradients on one batch.
 
     `y_err` and `y_ok` are the batch's label columns as 1.0/0.0 floats. The
-    loss is None unless `want_loss`. Temporaries are updated in place; the
-    matmul operand shapes and the axis-0 sums fix the summation order, so
-    the results are bit-identical to the textbook formulation.
+    loss is None unless `want_loss`. Temporaries are updated in place, but
+    each matmul keeps its operand shapes and each bias gradient stays an
+    axis-0 sum: those fix the summation order, so the results match the
+    straightforward formulation (kept as the reference in
+    tests/test_model.py) bit for bit.
     """
     h = X @ w1
     h += b1
@@ -205,6 +208,8 @@ def loss_and_gradients(params: ModelParams, X: np.ndarray, y: np.ndarray):
     y holds integer class indices (0 = no error, 1 = error).
     """
     y_err = np.asarray(y, dtype=np.float64)
+    if ((y_err != 0.0) & (y_err != 1.0)).any():
+        raise ContractError("class indices must be 0 or 1")
     loss, g_w1, g_b1, g_w2, g_b2 = _gradients(
         params.w1, params.b1, params.w2, params.b2, X, y_err, 1.0 - y_err, True)
     return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}

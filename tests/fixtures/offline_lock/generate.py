@@ -23,6 +23,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Three participants x two 30 s trials: small enough for a quick test, and
 # every participant keeps one held-out trial after fine-tuning on the other.
+# Fine-tuning on a single trial also takes the degenerate undersampling path
+# (fewer no-error than error timesteps) for at least one participant.
 SCENARIO = {
     "participants": 3,
     "trials_per_participant": 2,

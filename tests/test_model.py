@@ -127,6 +127,8 @@ def test_loss_matches_direct_computation():
     probs = np.array([forward(params, x) for x in X])
     expected = -np.mean(np.log(probs[np.arange(6), y]))
     assert abs(loss - expected) < 1e-12
+    with pytest.raises(ContractError):
+        loss_and_gradients(params, X, np.array([0, 1, 0, 2, 1, 0]))
 
 
 def test_gradient_descent_reduces_loss():
@@ -315,7 +317,6 @@ def test_training_matches_reference_loop_bit_for_bit(tiny_corpus, seed, degenera
     got = train(corpus, hyper, log)
     assert _weight_bytes((got.w1, got.b1, got.w2, got.b2)) == _weight_bytes(want)
     assert log == want_log
-    assert [e["loss"] for e in log] == [e["loss"] for e in want_log]
     # Without an epoch log the weights are the same.
     quiet = train(corpus, hyper)
     assert _weight_bytes((quiet.w1, quiet.b1, quiet.w2, quiet.b2)) == _weight_bytes(want)
