@@ -268,7 +268,8 @@ def _detect_stream(fh, args, params, writer) -> int:
     def process(timesteps) -> None:
         nonlocal n_timesteps
         for ts in timesteps:
-            event = step(state, classify_timestep(params, ts), cfg)
+            weight = classify_timestep(params, ts.au[None]).item()
+            event = step(state, ts.index, weight, cfg)
             n_timesteps += 1
             if event is not None:
                 writer.write(args.trial_id, event, args.trial_start)

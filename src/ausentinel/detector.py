@@ -1,4 +1,4 @@
-"""Sliding-window error filtering over weighted per-timestep classifications.
+"""Sliding-window error filtering over per-timestep confidence weights.
 
 A box filter sums the last `window_len` (default 11, i.e. 3.67 s) confidence
 weights; when the sum reaches `threshold` (default 6) an error is declared at
@@ -13,6 +13,8 @@ its output is identical to evaluating every window of the completed sequence
 independently. The window is summed afresh, oldest weight first, at every
 timestep rather than kept as a running total: the chronological sum is what
 makes six weights of 1.0 score exactly 6.0 (acceptance criterion 2).
+`step` takes one (index, weight) pair; `run_trial` scores a whole trial with
+one `classify_timestep` call and steps through its weights.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ausentinel.core import ContractError, ErrorEvent, StreamIntegrityError, TrialRecord
-from ausentinel.model import ModelParams, WeightedClassification, classify_timestep
+from ausentinel.model import ModelParams, classify_timestep
 
 
 @dataclass(frozen=True)
@@ -80,22 +82,23 @@ def merge_rule(state: DetectorState, candidate: ErrorEvent,
     return replace(candidate, merged=merged)
 
 
-def step(state: DetectorState, wc: WeightedClassification,
+def step(state: DetectorState, index: int, weight: float,
          cfg: WindowConfig) -> ErrorEvent | None:
-    """Advance the window by one timestep; return an event if one fires.
+    """Advance the window by timestep `index` with its weight; return an event
+    if one fires.
 
     Timesteps must arrive contiguously. Timesteps before `warmup` are
     discarded outright (startup blackout), so the first possible detection
     is at index warmup + window_len - 1.
     """
-    if state.expected_next is not None and wc.timestep != state.expected_next:
+    if state.expected_next is not None and index != state.expected_next:
         raise StreamIntegrityError(
-            f"non-contiguous timestep {wc.timestep} (expected {state.expected_next})"
+            f"non-contiguous timestep {index} (expected {state.expected_next})"
         )
-    state.expected_next = wc.timestep + 1
-    if wc.timestep < cfg.warmup:
+    state.expected_next = index + 1
+    if index < cfg.warmup:
         return None
-    state.buffer.append((wc.timestep, wc.weight))
+    state.buffer.append((index, weight))
     if len(state.buffer) > cfg.window_len:
         state.buffer.popleft()
     if len(state.buffer) < cfg.window_len:
@@ -105,7 +108,7 @@ def step(state: DetectorState, wc: WeightedClassification,
         return None
     estimated_start = next(ts for ts, w in state.buffer if w > 0)
     candidate = ErrorEvent(
-        detected_at=wc.timestep, estimated_start=estimated_start, score=score
+        detected_at=index, estimated_start=estimated_start, score=score
     )
     return merge_rule(state, candidate, cfg)
 
@@ -116,12 +119,8 @@ def detect_sequence(weights, cfg: WindowConfig | None = None,
     cfg = cfg or WindowConfig()
     state = DetectorState()
     events = []
-    for offset, w in enumerate(weights):
-        w = float(w)
-        wc = WeightedClassification(
-            timestep=start_index + offset, p_error=w if w > 0 else 0.0, weight=w
-        )
-        event = step(state, wc, cfg)
+    for index, w in enumerate(weights, start_index):
+        event = step(state, index, float(w), cfg)
         if event is not None:
             events.append(event)
     return events
@@ -129,15 +128,12 @@ def detect_sequence(weights, cfg: WindowConfig | None = None,
 
 def run_trial(trial: TrialRecord, params: ModelParams,
               cfg: WindowConfig | None = None) -> list[ErrorEvent]:
-    """Classify and filter one trial end to end; pure given its inputs."""
-    cfg = cfg or WindowConfig()
-    state = DetectorState()
-    events = []
-    for ts in trial.timesteps:
-        event = step(state, classify_timestep(params, ts), cfg)
-        if event is not None:
-            events.append(event)
-    return events
+    """Classify and filter one trial end to end; pure given its inputs.
+
+    The whole trial is scored in one call; `TrialRecord` keeps its indices
+    at 0..N-1, the indices `detect_sequence` gives the weights.
+    """
+    return detect_sequence(classify_timestep(params, trial.au_matrix()).tolist(), cfg)
 
 
 def event_to_obj(trial_id: str, event: ErrorEvent, trial_start: float = 0.0) -> dict:

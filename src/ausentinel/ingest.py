@@ -91,7 +91,6 @@ class StreamStats:
     frames_read: int = 0
     records_skipped: int = 0
     values_clamped: int = 0
-    duplicate_frames: int = 0
     sources: set = field(default_factory=set)
 
 

@@ -1,10 +1,13 @@
 """Per-timestep classifier: a 17-4-2 relu network with confidence-weighted output.
 
 Each 1/3 s timestep is classified independently from its 17 AU intensities
-(no temporal features). The softmax error probability becomes the timestep's
-weight when the error class wins the argmax, otherwise the weight is 0 —
-so weights are either 0 or in (0.5, 1], and the sliding-window filter
-downstream sums them.
+(no temporal features). `classify_timestep` is the one scoring entry point:
+it maps an (n, 17) batch of AU rows to n weights, each the softmax error
+probability when the error class wins the argmax and 0 otherwise — so
+weights are either 0 or in (0.5, 1], and the sliding-window filter
+downstream sums them. `forward` scores every row as its own 1×17 product,
+so a row gets the same bits whether a whole trial is scored at once or the
+live path scores it alone.
 
 Training rebalances classes by randomly undersampling no-error timesteps
 every epoch to match the error-timestep count, then takes one full-batch
@@ -38,26 +41,7 @@ logger = logging.getLogger(__name__)
 N_HIDDEN = 4
 N_CLASSES = 2
 MODEL_FILE_VERSION = 1
-HIDDEN_ACTIVATIONS = ("relu",)  # model files name it; nothing else is built
-
-
-@dataclass(frozen=True)
-class WeightedClassification:
-    """One timestep's classifier verdict: error probability and its weight.
-
-    weight is 0 when the argmax is no-error, else equal to p_error — hence
-    never in the open interval (0, 0.5).
-    """
-
-    timestep: int
-    p_error: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not (self.weight == 0.0 or 0.5 <= self.weight <= 1.0):
-            raise ModelIntegrityError(f"weight {self.weight} outside {{0}} ∪ [0.5, 1]")
-        if self.weight > self.p_error + 1e-12:
-            raise ModelIntegrityError("weight exceeds p_error")
+HIDDEN_ACTIVATION = "relu"  # model files name it; nothing else is built
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +52,6 @@ class ModelParams:
     b1: np.ndarray  # (4,)
     w2: np.ndarray  # (4, 2)
     b2: np.ndarray  # (2,)
-    hidden_activation: str = "relu"
     seed: int = 0
     epochs: int = 0
     learning_rate: float = 0.0
@@ -87,10 +70,6 @@ class ModelParams:
                 raise ModelIntegrityError(f"{name} must be float64")
             if not np.all(np.isfinite(arr)):
                 raise ModelIntegrityError(f"{name} contains non-finite values")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ModelIntegrityError(
-                f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,36 +107,32 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def forward(params: ModelParams, x) -> tuple[float, float]:
-    """Single-timestep forward pass → (p_no_error, p_error), summing to 1.
+def forward(params: ModelParams, X) -> np.ndarray:
+    """Forward pass over an (n, 17) batch → (n, 2) rows of (p_no_error, p_error).
 
-    This is the exact code path used live; batch evaluation loops it so that
-    offline scores are bit-identical to streaming behavior.
+    Each row is a 1×17 and then a 1×4 product of its own (a stacked matmul),
+    so its bits do not depend on the batch around it; a plain `X @ w1` lets
+    BLAS block rows together and moves the last bit of some of them.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h = np.maximum(x @ params.w1 + params.b1, 0.0)
-    logits = h @ params.w2 + params.b2
-    if not np.all(np.isfinite(logits)):
+    X = np.asarray(X, dtype=np.float64)
+    h = X[:, np.newaxis, :] @ params.w1
+    h += params.b1
+    np.maximum(h, 0.0, out=h)
+    logits = (h @ params.w2)[:, 0, :]
+    logits += params.b2
+    if not np.isfinite(logits).all():
         raise ModelIntegrityError("non-finite logits in forward pass")
-    p = _softmax2(logits)
-    return float(p[0]), float(p[1])
+    return _softmax2(logits)
 
 
-def weigh(probs: tuple[float, float]) -> float:
-    """Confidence weight: p_error when the error class wins, else 0.
+def classify_timestep(params: ModelParams, X) -> np.ndarray:
+    """Confidence weights of an (n, 17) batch: p_error where it wins, else 0.
 
-    The exact tie p_error = 0.5 resolves to no-error, so the output is never
-    in the open interval (0, 0.5).
+    The exact tie p_error = 0.5 resolves to no-error, so no weight lies in
+    the open interval (0, 0.5).
     """
-    p_error = probs[1]
-    return p_error if p_error > 0.5 else 0.0
-
-
-def classify_timestep(params: ModelParams, timestep) -> WeightedClassification:
-    probs = forward(params, timestep.au)
-    return WeightedClassification(
-        timestep=timestep.index, p_error=probs[1], weight=weigh(probs)
-    )
+    p_error = forward(params, X)[:, 1]
+    return np.where(p_error > 0.5, p_error, 0.0)
 
 
 def corpus_matrices(corpus: list[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +276,7 @@ def save(params: ModelParams, path) -> None:
     doc = {
         "version": MODEL_FILE_VERSION,
         "catalog_hash": catalog_hash(),
-        "activation": params.hidden_activation,
+        "activation": HIDDEN_ACTIVATION,
         "seed": params.seed,
         "epochs": params.epochs,
         "learning_rate": params.learning_rate,
@@ -330,13 +305,14 @@ def load(path) -> ModelParams:
     if doc.get("catalog_hash") != catalog_hash():
         raise ModelIntegrityError("model file AU catalog does not match this build")
     try:
+        if doc["activation"] != HIDDEN_ACTIVATION:
+            raise ModelIntegrityError(f"unsupported activation {doc['activation']!r}")
         w1 = np.asarray(doc["w1"], dtype=np.float64).reshape(N_AUS, N_HIDDEN)
         b1 = np.asarray(doc["b1"], dtype=np.float64).reshape(N_HIDDEN)
         w2 = np.asarray(doc["w2"], dtype=np.float64).reshape(N_HIDDEN, N_CLASSES)
         b2 = np.asarray(doc["b2"], dtype=np.float64).reshape(N_CLASSES)
         return ModelParams(
             w1=w1, b1=b1, w2=w2, b2=b2,
-            hidden_activation=doc["activation"],
             seed=int(doc["seed"]),
             epochs=int(doc.get("epochs", 0)),
             learning_rate=float(doc.get("learning_rate", 0.0)),

@@ -51,7 +51,6 @@ from ausentinel.model import (
     init_params,
     loss_and_gradients,
     train,
-    weigh,
 )
 from ausentinel.simgen import DEFAULT_AMPLITUDES, ErrorPlan, ScenarioSpec, generate, perturb
 
@@ -175,12 +174,11 @@ def test_criterion_04_probabilities_normalize(pinned_params):
     with criterion(4, "outputs normalize; weights skip (0, 0.5)"):
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 5.0, (100_000, N_AUS))
-        worst = 0.0
-        for row in X:
-            p = forward(pinned_params, row)
-            worst = max(worst, abs(p[0] + p[1] - 1.0))
-            w = weigh(p)
-            assert not (0.0 < w < 0.5), (w, p)
+        p = forward(pinned_params, X)
+        worst = np.abs(p[:, 0] + p[:, 1] - 1.0).max()
+        w = classify_timestep(pinned_params, X)
+        inside = (0.0 < w) & (w < 0.5)
+        assert not inside.any(), (w[inside][:5], p[inside][:5])
         assert worst < 1e-9
 
 
@@ -346,7 +344,8 @@ def test_criterion_11_throughput_and_memory(pinned_corpus, pinned_params,
         state = DetectorState()
         t0 = time.perf_counter()
         for ts in steps:
-            step(state, classify_timestep(pinned_params, ts), window_cfg)
+            weight = classify_timestep(pinned_params, ts.au[None]).item()
+            step(state, ts.index, weight, window_cfg)
         elapsed = time.perf_counter() - t0
         rate = len(steps) / elapsed
         assert rate >= 1000.0, f"{rate:.0f} timesteps/s"

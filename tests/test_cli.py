@@ -230,6 +230,50 @@ def test_detect_skips_a_non_finite_time(tmp_path, capsys, caplog):
     assert summary["timesteps"] == 1
 
 
+def test_non_finite_logits_stop_detect_after_earlier_events(tmp_path, capsys):
+    # Huge weights score all-zero AU rows by the output biases alone (every
+    # weight ~0.993, so events fire), but overflow on the first non-zero row.
+    import numpy as np
+
+    from conftest import make_trial
+    from ausentinel.core import N_AUS, ModelIntegrityError
+    from ausentinel.detector import run_trial
+    from ausentinel.model import N_CLASSES, N_HIDDEN, ModelParams, load, save
+
+    model = tmp_path / "model.json"
+    save(ModelParams(w1=np.full((N_AUS, N_HIDDEN), 1e200), b1=np.zeros(N_HIDDEN),
+                     w2=np.full((N_HIDDEN, N_CLASSES), 1e200),
+                     b2=np.array([0.0, 5.0])), model)
+    n_zero = 20  # timesteps of all-zero frames before the first non-zero one
+
+    def frame(k, au):
+        return json.dumps({"source_id": "cam_a", "t": k / 30.0, "confidence": 0.9,
+                           "au": [au] * 17, "occ": [False] * 17})
+
+    zeros = [frame(k, 0.0) for k in range(10 * n_zero)]
+    ones = [frame(k, 1.0) for k in range(10 * n_zero, 10 * (n_zero + 3))]
+    prefix, stream = tmp_path / "prefix.jsonl", tmp_path / "stream.jsonl"
+    prefix.write_text("\n".join(zeros) + "\n")
+    stream.write_text("\n".join(zeros + ones) + "\n")
+
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    assert main(["detect", "--model", str(model), "--input", str(prefix),
+                 "--out", str(want)]) == 0
+    capsys.readouterr()
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--out", str(got)])
+    assert rc == 2
+    assert "non-finite logits" in capsys.readouterr().err
+    events = [json.loads(line) for line in got.read_text().splitlines()]
+    assert [e["detected_at"] for e in events] == list(range(10, n_zero))
+    assert got.read_bytes() == want.read_bytes()
+
+    au = np.zeros((n_zero + 3, N_AUS))
+    au[n_zero:] = 1.0
+    with pytest.raises(ModelIntegrityError, match="non-finite logits"):
+        run_trial(make_trial(au), load(model))
+
+
 def test_analyze_report(cli_env, tmp_path, capsys):
     rj = tmp_path / "aus.json"
     rc = main(["analyze", "--corpus", str(cli_env["corpus"]),

@@ -15,12 +15,6 @@ from ausentinel.detector import (
     merge_rule,
     step,
 )
-from ausentinel.model import WeightedClassification
-
-
-def wc(index, weight):
-    return WeightedClassification(timestep=index, p_error=weight if weight else 0.0,
-                                  weight=weight)
 
 
 def test_window_config_validation():
@@ -103,9 +97,9 @@ def test_warmup_discards_leading_timesteps():
 def test_step_requires_contiguous_indices():
     cfg = WindowConfig()
     state = DetectorState()
-    step(state, wc(0, 0.0), cfg)
+    step(state, 0, 0.0, cfg)
     with pytest.raises(StreamIntegrityError):
-        step(state, wc(2, 0.0), cfg)
+        step(state, 2, 0.0, cfg)
 
 
 def test_detect_sequence_start_index():
@@ -118,7 +112,7 @@ def test_buffer_stays_window_sized():
     cfg = WindowConfig()
     state = DetectorState()
     for i in range(100):
-        step(state, wc(i, 0.75), cfg)
+        step(state, i, 0.75, cfg)
         assert len(state.buffer) <= cfg.window_len
     assert state.events_emitted > 0
 

@@ -21,7 +21,6 @@ from ausentinel.model import (
     N_HIDDEN,
     ModelParams,
     TrainConfig,
-    WeightedClassification,
     classify_timestep,
     corpus_matrices,
     finetune,
@@ -31,7 +30,6 @@ from ausentinel.model import (
     loss_and_gradients,
     save,
     train,
-    weigh,
 )
 
 
@@ -64,17 +62,17 @@ def test_params_validation():
         replace(p, w1=np.zeros((3, 3)))
     with pytest.raises(ContractError):
         replace(p, b2=np.array([np.inf, 0.0]))
-    with pytest.raises(ContractError):
-        replace(p, hidden_activation="sigmoid")
+
+
+def bias_only(b2):
+    """Zeroed weights leave the output biases as every row's logits."""
+    return replace(init_params(0), w1=np.zeros((N_AUS, N_HIDDEN)),
+                   w2=np.zeros((N_HIDDEN, N_CLASSES)), b2=np.array(b2))
 
 
 def test_forward_softmax_example():
-    # Zeroed first layer leaves the output biases as the logits: (0, ln 3)
-    # must produce probabilities (0.25, 0.75).
-    p = replace(init_params(0), w1=np.zeros((N_AUS, N_HIDDEN)),
-                w2=np.zeros((N_HIDDEN, N_CLASSES)),
-                b2=np.array([0.0, math.log(3.0)]))
-    p0, p1 = forward(p, np.zeros(N_AUS))
+    # Logits (0, ln 3) must produce probabilities (0.25, 0.75).
+    (p0, p1), = forward(bias_only([0.0, math.log(3.0)]), np.zeros((1, N_AUS)))
     assert abs(p0 - 0.25) < 1e-12
     assert abs(p1 - 0.75) < 1e-12
 
@@ -82,32 +80,36 @@ def test_forward_softmax_example():
 def test_forward_probabilities_normalize():
     params = init_params(7)
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        p0, p1 = forward(params, rng.uniform(0, 5, N_AUS))
-        assert abs(p0 + p1 - 1.0) < 1e-9
-        assert 0.0 <= p0 <= 1.0
+    probs = forward(params, rng.uniform(0, 5, (200, N_AUS)))
+    assert probs.shape == (200, N_CLASSES)
+    assert (np.abs(probs.sum(axis=1) - 1.0) < 1e-9).all()
+    assert ((0.0 <= probs[:, 0]) & (probs[:, 0] <= 1.0)).all()
 
 
-def test_weigh_frozen_examples():
-    assert weigh((0.25, 0.75)) == 0.75
-    assert weigh((0.9, 0.1)) == 0.0
-    assert weigh((0.5, 0.5)) == 0.0  # exact tie resolves to no-error
+def test_classify_timestep_frozen_examples():
+    rows = np.zeros((3, N_AUS))
+    # p_error 0.75 wins and is its own weight.
+    weights = classify_timestep(bias_only([0.0, math.log(3.0)]), rows)
+    assert weights.shape == (3,)
+    assert (weights == forward(bias_only([0.0, math.log(3.0)]), rows)[:, 1]).all()
+    assert (np.abs(weights - 0.75) < 1e-12).all()
+    # p_error 0.1 loses: weight 0.
+    assert (classify_timestep(bias_only([math.log(9.0), 0.0]), rows) == 0.0).all()
+    # Exact tie p_error = 0.5 resolves to no-error.
+    assert (forward(bias_only([0.0, 0.0]), rows)[:, 1] == 0.5).all()
+    assert (classify_timestep(bias_only([0.0, 0.0]), rows) == 0.0).all()
 
 
 def test_classify_timestep_carries_index():
+    # Row i of a whole-trial batch is timestep i, scored as if alone.
     trial = separable_corpus()[0]
-    wc = classify_timestep(init_params(0), trial.timesteps[3])
-    assert wc.timestep == 3
-    assert wc.weight == 0.0 or wc.weight > 0.5
-
-
-def test_weighted_classification_validation():
-    WeightedClassification(timestep=0, p_error=0.7, weight=0.7)
-    WeightedClassification(timestep=0, p_error=0.3, weight=0.0)
-    with pytest.raises(ContractError):
-        WeightedClassification(timestep=0, p_error=0.4, weight=0.4)
-    with pytest.raises(ContractError):
-        WeightedClassification(timestep=0, p_error=0.6, weight=0.9)
+    params = train([trial], TrainConfig(epochs=30, seed=2))
+    weights = classify_timestep(params, trial.au_matrix())
+    assert weights.shape == (len(trial),)
+    assert ((weights == 0.0) | (weights > 0.5)).all()
+    assert (weights > 0.5).any() and (weights == 0.0).any()
+    for i, ts in enumerate(trial.timesteps):
+        assert weights[i] == classify_timestep(params, ts.au[None])[0]
 
 
 def test_corpus_matrices_shapes():
@@ -124,7 +126,7 @@ def test_loss_matches_direct_computation():
     X = rng.uniform(0, 5, (6, N_AUS))
     y = np.array([0, 1, 0, 1, 1, 0])
     loss, _ = loss_and_gradients(params, X, y)
-    probs = np.array([forward(params, x) for x in X])
+    probs = forward(params, X)
     expected = -np.mean(np.log(probs[np.arange(6), y]))
     assert abs(loss - expected) < 1e-12
     with pytest.raises(ContractError):
@@ -194,7 +196,6 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(params.b1, loaded.b1)
     assert np.array_equal(params.w2, loaded.w2)
     assert np.array_equal(params.b2, loaded.b2)
-    assert loaded.hidden_activation == params.hidden_activation
     assert loaded.seed == 4 and loaded.epochs == 15
 
 
@@ -358,9 +359,17 @@ def test_loss_and_gradients_match_reference_bit_for_bit():
 
 
 def test_forward_matches_reference_softmax_bit_for_bit():
+    # Every row of a batch keeps the bits of the single-row reference, at
+    # batch sizes on both sides of where a plain `X @ w1` starts to differ.
     params = replace(init_params(5), b2=np.array([0.4, -0.7]))
     rng = np.random.default_rng(23)
-    for x in rng.uniform(0.0, 5.0, (2000, N_AUS)):
-        logits = np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
-        want = _ref_softmax_rows(logits)
-        assert forward(params, x) == (float(want[0]), float(want[1]))
+    X = rng.uniform(0.0, 5.0, (2000, N_AUS))
+    want = np.array([
+        _ref_softmax_rows(
+            np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2)
+        for x in X
+    ])
+    for n in (1, 2, 3, 4, 7, 180, 2000):
+        got = forward(params, X[:n])
+        assert got.shape == (n, N_CLASSES)
+        assert got.tobytes() == want[:n].tobytes(), n
