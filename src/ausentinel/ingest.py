@@ -8,8 +8,17 @@ frames (at 30 fps) aggregate into one 1/3 s timestep.
 The streaming builder guarantees: for any input stream, output timestep
 indices are exactly 0..N-1 with no duplicates or holes. For producers with
 bounded skew (each source speaks before the first flush it should join) the
-emitted content is also bit-identical regardless of interleaving; whole-file
-batches should go through frames_to_timesteps, which sorts first.
+emitted content is also bit-identical regardless of interleaving.
+
+Live streams (`detect`) go frame by frame: `read_stream` validates each
+record into an `AuFrame`, and `TimestepBuilder` arbitrates and aggregates.
+That pair is the specification. Corpus files (`read_corpus`) take a batch
+path with the same result: each line is only decoded, the record checks run
+on whole columns, and whole-trial numpy operations slot, de-duplicate and
+arbitrate the frames and aggregate them (`reduce_ticks`), as a builder fed
+the frames in time order would. A file that fails any check is read again
+by `read_stream`, so malformed records are skipped, counted, logged and
+budgeted in one place, and its frames then take the same batch pass.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ import numpy as np
 
 from ausentinel.core import (
     AU_IDS,
+    AU_INTENSITY_MAX,
+    AU_INTENSITY_MIN,
     N_AUS,
     RATE_HZ,
     AuFrame,
@@ -243,6 +254,19 @@ def _check_budget(stats: StreamStats, error_budget: int, line_no: int, exc: Exce
         )
 
 
+def _is_catalog_header(obj, line_no: int) -> bool:
+    """Whether a stream's first record is its catalog header; a header must
+    list the canonical AU ordering."""
+    if isinstance(obj, dict) and "catalog" in obj:
+        if list(obj["catalog"]) != list(AU_IDS):
+            raise StreamFormatError(
+                "stream catalog does not match the canonical AU ordering",
+                line_no=line_no,
+            )
+        return True
+    return False
+
+
 def _read_jsonl(source, error_budget, stats, counter):
     last_t: dict[str, float] = {}
     first = True
@@ -256,12 +280,7 @@ def _read_jsonl(source, error_budget, stats, counter):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
-            if isinstance(obj, dict) and "catalog" in obj:
-                if list(obj["catalog"]) != list(AU_IDS):
-                    raise StreamFormatError(
-                        "stream catalog does not match the canonical AU ordering",
-                        line_no=line_no,
-                    )
+            if _is_catalog_header(obj, line_no):
                 continue
             # no header: fall through and treat the first line as a frame
         else:
@@ -465,19 +484,211 @@ class TimestepBuilder:
         return aggregate(arbitrated, self.policy, index, self.trial_start)
 
 
-def frames_to_timesteps(frames, policy: ArbitrationPolicy | None = None,
-                        trial_start: float = 0.0) -> list[Timestep]:
-    """Batch path: assemble a full frame collection into timesteps.
+def reduce_ticks(index, offset, ticks, n_timesteps: int,
+                 policy: ArbitrationPolicy, trial_start: float = 0.0) -> list[Timestep]:
+    """Reduce a trial's valid arbitrated ticks to its timesteps in one pass.
 
-    Frames are stably sorted by timestamp first, so per-source order is
-    preserved; output is identical to feeding the builder live.
+    `ticks[i]` is the AU row at tick `offset[i]` of timestep `index[i]`, in
+    (index, offset) order; timesteps without a tick are zero and invalid.
+    This is `aggregate` over a whole trial, bit for bit: each reduction runs
+    over one timestep's ticks in tick order, and the unused ticks of a
+    timestep hold the reduction's exact identity (-0.0 for a sum, -inf for
+    a max). Only timesteps that hold ticks are padded.
     """
-    builder = TimestepBuilder(policy, trial_start)
-    out: list[Timestep] = []
-    for frame in sorted(frames, key=lambda f: f.t):
-        out.extend(builder.add(frame))
-    out.extend(builder.finish())
-    return out
+    au = np.zeros((n_timesteps, N_AUS))
+    valid = np.zeros(n_timesteps, dtype=bool)
+    if index.size:
+        new = np.empty(index.size, dtype=bool)
+        new[0] = True
+        np.not_equal(index[1:], index[:-1], out=new[1:])
+        held = index[new]
+        valid[held] = True
+        if policy.aggregator == "last":
+            au[held] = ticks[np.append(new[1:], True)]
+        else:
+            mean = policy.aggregator == "mean"
+            pad = np.full((held.size, policy.frames_per_timestep, N_AUS),
+                          -0.0 if mean else -np.inf)
+            pad[np.cumsum(new) - 1, offset] = ticks
+            if mean:
+                counts = np.diff(np.append(np.flatnonzero(new), index.size))
+                au[held] = pad.sum(axis=1) / counts[:, np.newaxis]
+            else:
+                au[held] = pad.max(axis=1)
+    return [
+        Timestep(index=k, t_start=trial_start + k / RATE_HZ,
+                 t_end=trial_start + (k + 1) / RATE_HZ, au=au[k], valid_face=v)
+        for k, v in enumerate(valid.tolist())
+    ]
+
+
+# Past this many camera ticks after trial start a slot no longer fits the
+# int64 arithmetic below (and the trial could not be held in memory).
+_MAX_SLOT = 2.0 ** 62
+
+
+def _source_ranks(sources: list[str]) -> np.ndarray:
+    """Each frame's source as its rank among the trial's sorted source ids."""
+    rank = {name: i for i, name in enumerate(sorted(set(sources)))}
+    return np.fromiter(map(rank.__getitem__, sources), dtype=np.intp,
+                       count=len(sources))
+
+
+def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
+                          trial_start: float) -> list[Timestep]:
+    """Whole-trial `TimestepBuilder`: a trial's frames, as columns, to timesteps.
+
+    The result equals feeding the frames to a builder sorted by time and
+    finishing it. Frames are stably sorted by `t`, keyed to slots as the
+    builder keys them, and the first frame per (slot, source) is kept. The
+    winner of a slot has the highest confidence, ties going to the
+    lexicographically first source; the tick is valid iff that confidence
+    clears the floor. `src` holds source ranks (`_source_ranks`), and `au`
+    is already clamped.
+    """
+    if not t.size:
+        return []
+    order = np.argsort(t, kind="stable")
+    x = (t[order] - trial_start) * policy.fps
+    slot = np.rint(x)  # rounds half to even, as round() does
+    bad = ~(slot >= 0.0) | (slot >= _MAX_SLOT)
+    if bad.any():
+        i = int(bad.argmax())
+        at = float(t[order[i]])
+        if round(float(x[i])) < 0:  # NaN or infinity raise here, as in the builder
+            raise ContractError(f"frame at t={at} precedes trial start")
+        raise ContractError(f"frame at t={at} lies too far past trial start")
+    slot = slot.astype(np.int64)
+    src = src[order]
+    # First frame per (slot, source) in time order; lexsort is stable.
+    by_tick = np.lexsort((src, slot))
+    slot, src, order = slot[by_tick], src[by_tick], order[by_tick]
+    first = np.empty(slot.size, dtype=bool)
+    first[0] = True
+    first[1:] = (slot[1:] != slot[:-1]) | (src[1:] != src[:-1])
+    slot, src, order = slot[first], src[first], order[first]
+    # Per slot, the highest confidence first and ties by source rank.
+    conf = confidence[order]
+    by_conf = np.lexsort((src, -conf, slot))
+    slot, conf, order = slot[by_conf], conf[by_conf], order[by_conf]
+    first = np.empty(slot.size, dtype=bool)
+    first[0] = True
+    np.not_equal(slot[1:], slot[:-1], out=first[1:])
+    fpt = policy.frames_per_timestep
+    n_timesteps = int(slot[-1]) // fpt + 1
+    win = first & (conf > policy.min_confidence)
+    slot = slot[win]
+    return reduce_ticks(slot // fpt, slot % fpt, au[order[win]], n_timesteps,
+                        policy, trial_start)
+
+
+# Decoded AU and occ lists become arrays this many lines at a time, so only a
+# block of them is ever alive at once.
+_BLOCK_LINES = 256
+
+
+def _au_block(aus: list, occs: list):
+    """Decoded AU and occ rows as a float64 (n, 17) array, or None.
+
+    AU rows that do not make an (n, 17) array of numbers or bools (strings,
+    None, integers beyond int64, ragged rows) are left to read_stream. Occ
+    rows need only convert to bool, as read_stream converts each of them.
+    """
+    try:
+        au = np.array(aus)
+        occ = np.array(occs, dtype=bool)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    n = len(aus)
+    if au.dtype.kind not in "biuf" or au.shape != (n, N_AUS) or occ.shape != (n, N_AUS):
+        return None
+    return au.astype(np.float64, copy=False)
+
+
+def _decode_trial(path):
+    """Decode a clean JSONL trial file into columns, or None if it is not clean.
+
+    Per line this only decodes the record and pulls out its fields; the
+    value checks of `read_stream` then run on whole columns. A file is clean
+    when `read_stream` would skip none of its records, and its frames, clamp
+    count and sources are then exactly what `read_stream` yields. Returns
+    (sources, source ranks, t, confidence, clamped au, clamp count).
+    """
+    sources, times, confs, aus, occs, blocks = [], [], [], [], [], []
+    first = True
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                return None
+            if end != len(line):
+                return None
+            if first:
+                first = False
+                if _is_catalog_header(obj, line_no):
+                    continue
+            try:
+                occ = obj["occ"]
+                if len(occ) != N_AUS:
+                    return None
+                aus.append(obj["au"])
+                occs.append(occ)
+                sources.append(str(obj["source_id"]))
+                times.append(float(obj["t"]))
+                confs.append(float(obj["confidence"]))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return None
+            if len(aus) == _BLOCK_LINES:
+                blocks.append(_au_block(aus, occs))
+                aus, occs = [], []
+    if aus:
+        blocks.append(_au_block(aus, occs))
+    if any(block is None for block in blocks):
+        return None
+    au = np.concatenate(blocks) if blocks else np.zeros((0, N_AUS))
+    t = np.array(times)
+    confidence = np.array(confs)
+    if not (np.isfinite(au).all() and np.isfinite(t).all()
+            and ((confidence >= 0.0) & (confidence <= 1.0)).all()):
+        return None
+    src = _source_ranks(sources)
+    by_source = np.argsort(src, kind="stable")
+    same, ts = src[by_source], t[by_source]
+    if ((same[1:] == same[:-1]) & (ts[1:] < ts[:-1])).any():
+        return None  # time runs backward within a source
+    low, high = au < AU_INTENSITY_MIN, au > AU_INTENSITY_MAX
+    clamped = int(np.count_nonzero(low)) + int(np.count_nonzero(high))
+    if clamped:
+        # Select, as as_au_vector does: -0.0 stays -0.0 (np.maximum would not).
+        au = np.where(low, AU_INTENSITY_MIN, np.where(high, AU_INTENSITY_MAX, au))
+    return sources, src, t, confidence, au, clamped
+
+
+def _read_trial(path, stats: StreamStats):
+    """A trial file's frames as columns (source ranks, t, confidence, au).
+
+    A clean file is decoded straight into columns. Any other file is read
+    by `read_stream`, so its warnings, skip counts, error budget and
+    errors stay those of the live path.
+    """
+    decoded = _decode_trial(path)
+    if decoded is None:
+        frames = list(read_stream(path, "jsonl", stats=stats))
+        return (
+            _source_ranks([f.source_id for f in frames]),
+            np.array([f.t for f in frames]),
+            np.array([f.confidence for f in frames]),
+            np.array([f.au for f in frames]).reshape(-1, N_AUS),
+        )
+    sources, src, t, confidence, au, clamped = decoded
+    stats.frames_read += len(sources)
+    stats.values_clamped += clamped
+    stats.sources.update(sources)
+    return src, t, confidence, au
 
 
 def read_annotations(path) -> dict[str, dict]:
@@ -530,7 +741,16 @@ def write_annotations(path, rows: dict[str, dict]) -> None:
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None) -> list[TrialRecord]:
-    """Load a corpus directory (manifest.json + frames/ + annotations.csv)."""
+    """Load a corpus directory (manifest.json + frames/ + annotations.csv).
+
+    Each trial's timesteps are those of a `TimestepBuilder` fed the file's
+    frames sorted by time (stably), then finished. A clean frame file is
+    decoded into columns and reduced in one numpy pass, with no per-frame
+    object; a file with any record `read_stream` would skip, or any value
+    the column checks cannot vouch for, is read by `read_stream` instead
+    (same warnings, skip counts, error budget and errors) and its frames
+    then take the same pass.
+    """
     policy = policy or ArbitrationPolicy()
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
@@ -546,10 +766,9 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None) -> list[Tri
     for entry in manifest.get("trials", []):
         trial_id = entry["trial_id"]
         frames_path = os.path.join(corpus_dir, entry["frames"])
-        stats = StreamStats()
-        frames = list(read_stream(frames_path, "jsonl", stats=stats))
-        timesteps = frames_to_timesteps(
-            frames, policy, trial_start=float(entry.get("trial_start", 0.0))
+        columns = _read_trial(frames_path, StreamStats())
+        timesteps = _columns_to_timesteps(
+            *columns, policy, trial_start=float(entry.get("trial_start", 0.0))
         )
         ann = annotations.get(trial_id)
         if ann is not None:

@@ -36,11 +36,15 @@ from ausentinel.core import (
     AuFrame,
     ContractError,
     GroundTruth,
-    Timestep,
     TrialRecord,
     timestep_of,
 )
-from ausentinel.ingest import write_annotations, write_frames_jsonl
+from ausentinel.ingest import (
+    ArbitrationPolicy,
+    reduce_ticks,
+    write_annotations,
+    write_frames_jsonl,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -201,21 +205,14 @@ class SimTrial:
 
     def record(self) -> TrialRecord:
         """The trial as the ingest pipeline would deliver it, bit-exactly."""
-        trace = self.trace()
         fpt = self.frames_per_timestep
-        steps = []
-        for k in range(self.n_timesteps):
-            if self.occluded[k]:
-                au = np.zeros(N_AUS)
-                valid = False
-            else:
-                # Same reduction as ingest.aggregate over fpt identical frames.
-                au = np.mean([trace[k]] * fpt, axis=0)
-                valid = True
-            steps.append(Timestep(
-                index=k, t_start=k / RATE_HZ, t_end=(k + 1) / RATE_HZ,
-                au=au, valid_face=valid,
-            ))
+        # The ingest reduction over the fpt identical frames of each
+        # timestep with a face; occluded timesteps are zero and invalid.
+        shown = np.repeat(np.flatnonzero(~self.occluded), fpt)
+        steps = reduce_ticks(
+            shown, np.tile(np.arange(fpt), shown.size // fpt), self.trace()[shown],
+            self.n_timesteps, ArbitrationPolicy(frames_per_timestep=fpt),
+        )
         return TrialRecord(
             trial_id=self.trial_id,
             participant_id=self.participant_id,

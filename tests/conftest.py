@@ -16,6 +16,7 @@ import pytest
 from ausentinel.core import GroundTruth, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
 from ausentinel.evaluation import loocv_folds
+from ausentinel.ingest import ArbitrationPolicy, TimestepBuilder
 from ausentinel.model import TrainConfig, train
 from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate
 
@@ -42,6 +43,21 @@ def load_fixture_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def frames_to_timesteps(frames, policy: ArbitrationPolicy | None = None,
+                        trial_start: float = 0.0) -> list[Timestep]:
+    """The batch oracle: a whole frame collection through the live builder.
+
+    Frames are stably sorted by timestamp first, so per-source order is
+    preserved; `ingest.read_corpus` must produce exactly this.
+    """
+    builder = TimestepBuilder(policy, trial_start)
+    out: list[Timestep] = []
+    for frame in sorted(frames, key=lambda f: f.t):
+        out.extend(builder.add(frame))
+    out.extend(builder.finish())
+    return out
 
 
 PINNED_SEED = 42

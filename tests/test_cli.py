@@ -5,6 +5,7 @@ import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -260,10 +261,16 @@ def test_non_finite_logits_stop_detect_after_earlier_events(tmp_path, capsys):
     assert main(["detect", "--model", str(model), "--input", str(prefix),
                  "--out", str(want)]) == 0
     capsys.readouterr()
-    rc = main(["detect", "--model", str(model), "--input", str(stream),
-               "--out", str(got)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["detect", "--model", str(model), "--input", str(stream),
+                   "--out", str(got)])
     assert rc == 2
-    assert "non-finite logits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite logits" in err
+    # The error is the whole report: numpy's overflow warning stays silent.
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     events = [json.loads(line) for line in got.read_text().splitlines()]
     assert [e["detected_at"] for e in events] == list(range(10, n_zero))
     assert got.read_bytes() == want.read_bytes()

@@ -1,11 +1,18 @@
-"""Stream parsing, arbitration, and the streaming timestep builder."""
+"""Stream parsing, arbitration, the streaming timestep builder and the corpus reader."""
 
 import csv
 import io
 import json
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import FIXTURES, frames_to_timesteps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ausentinel import ingest
 
 from ausentinel.core import (
     AU_IDS,
@@ -26,13 +33,14 @@ from ausentinel.ingest import (
     aggregate,
     arbitrate,
     frame_to_obj,
-    frames_to_timesteps,
     read_annotations,
+    read_corpus,
     read_stream,
     write_annotations,
     write_frames_csv,
     write_frames_jsonl,
 )
+from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate, write_corpus
 
 
 def frame(source="cam_a", t=0.0, conf=0.9, level=1.0, valid=True):
@@ -391,6 +399,198 @@ def test_csv_header_is_strict():
 def test_unknown_format_rejected():
     with pytest.raises(ContractError):
         list(read_stream(io.StringIO(""), "parquet"))
+
+
+# ---------------------------------------------------------------------------
+# Corpus trial reader: whole-trial columns against the builder oracle
+
+
+def read_trial_both(path, policy=None, trial_start=0.0):
+    """Read one trial file as the oracle (read_stream, then the live builder)
+    and as read_corpus does; each side's timesteps or exception, stats and
+    logged warnings."""
+    policy = policy or ArbitrationPolicy()
+    logger = logging.getLogger("ausentinel.ingest")
+
+    def run(read):
+        handler = _ListHandler()
+        logger.addHandler(handler)
+        stats = StreamStats()
+        try:
+            result = read(stats)
+        except Exception as exc:  # both sides must fail alike
+            result = exc
+        finally:
+            logger.removeHandler(handler)
+        return result, stats, handler.messages
+
+    want = run(lambda stats: frames_to_timesteps(
+        list(read_stream(path, "jsonl", stats=stats)), policy, trial_start))
+    got = run(lambda stats: ingest._columns_to_timesteps(
+        *ingest._read_trial(path, stats), policy, trial_start))
+    return want, got
+
+
+class _ListHandler(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def assert_same_reads(want, got):
+    (want_out, want_stats, want_log), (got_out, got_stats, got_log) = want, got
+    if isinstance(want_out, Exception):
+        assert type(got_out) is type(want_out)
+        assert str(got_out) == str(want_out)
+    else:
+        assert not isinstance(got_out, Exception), got_out
+        assert len(got_out) == len(want_out)
+        for ours, theirs in zip(got_out, want_out):
+            assert type(ours.index) is int and ours.index == theirs.index
+            assert ours.valid_face is theirs.valid_face
+            assert ours.t_start == theirs.t_start and ours.t_end == theirs.t_end
+            assert ours.au.dtype == np.float64 and ours.au.shape == (N_AUS,)
+            assert ours.au.tobytes() == theirs.au.tobytes()
+    assert vars(got_stats) == vars(want_stats)
+    assert got_log == want_log
+
+
+# Edge values: -0.0, both range ends, values to clamp on either side; the
+# confidence floor (0.5) itself, just above it, and exact ties.
+AU_EDGES = np.array([0.0, -0.0, 1 / 3, 2.5, 5.0, 5.5, -0.25, 4.999999])
+CONF_EDGES = np.array([0.0, 0.2, 0.5, 0.5000001, 0.75, 0.75, 1.0])
+
+
+def _bad_lines(good: dict, first: dict) -> list[str]:
+    """Malformed lines of the kinds in tests/fixtures/live_lock."""
+    dump = json.dumps
+    return [
+        dump(dict(good, au=[float("nan")] + good["au"][1:])),
+        dump(dict(good, au=good["au"][:16])),
+        dump(dict(good, au="n/a")),
+        '{"au":[0.1,0.2',
+        dump(good) + " xyz",
+        dump(dict(first, t=first["t"] - 0.01)),  # time runs backward
+    ]
+
+
+@st.composite
+def trial_files(draw):
+    """A random trial as a frame list plus bad lines to insert into it."""
+    fpt = draw(st.sampled_from((1, 3, 10)))
+    policy = ArbitrationPolicy(frames_per_timestep=fpt,
+                               aggregator=draw(st.sampled_from(AGGREGATORS)))
+    trial_start = draw(st.sampled_from((0.0, 2.5, 10 / 3)))
+    sources = draw(st.lists(st.sampled_from(("cam_b", "cam_a", "Cam", "cam_a2")),
+                            min_size=1, max_size=3, unique=True))
+    n_ticks = draw(st.integers(1, 6 * fpt + 3))
+    au_mode = draw(st.sampled_from(("edges", (0.0, 5.0), (-1.0, 6.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_drop, p_dup = draw(st.sampled_from((0.0, 0.3))), draw(st.sampled_from((0.0, 0.2)))
+    queues = []
+    for src in sources:
+        frames = []
+        for tick in range(n_ticks):
+            if rng.random() < p_drop:
+                continue
+            for _ in range(2 if rng.random() < p_dup else 1):
+                jitter = rng.choice((0.0, 0.0, 0.4, -0.4, 0.5))
+                if rng.random() < 0.5:
+                    conf = float(rng.choice(CONF_EDGES))
+                else:
+                    conf = float(rng.random())
+                if au_mode == "edges":
+                    au = rng.choice(AU_EDGES, N_AUS)
+                else:
+                    au = rng.uniform(*au_mode, N_AUS)
+                frames.append(AuFrame(src, trial_start + (tick + jitter) / policy.fps,
+                                      au, np.zeros(N_AUS, dtype=bool), conf))
+        frames.sort(key=lambda f: f.t)  # clean files keep each source's time order
+        queues.append(frames)
+    interleaved = []
+    while any(queues):
+        queue = queues[rng.choice([i for i, q in enumerate(queues) if q])]
+        interleaved.append(queue.pop(0))
+    n_bad = draw(st.sampled_from((0, 0, 1, 3, 12)))
+    bad_kinds = draw(st.lists(st.integers(0, 5), min_size=n_bad, max_size=n_bad))
+    return policy, trial_start, interleaved, bad_kinds, rng, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(trial=trial_files(), block_lines=st.sampled_from((1, 7, 256)))
+def test_corpus_reader_matches_builder_oracle(tmp_path_factory, trial, block_lines):
+    policy, trial_start, frames, bad_kinds, rng, header = trial
+    path = tmp_path_factory.mktemp("trial") / "frames.jsonl"
+    write_frames_jsonl(path, frames, catalog_header=header)
+    if bad_kinds and frames:
+        lines = path.read_text().splitlines()
+        body = 1 if header else 0
+        objs = [json.loads(line) for line in lines[body:]]
+        bad = _bad_lines(objs[-1], objs[0])
+        for kind in bad_kinds:
+            at = int(rng.integers(body + 1, len(lines) + 1))
+            lines.insert(at, bad[kind])
+        path.write_text("\n".join(lines) + "\n")
+    # Small decode blocks put bad values and block edges anywhere in a file.
+    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+        assert_same_reads(*read_trial_both(path, policy, trial_start))
+
+
+def test_corpus_reader_header_only_file(tmp_path):
+    path = tmp_path / "frames.jsonl"
+    write_frames_jsonl(path, [])
+    want, got = read_trial_both(path)
+    assert got[0] == []
+    assert_same_reads(want, got)
+
+
+def test_corpus_reader_frame_before_trial_start(tmp_path):
+    path = tmp_path / "frames.jsonl"
+    write_frames_jsonl(path, [frame(t=9.0 + k / 30.0) for k in range(40)])
+    want, got = read_trial_both(path, trial_start=10.0)
+    assert isinstance(got[0], ContractError)
+    assert "t=9.0 precedes trial start" in str(got[0])
+    assert_same_reads(want, got)
+
+
+def test_corpus_reader_falls_back_on_bad_lines(monkeypatch):
+    # live_lock's stream holds six malformed lines and clamped values; the
+    # reader must hand it to read_stream and agree with the oracle.
+    path = FIXTURES / "live_lock" / "stream.jsonl"
+    calls = []
+    real = ingest.read_stream
+    monkeypatch.setattr(ingest, "read_stream",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    want, got = read_trial_both(path)
+    assert len(calls) == 1
+    assert (got[1].frames_read, got[1].records_skipped, got[1].values_clamped) == (1200, 6, 8)
+    assert_same_reads(want, got)
+
+
+def test_read_corpus_reads_clean_files_without_frames(tmp_path, monkeypatch):
+    corpus = generate(ScenarioSpec(participants=2, trials_per_participant=1, seed=3,
+                                   errors=(ErrorPlan("physical", 10.0),),
+                                   trial_len_s=20.0))
+    manifest = write_corpus(corpus, tmp_path)
+    want = [frames_to_timesteps(list(read_stream(tmp_path / entry["frames"])),
+                                trial_start=entry.get("trial_start", 0.0))
+            for entry in manifest["trials"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean corpus file took the per-frame path")
+
+    for name in ("AuFrame", "read_stream", "TimestepBuilder", "arbitrate", "aggregate"):
+        monkeypatch.setattr(ingest, name, refuse)
+    got = read_corpus(tmp_path)
+    assert len(got) == len(want) == 2
+    for trial, timesteps in zip(got, want):
+        assert [ts.au.tobytes() for ts in trial.timesteps] == \
+            [ts.au.tobytes() for ts in timesteps]
+        assert [ts.valid_face for ts in trial.timesteps] == \
+            [ts.valid_face for ts in timesteps]
 
 
 # ---------------------------------------------------------------------------

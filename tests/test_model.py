@@ -131,6 +131,8 @@ def test_loss_matches_direct_computation():
     assert abs(loss - expected) < 1e-12
     with pytest.raises(ContractError):
         loss_and_gradients(params, X, np.array([0, 1, 0, 2, 1, 0]))
+    with pytest.raises(ContractError):
+        loss_and_gradients(params, X[:0], y[:0])
 
 
 def test_gradient_descent_reduces_loss():

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import frames_to_timesteps
 
 from ausentinel.core import AU_IDS, ContractError, timestep_of
-from ausentinel.ingest import frames_to_timesteps, read_corpus
+from ausentinel.ingest import read_corpus
 from ausentinel.simgen import (
     DEFAULT_AMPLITUDES,
     ErrorPlan,
