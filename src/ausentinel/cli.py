@@ -256,8 +256,8 @@ class _EventWriter:
             self._fh.close()
 
 
-def _detect_stream(fh, args, params, writer) -> int:
-    """Consume one frame stream; returns the number of timesteps processed."""
+def _detect_stream(fh, args, params, writer) -> dict:
+    """Consume one frame stream; returns its counters for the summary."""
     policy = _policy(args)
     cfg = _window(args)
     builder = TimestepBuilder(policy, args.trial_start)
@@ -280,20 +280,27 @@ def _detect_stream(fh, args, params, writer) -> int:
     process(builder.finish())
     if stats.records_skipped:
         logger.warning("skipped %d malformed records", stats.records_skipped)
-    return n_timesteps
+    return {
+        "timesteps": n_timesteps,
+        "frames_read": stats.frames_read,
+        "records_skipped": stats.records_skipped,
+        "values_clamped": stats.values_clamped,
+        "late_frames": builder.late_frames,
+        "duplicate_frames": builder.duplicate_frames,
+    }
 
 
 def cmd_detect(args) -> int:
     params = load(args.model)
     writer = _EventWriter(args.out)
-    n_timesteps = 0
+    counters = {"timesteps": 0}
     try:
         if args.corpus:
             cfg = _window(args)
             for trial in read_corpus(args.corpus, _policy(args)):
                 for event in run_trial(trial, params, cfg):
                     writer.write(trial.trial_id, event, 0.0)
-                n_timesteps += len(trial)
+                counters["timesteps"] += len(trial)
         elif args.listen:
             host, _, port = args.listen.rpartition(":")
             if not port.isdigit():
@@ -306,20 +313,16 @@ def cmd_detect(args) -> int:
             conn, peer = server.accept()
             logger.info("stream from %s", peer)
             with conn, conn.makefile("r", encoding="utf-8") as fh:
-                n_timesteps = _detect_stream(fh, args, params, writer)
+                counters = _detect_stream(fh, args, params, writer)
             server.close()
         elif args.input:
             with open(args.input, "r", encoding="utf-8", newline="") as fh:
-                n_timesteps = _detect_stream(fh, args, params, writer)
+                counters = _detect_stream(fh, args, params, writer)
         else:
-            n_timesteps = _detect_stream(sys.stdin, args, params, writer)
+            counters = _detect_stream(sys.stdin, args, params, writer)
     finally:
         writer.close()
-    summary = {
-        "timesteps": n_timesteps,
-        "events": writer.events,
-        "unmerged_events": writer.unmerged,
-    }
+    summary = dict(counters, events=writer.events, unmerged_events=writer.unmerged)
     print(_dump(summary), file=sys.stderr)
     return 0
 

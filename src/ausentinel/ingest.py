@@ -6,9 +6,13 @@ if neither clears the confidence floor the tick is zeroed. Ten arbitrated
 frames (at 30 fps) aggregate into one 1/3 s timestep.
 
 The streaming builder guarantees: for any input stream, output timestep
-indices are exactly 0..N-1 with no duplicates or holes. For producers with
-bounded skew (each source speaks before the first flush it should join) the
-emitted content is also bit-identical regardless of interleaving.
+indices are exactly 0..N-1 with no duplicates or holes, and at most
+`MAX_SKEW_S` of camera ticks (plus one timestep) wait in it. When every
+frame arrives within `MAX_SKEW_S` of the source furthest ahead, and no
+source's first frame arrives after a frame of a later tick, the emitted
+content is also bit-identical regardless of interleaving. A source further
+behind stops holding timesteps back; its frames for timesteps already
+emitted are dropped and counted as late.
 
 Live streams (`detect`) go frame by frame: `read_stream` validates each
 record into an `AuFrame`, and `TimestepBuilder` arbitrates and aggregates.
@@ -72,6 +76,15 @@ ANNOTATION_HEADER = [
 ]
 
 AGGREGATORS = ("mean", "last", "max")
+
+# Event-time skew between sources that the builder waits for. A source this
+# far behind the one furthest ahead no longer holds timesteps back.
+MAX_SKEW_S = 1.0
+
+# A record whose time lies more than this past the latest time its stream has
+# yielded is malformed, so one frame can open at most MAX_GAP_S of gap
+# timesteps.
+MAX_GAP_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -218,8 +231,9 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     (JSONL) or has the wrong column count (CSV); when a field is missing or
     a value does not convert to a number; when the AU vector is not 17
     finite numbers or the occurrence vector not 17 entries; when the
-    confidence lies outside [0, 1]; or when its time is not finite or runs
-    backward within its source. Malformed records are skipped and counted;
+    confidence lies outside [0, 1]; or when its time is not finite, runs
+    backward within its source, or lies more than `MAX_GAP_S` past the
+    latest time yielded so far. Malformed records are skipped and counted;
     exceeding `error_budget` skips is fatal. AU values outside [0, 5] of
     the records yielded are clamped, not rejected, and counted as
     `values_clamped`. Counters accumulate on `stats` when provided.
@@ -267,8 +281,25 @@ def _is_catalog_header(obj, line_no: int) -> bool:
     return False
 
 
+def _check_time(frame: AuFrame, last_t: dict[str, float], latest: float | None) -> None:
+    """Refuse a record whose time runs backward within its source or jumps
+    more than MAX_GAP_S past the latest time yielded."""
+    prev = last_t.get(frame.source_id)
+    if prev is not None and frame.t < prev:
+        raise ContractError(f"time ran backward for {frame.source_id}")
+    if latest is not None and frame.t - latest > MAX_GAP_S:
+        raise ContractError(f"time jumped {frame.t - latest:.6g} s ahead")
+
+
+# Decoding one line raises JSONDecodeError (a ValueError) for bad JSON, a
+# plain ValueError for an integer of more digits than Python converts, and
+# RecursionError for deep nesting.
+_DECODE_ERRORS = (ValueError, RecursionError)
+
+
 def _read_jsonl(source, error_budget, stats, counter):
     last_t: dict[str, float] = {}
+    latest = None  # the latest time yielded
     first = True
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
@@ -278,7 +309,7 @@ def _read_jsonl(source, error_budget, stats, counter):
             first = False
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except _DECODE_ERRORS as exc:
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
             if _is_catalog_header(obj, line_no):
                 continue
@@ -288,7 +319,7 @@ def _read_jsonl(source, error_budget, stats, counter):
                 obj, end = _raw_decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
+            except _DECODE_ERRORS as exc:
                 _check_budget(stats, error_budget, line_no, exc)
                 continue
         clamped = counter.clamped
@@ -296,14 +327,14 @@ def _read_jsonl(source, error_budget, stats, counter):
             if not isinstance(obj, dict):
                 raise ContractError("record is not an object")
             frame = _parse_jsonl_record(obj, counter)
-            prev = last_t.get(frame.source_id)
-            if prev is not None and frame.t < prev:
-                raise ContractError(f"time ran backward for {frame.source_id}")
+            _check_time(frame, last_t, latest)
         except (ContractError, KeyError, TypeError, ValueError, OverflowError) as exc:
             counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
         last_t[frame.source_id] = frame.t
+        if latest is None or frame.t > latest:
+            latest = frame.t
         stats.frames_read += 1
         stats.sources.add(frame.source_id)
         yield frame
@@ -312,6 +343,7 @@ def _read_jsonl(source, error_budget, stats, counter):
 def _read_csv(source, error_budget, stats, counter):
     reader = csv.reader(source)
     last_t: dict[str, float] = {}
+    latest = None  # the latest time yielded
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise StreamFormatError(
@@ -323,14 +355,14 @@ def _read_csv(source, error_budget, stats, counter):
         clamped = counter.clamped
         try:
             frame = _parse_csv_record(row, counter)
-            prev = last_t.get(frame.source_id)
-            if prev is not None and frame.t < prev:
-                raise ContractError(f"time ran backward for {frame.source_id}")
+            _check_time(frame, last_t, latest)
         except (ContractError, TypeError, ValueError) as exc:
             counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
         last_t[frame.source_id] = frame.t
+        if latest is None or frame.t > latest:
+            latest = frame.t
         stats.frames_read += 1
         stats.sources.add(frame.source_id)
         yield frame
@@ -379,17 +411,21 @@ class TimestepBuilder:
 
     Frames are keyed to camera ticks by slot = round((t - trial_start) * fps),
     which is robust to timestamps carrying float rounding from a k/fps grid.
-    A timestep flushes once every live source has advanced past it (the
-    watermark), so output does not depend on interleaving as long as each
-    producer speaks before the first flush it should join (a source is live
-    from its first frame). Gap timesteps are emitted as zero-vector/invalid
-    rather than stalling the clock, keeping downstream latency accounting
-    truthful.
+    A timestep flushes once the watermark has passed it: the latest slot of
+    the source furthest behind, but never more than `MAX_SKEW_S` of ticks
+    behind the source furthest ahead (a source is seen from its first frame).
+    So a stalled or dead camera delays output by at most `MAX_SKEW_S`, and
+    at most that many ticks, plus one timestep, wait in the builder. Output
+    does not depend on interleaving as long as every frame arrives within
+    `MAX_SKEW_S` of the source furthest ahead and no source's first frame
+    arrives after a frame of a later tick. Gap timesteps are emitted as
+    zero-vector/invalid rather than stalling the clock, keeping downstream
+    latency accounting truthful.
 
-    A frame whose timestep was already emitted can only come from a source
-    not seen before (a live source never falls below the watermark). It is
-    dropped and counted on `late_frames`, and its source stays unseen, so
-    it cannot pull the watermark back.
+    A frame whose timestep was already emitted comes from a source more than
+    `MAX_SKEW_S` behind, or from one not seen before. It is dropped and
+    counted on `late_frames`, and its slot is not recorded, so it cannot pull
+    the watermark back.
     """
 
     def __init__(self, policy: ArbitrationPolicy | None = None,
@@ -398,9 +434,10 @@ class TimestepBuilder:
         self.trial_start = trial_start
         self._fps = self.policy.fps
         self._fpt = self.policy.frames_per_timestep
+        self._skew_slots = round(MAX_SKEW_S * self._fps)
         self._pending: dict[int, dict[str, AuFrame]] = {}
         self._last_slot: dict[str, int] = {}
-        self._ended: set[str] = set()
+        self._finished = False
         self._next_index = 0
         self.duplicate_frames = 0
         self.late_frames = 0
@@ -411,8 +448,8 @@ class TimestepBuilder:
         if slot < 0:
             raise ContractError(f"frame at t={frame.t} precedes trial start")
         src = frame.source_id
-        if src in self._ended:
-            raise StreamIntegrityError(f"frame from ended source {src!r}")
+        if self._finished:
+            raise StreamIntegrityError(f"frame from {src!r} after the trial finished")
         prev = self._last_slot.get(src)
         if prev is not None and slot < prev:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
@@ -427,19 +464,16 @@ class TimestepBuilder:
         else:
             per_source[src] = frame
         if index <= self._next_index:
-            # This source is live at `slot`, so the watermark is at most
-            # `slot` and no timestep can close yet.
+            # Neither bound of the watermark can pass this timestep: the
+            # source furthest behind is now at most `slot`, and the one
+            # furthest ahead is either this frame or where the last drain
+            # saw it.
             return []
-        return self._drain()
-
-    def end_source(self, source_id: str) -> list[Timestep]:
-        """Mark a source as finished so it no longer holds back the watermark."""
-        self._ended.add(source_id)
         return self._drain()
 
     def finish(self) -> list[Timestep]:
         """Flush everything up to the last observed slot; ends the trial."""
-        self._ended.update(self._last_slot)
+        self._finished = True
         out = []
         slots = [s for s in self._pending] + list(self._last_slot.values())
         if not slots:
@@ -449,19 +483,12 @@ class TimestepBuilder:
             out.append(self._emit(self._next_index))
         return out
 
-    def _watermark(self) -> int | None:
-        live = [s for s in self._last_slot if s not in self._ended]
-        if not live:
-            return None
-        return min(self._last_slot[s] for s in live)
-
     def _drain(self) -> list[Timestep]:
+        """Emit every timestep the watermark has passed."""
+        slots = self._last_slot.values()
+        watermark = max(min(slots), max(slots) - self._skew_slots)
         out = []
-        wm = self._watermark()
-        if wm is None:
-            return out
-        wm_index = wm // self._fpt
-        while self._next_index < wm_index:
+        while self._next_index < watermark // self._fpt:
             out.append(self._emit(self._next_index))
         return out
 
@@ -660,6 +687,8 @@ def _decode_trial(path):
     same, ts = src[by_source], t[by_source]
     if ((same[1:] == same[:-1]) & (ts[1:] < ts[:-1])).any():
         return None  # time runs backward within a source
+    if (t[1:] - np.maximum.accumulate(t)[:-1] > MAX_GAP_S).any():
+        return None  # time jumps past MAX_GAP_S, as read_stream checks it
     low, high = au < AU_INTENSITY_MIN, au > AU_INTENSITY_MAX
     clamped = int(np.count_nonzero(low)) + int(np.count_nonzero(high))
     if clamped:

@@ -231,6 +231,76 @@ def test_detect_skips_a_non_finite_time(tmp_path, capsys, caplog):
     assert summary["timesteps"] == 1
 
 
+def _always_firing_model(path):
+    # All-zero weights: every timestep scores the output biases alone
+    # (weight ~0.993), so an event fires as soon as the window fills.
+    import numpy as np
+
+    from ausentinel.core import N_AUS
+    from ausentinel.model import N_CLASSES, N_HIDDEN, ModelParams, save
+
+    save(ModelParams(w1=np.zeros((N_AUS, N_HIDDEN)), b1=np.zeros(N_HIDDEN),
+                     w2=np.zeros((N_HIDDEN, N_CLASSES)), b2=np.array([0.0, 5.0])), path)
+
+
+def _frame_line(src, k):
+    return json.dumps({"source_id": src, "t": k / 30.0, "confidence": 0.9,
+                       "au": [0.5] * 17, "occ": [False] * 17})
+
+
+def test_detect_keeps_going_while_a_camera_is_silent(tmp_path, capsys, monkeypatch):
+    # Both cameras for 2 s; cam_b goes silent while cam_a runs 3 s more;
+    # then cam_b's held-back frames arrive and both run 1 s more.
+    model, events = tmp_path / "model.json", tmp_path / "events.jsonl"
+    _always_firing_model(model)
+    both = [_frame_line(src, k) for k in range(60) for src in ("cam_a", "cam_b")]
+    alone = [_frame_line("cam_a", k) for k in range(60, 150)]
+    backlog = [_frame_line("cam_b", k) for k in range(60, 150)]
+    tail = [_frame_line(src, k) for k in range(150, 180) for src in ("cam_a", "cam_b")]
+    lines = [line + "\n" for line in both + alone + backlog + tail]
+    seen = {}
+
+    def feed():
+        for i, line in enumerate(lines):
+            if i == len(both) + len(alone):  # cam_b speaks again
+                seen["events"] = events.read_text().splitlines()
+            yield line
+
+    monkeypatch.setattr("sys.stdin", feed())
+    assert main(["detect", "--model", str(model), "--out", str(events)]) == 0
+    # Timestep 10 closes while cam_b is silent (its last is timestep 5).
+    assert [json.loads(e)["detected_at"] for e in seen["events"]] == [10]
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["timesteps"] == 18
+    assert summary["frames_read"] == len(lines)
+    # cam_b's frames more than a second behind cam_a came too late to count.
+    assert 0 < summary["late_frames"] < len(backlog)
+    assert summary["records_skipped"] == summary["values_clamped"] == 0
+    assert summary["duplicate_frames"] == 0
+
+
+@pytest.mark.parametrize("bad", ['{"t": ' + "9" * 5000 + "}", "[" * 200_000],
+                         ids=["huge-int", "deep-nesting"])
+def test_detect_skips_lines_the_decoder_cannot_take(bad, tmp_path, capsys):
+    # An over-long integer and over-deep nesting both ended detect with a
+    # traceback; each is one malformed record now.
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    good = [_frame_line("cam_a", k) for k in range(5)]
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(good[:3] + [bad] + good[3:]) + "\n")
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--out", str(tmp_path / "events.jsonl")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (summary["frames_read"], summary["records_skipped"]) == (5, 1)
+    # As the first line, it makes the stream unreadable: a clean error.
+    stream.write_text("\n".join([bad] + good) + "\n")
+    rc = main(["detect", "--model", str(model), "--input", str(stream)])
+    assert rc == 2
+    assert "unreadable first record" in capsys.readouterr().err
+
+
 def test_non_finite_logits_stop_detect_after_earlier_events(tmp_path, capsys):
     # Huge weights score all-zero AU rows by the output biases alone (every
     # weight ~0.993, so events fire), but overflow on the first non-zero row.

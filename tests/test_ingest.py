@@ -198,25 +198,42 @@ def test_builder_duplicate_and_backward_frames():
         TimestepBuilder(trial_start=10.0).add(frame(t=9.0))
 
 
-def test_builder_rejects_frames_after_end_source():
+def test_builder_rejects_frames_after_finish():
     builder = TimestepBuilder()
     builder.add(frame("cam_a", t=0.0))
-    builder.end_source("cam_a")
+    builder.finish()
     with pytest.raises(StreamIntegrityError):
         builder.add(frame("cam_a", t=1 / 30.0))
+    with pytest.raises(StreamIntegrityError):
+        builder.add(frame("cam_b", t=1 / 30.0))
 
 
-def test_builder_end_source_releases_watermark():
+def test_builder_skew_bound_releases_a_stalled_source():
     builder = TimestepBuilder()
-    out = list(builder.add(frame("cam_b", t=0.0, conf=0.95)))
-    for k in range(30):
+    skew = round(ingest.MAX_SKEW_S * 30)
+    out = list(builder.add(frame("cam_b", t=0.0, conf=0.95, level=2.0)))
+    for k in range(skew + 10):
         out.extend(builder.add(frame("cam_a", t=k / 30.0)))
-    # cam_b stalls at slot 0, holding the watermark: nothing may flush yet
+    # cam_a is less than a timestep past cam_b's slot plus the skew: cam_b
+    # still holds the watermark, so nothing may flush yet
     assert out == []
-    out.extend(builder.end_source("cam_b"))
-    assert [ts.index for ts in out] == [0, 1]
+    out.extend(builder.add(frame("cam_a", t=(skew + 10) / 30.0)))
+    assert [ts.index for ts in out] == [0]
+    assert out[0].au[0] == np.mean([2.0] + [1.0] * 9)  # cam_b won tick 0
+    for k in range(skew + 11, 3 * skew):
+        out.extend(builder.add(frame("cam_a", t=k / 30.0)))
+    # the stalled cam_b holds nothing back: cam_a's lead is the only bound
+    assert [ts.index for ts in out] == list(range((2 * skew - 1) // 10))
+    # cam_b's frames for emitted timesteps are late; later ones still count
+    assert builder.add(frame("cam_b", t=1 / 30.0)) == []
+    assert builder.late_frames == 1
+    # cam_b catching up releases what cam_a alone could not
+    out.extend(builder.add(frame("cam_b", t=(3 * skew - 1) / 30.0, conf=0.95, level=2.0)))
+    assert [ts.index for ts in out] == list(range((3 * skew - 1) // 10))
     out.extend(builder.finish())
-    assert [ts.index for ts in out] == [0, 1, 2]
+    assert [ts.index for ts in out] == list(range(3 * skew // 10))
+    assert out[-1].au[0] == np.mean([1.0] * 9 + [2.0])
+    assert builder.late_frames == 1
 
 
 def test_builder_drops_late_first_frame_of_a_new_source():
@@ -243,6 +260,121 @@ def test_builder_finish_idempotent():
     builder.add(frame(t=0.0))
     assert len(builder.finish()) == 1
     assert builder.finish() == []
+
+
+def test_builder_dead_camera_does_not_stall_the_stream():
+    # Two cameras for 1 s, then 60 s of cam_a alone: the watermark once
+    # stayed at cam_b's last slot, so 2 timesteps came out and 1 810 slots
+    # waited for end of input.
+    builder = TimestepBuilder()
+    out = []
+    for k in range(30):
+        out.extend(builder.add(frame("cam_a", t=k / 30.0)))
+        out.extend(builder.add(frame("cam_b", t=k / 30.0)))
+    for k in range(30, 30 + 60 * 30):
+        out.extend(builder.add(frame("cam_a", t=k / 30.0)))
+    assert [ts.index for ts in out] == list(range(179))
+    assert len(builder._pending) == 40  # one second of ticks plus a timestep
+    assert builder.late_frames == 0
+
+
+@st.composite
+def builder_feeds(draw):
+    """Any frame sequence: sources, slots, jitter and order all free."""
+    fpt = draw(st.sampled_from((1, 3, 10)))
+    policy = ArbitrationPolicy(frames_per_timestep=fpt)
+    raw = draw(st.lists(st.tuples(st.sampled_from(("cam_a", "cam_b", "cam_c")),
+                                  st.integers(0, 50 * fpt),
+                                  st.sampled_from((0.0, 0.4, -0.4))),
+                        max_size=150))
+    if draw(st.booleans()):
+        # Read each drawn slot as a step from the source's previous one, so
+        # each source keeps its order (most frames of a free feed run
+        # backward) and moves at its own pace, stalls included.
+        step = draw(st.sampled_from((1, 3 * fpt, 50 * fpt)))
+        at = {}
+        for i, (src, slot, jitter) in enumerate(raw):
+            at[src] = at.get(src, 0) + slot % step
+            raw[i] = (src, at[src], jitter)
+    frames = [frame(src, t=(slot + jitter) / policy.fps, level=float(slot % 7))
+              for src, slot, jitter in raw]
+    return policy, frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(feed=builder_feeds())
+def test_builder_indices_and_backlog_are_bounded_for_any_input(feed):
+    policy, frames = feed
+    builder = TimestepBuilder(policy)
+    # one second of ticks plus one timestep
+    bound = round(ingest.MAX_SKEW_S * policy.fps) + policy.frames_per_timestep
+    out, accepted = [], []
+    for f in frames:
+        late = builder.late_frames
+        try:
+            out.extend(builder.add(f))
+        except StreamIntegrityError:
+            continue  # a slot ran backward within its source
+        if builder.late_frames == late:
+            accepted.append(round(f.t * policy.fps))
+        assert len(builder._pending) <= bound
+    out.extend(builder.finish())
+    assert [ts.index for ts in out] == list(range(len(out)))
+    assert len(out) == (max(accepted) // policy.frames_per_timestep + 1 if accepted else 0)
+    assert builder._pending == {}
+
+
+@st.composite
+def skewed_feeds(draw):
+    """Per-source frame lists delivered in an order within the skew bound.
+
+    Each frame arrives at `slot + delay` (delay up to the skew, and 0 for a
+    source's first frame), kept non-decreasing within its source; equal
+    arrival keys go in a drawn source order.
+    """
+    fpt = draw(st.sampled_from((1, 3, 10)))
+    policy = ArbitrationPolicy(frames_per_timestep=fpt,
+                               aggregator=draw(st.sampled_from(AGGREGATORS)))
+    skew = round(ingest.MAX_SKEW_S * policy.fps)
+    sources = draw(st.lists(st.sampled_from(("cam_a", "cam_b", "cam_c")),
+                            min_size=1, max_size=3, unique=True))
+    frames, keyed = [], []
+    for rank, src in enumerate(sources):
+        ticks = sorted(draw(st.lists(
+            st.tuples(st.integers(0, 12 * fpt), st.sampled_from((0.0, 0.4, -0.4))),
+            min_size=1, max_size=40)))
+        delays = draw(st.lists(st.integers(0, skew), min_size=len(ticks),
+                               max_size=len(ticks)))
+        arrival = -1
+        for seq, ((tick, jitter), delay) in enumerate(zip(ticks, delays)):
+            f = frame(src, t=(tick + jitter) / policy.fps,
+                      conf=draw(st.sampled_from((0.3, 0.6, 0.6, 0.9))),
+                      level=draw(st.sampled_from((0.0, 1.25, 2.5, 5.0))))
+            slot = round(f.t * policy.fps)
+            arrival = max(arrival, slot + (delay if seq else 0))
+            frames.append(f)
+            keyed.append((arrival, rank, seq, f))
+    order = draw(st.permutations(range(len(sources))))
+    keyed.sort(key=lambda k: (k[0], order[k[1]], k[2]))
+    return policy, frames, [k[3] for k in keyed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(feed=skewed_feeds())
+def test_builder_interleaving_within_the_skew_matches_the_oracle(feed):
+    policy, frames, arrived = feed
+    want = frames_to_timesteps(frames, policy)
+    builder = TimestepBuilder(policy)
+    got = []
+    for f in arrived:
+        got.extend(builder.add(f))
+    got.extend(builder.finish())
+    assert builder.late_frames == 0
+    assert len(got) == len(want)
+    for ours, theirs in zip(got, want):
+        assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
+        assert ours.t_start == theirs.t_start and ours.t_end == theirs.t_end
+        assert ours.au.tobytes() == theirs.au.tobytes()
 
 
 def test_frames_to_timesteps_matches_live_feed():
@@ -334,6 +466,56 @@ def test_read_stream_skips_integers_too_large_for_a_float():
     got = list(read_stream(io.StringIO("\n".join(lines)), stats=stats))
     assert len(got) == 1
     assert stats.records_skipped == 2
+
+
+# Lines that once crashed the reader: an integer past Python's digit limit
+# (a plain ValueError) and nesting deeper than the decoder recurses.
+HUGE_INT_LINE = '{"source_id": "cam_a", "t": ' + "9" * 5000 + "}"
+DEEP_LINE = "[" * 200_000
+
+
+def test_read_stream_skips_lines_the_decoder_cannot_take():
+    good = [json.dumps(frame_to_obj(frame(t=k / 30.0))) for k in range(4)]
+    lines = good[:2] + [HUGE_INT_LINE, DEEP_LINE] + good[2:]
+    stats = StreamStats()
+    got = list(read_stream(io.StringIO("\n".join(lines) + "\n"), stats=stats))
+    assert [f.t for f in got] == [k / 30.0 for k in range(4)]
+    assert stats.records_skipped == 2
+    for first in (HUGE_INT_LINE, DEEP_LINE):
+        with pytest.raises(StreamFormatError, match="unreadable first record"):
+            list(read_stream(io.StringIO(first + "\n" + good[0] + "\n")))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_read_stream_time_jump_is_malformed(fmt):
+    # The latest time yielded is 1.0 s (cam_b); a record may run MAX_GAP_S
+    # past it, not further. A rejected record does not move the latest time.
+    objs = [frame_to_obj(frame("cam_a", t=k / 30.0)) for k in range(30)]
+    objs.append(frame_to_obj(frame("cam_b", t=1.0)))
+    objs.append(dict(objs[0], t=1.0 + ingest.MAX_GAP_S + 0.5))
+    objs.append(dict(objs[0], t=1.0 + ingest.MAX_GAP_S))
+    objs.append(dict(objs[0], t=1.0 + 2 * ingest.MAX_GAP_S + 0.5))
+    stats = StreamStats()
+    got = list(read_stream(io.StringIO(stream_text(objs, fmt)), fmt, stats=stats))
+    assert [f.t for f in got[-2:]] == [1.0, 1.0 + ingest.MAX_GAP_S]
+    assert stats.frames_read == 32 and stats.records_skipped == 2
+
+
+def test_time_jump_cannot_flood_the_builder():
+    # 30 frames, then one at t=3000: a single add() once returned 8 998
+    # timesteps, and t=1e6 would have asked for ~3 M.
+    objs = [frame_to_obj(frame(t=k / 30.0)) for k in range(30)]
+    objs += [dict(objs[0], t=3000.0), dict(objs[0], t=1e6), dict(objs[0], t=1.0)]
+    stats = StreamStats()
+    builder = TimestepBuilder()
+    out = []
+    for f in read_stream(io.StringIO(stream_text(objs, "jsonl")), stats=stats):
+        step = builder.add(f)
+        assert len(step) <= ingest.MAX_GAP_S * 3
+        out.extend(step)
+    out.extend(builder.finish())
+    assert stats.records_skipped == 2
+    assert [ts.index for ts in out] == [0, 1, 2, 3]
 
 
 def test_read_stream_backward_time_is_malformed():
@@ -465,7 +647,8 @@ CONF_EDGES = np.array([0.0, 0.2, 0.5, 0.5000001, 0.75, 0.75, 1.0])
 
 
 def _bad_lines(good: dict, first: dict) -> list[str]:
-    """Malformed lines of the kinds in tests/fixtures/live_lock."""
+    """Malformed lines of the kinds in tests/fixtures/live_lock, a time
+    jump, and lines the JSON decoder refuses with other errors."""
     dump = json.dumps
     return [
         dump(dict(good, au=[float("nan")] + good["au"][1:])),
@@ -474,6 +657,10 @@ def _bad_lines(good: dict, first: dict) -> list[str]:
         '{"au":[0.1,0.2',
         dump(good) + " xyz",
         dump(dict(first, t=first["t"] - 0.01)),  # time runs backward
+        # time jumps; a new source, so that no backward time shows it
+        dump(dict(good, source_id="cam_z", t=good["t"] + 2 * ingest.MAX_GAP_S)),
+        HUGE_INT_LINE,
+        DEEP_LINE,
     ]
 
 
@@ -515,7 +702,7 @@ def trial_files(draw):
         queue = queues[rng.choice([i for i, q in enumerate(queues) if q])]
         interleaved.append(queue.pop(0))
     n_bad = draw(st.sampled_from((0, 0, 1, 3, 12)))
-    bad_kinds = draw(st.lists(st.integers(0, 5), min_size=n_bad, max_size=n_bad))
+    bad_kinds = draw(st.lists(st.integers(0, 8), min_size=n_bad, max_size=n_bad))
     return policy, trial_start, interleaved, bad_kinds, rng, draw(st.booleans())
 
 
@@ -567,6 +754,51 @@ def test_corpus_reader_falls_back_on_bad_lines(monkeypatch):
     want, got = read_trial_both(path)
     assert len(calls) == 1
     assert (got[1].frames_read, got[1].records_skipped, got[1].values_clamped) == (1200, 6, 8)
+    assert_same_reads(want, got)
+
+
+def test_corpus_reader_checks_time_jumps_as_read_stream_does(tmp_path, monkeypatch):
+    # The latest time is 1.0 s; a frame may open MAX_GAP_S past it, no
+    # further. The bound runs from the latest time, not the line before.
+    frames = [frame(src, t=k / 30.0) for k in range(31) for src in ("cam_a", "cam_b")]
+    gap = ingest.MAX_GAP_S
+    cases = [
+        ([frame("cam_c", t=1.0 + gap)], False),
+        ([frame("cam_c", t=1.0 + gap + 0.5)], True),
+        ([frame("cam_c", t=1.0 + gap), frame("cam_a", t=1.0),
+          frame("cam_d", t=1.0 + 2 * gap)], False),
+    ]
+    calls = []
+    real = ingest.read_stream
+    monkeypatch.setattr(ingest, "read_stream",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for i, (extra, fallback) in enumerate(cases):
+        path = tmp_path / f"case{i}.jsonl"
+        write_frames_jsonl(path, frames + extra)
+        calls.clear()
+        want, got = read_trial_both(path)
+        assert len(calls) == fallback  # the reader's own read_stream call
+        assert got[1].records_skipped == fallback
+        assert_same_reads(want, got)
+
+
+def test_read_corpus_skips_lines_the_decoder_cannot_take(tmp_path):
+    # The fallback path used to die on both lines with a traceback.
+    frames = [frame(src, t=k / 30.0) for k in range(60) for src in ("cam_a", "cam_b")]
+    path = tmp_path / "frames" / "t00.jsonl"
+    path.parent.mkdir()
+    write_frames_jsonl(path, frames)
+    lines = path.read_text().splitlines()
+    lines[10:10] = [HUGE_INT_LINE, DEEP_LINE]
+    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"trials": [{
+        "trial_id": "t00", "participant_id": "p00", "error_type": "none",
+        "frames": "frames/t00.jsonl"}]}))
+    (trial,) = read_corpus(tmp_path)
+    want = frames_to_timesteps(frames)
+    assert [ts.au.tobytes() for ts in trial.timesteps] == [ts.au.tobytes() for ts in want]
+    want, got = read_trial_both(path)
+    assert got[1].records_skipped == 2
     assert_same_reads(want, got)
 
 
