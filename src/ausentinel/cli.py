@@ -276,7 +276,9 @@ def _detect_stream(fh, args, params, writer) -> dict:
 
     for frame in read_stream(fh, args.format, error_budget=args.error_budget,
                              stats=stats):
-        process(builder.add(frame))
+        timesteps = builder.add(frame)
+        if timesteps:
+            process(timesteps)
     process(builder.finish())
     if stats.records_skipped:
         logger.warning("skipped %d malformed records", stats.records_skipped)

@@ -9,7 +9,9 @@ silently misaligning features.
 All types are value objects and safe to share across threads once built.
 They are immutable, except `AuFrame`: the per-frame type is a plain slotted
 class (a frozen dataclass pays for `object.__setattr__` on every field),
-and is read-only by convention.
+and is read-only by convention. It carries only what aggregation reads, with
+its AU values as a list of Python floats; they become a float64 array at the
+`Timestep`, the first type that does arithmetic on them.
 """
 
 from __future__ import annotations
@@ -99,14 +101,15 @@ class ClampCounter:
         self.clamped = 0
 
 
-def as_au_vector(values, counter: ClampCounter | None = None) -> np.ndarray:
+def as_au_vector(values, counter: ClampCounter | None = None) -> list[float]:
     """Validate and normalize a 17-entry AU intensity vector.
 
     `values` is a list, tuple or 1-d array of 17 numbers (anything `float()`
     converts, so numeric strings and bools pass). Entries must be finite;
     values outside [0, 5] are clamped (live estimators occasionally
-    overshoot) and tallied on `counter`. The checks run in plain Python,
-    which for 17 values costs a fraction of numpy's per-call overhead.
+    overshoot) and tallied on `counter`. Returns a list of 17 Python floats.
+    The checks run in plain Python, which for 17 values costs a fraction of
+    numpy's per-call overhead, and an in-range vector takes one pass.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()  # a 0-d or 2-d array then fails a check below
@@ -120,14 +123,17 @@ def as_au_vector(values, counter: ClampCounter | None = None) -> np.ndarray:
         au = list(map(float, values))
     except TypeError as exc:
         raise ContractError(f"AU vector entry is not a number: {exc}") from None
+    lo, hi = AU_INTENSITY_MIN, AU_INTENSITY_MAX
+    # min/max skip a NaN that is not the first entry; it still makes the sum
+    # NaN, and 17 in-range values cannot overflow it.
+    s = sum(au)
+    if lo <= min(au) and max(au) <= hi and s == s:
+        return au
     if not all(map(math.isfinite, au)):
         raise ContractError("AU vector contains non-finite values")
-    lo, hi = AU_INTENSITY_MIN, AU_INTENSITY_MAX
-    if min(au) < lo or max(au) > hi:
-        if counter is not None:
-            counter.clamped += sum(1 for v in au if v < lo or v > hi)
-        au = [lo if v < lo else hi if v > hi else v for v in au]
-    return np.array(au, dtype=np.float64)
+    if counter is not None:
+        counter.clamped += sum(1 for v in au if v < lo or v > hi)
+    return [lo if v < lo else hi if v > hi else v for v in au]
 
 
 def zero_au_vector() -> np.ndarray:
@@ -155,15 +161,16 @@ def timesteps_to_seconds(n_timesteps: float) -> float:
 class AuFrame:
     """One camera-frame observation from a single source.
 
-    `valid_face` is True for raw extractor output; confidence arbitration
-    may emit zeroed frames with it cleared. Frames are read-only by
-    convention: nothing changes a field after construction.
+    `au` holds the 17 intensities as Python floats (see `as_au_vector`);
+    they become an array only when a timestep aggregates them. `valid_face`
+    is True for raw extractor output; confidence arbitration may emit zeroed
+    frames with it cleared. Frames are read-only by convention: nothing
+    changes a field after construction.
     """
 
     source_id: str
     t: float
-    au: np.ndarray
-    occurrences: np.ndarray
+    au: list[float]
     confidence: float
     valid_face: bool = True
 

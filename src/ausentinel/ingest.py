@@ -15,7 +15,8 @@ behind stops holding timesteps back; its frames for timesteps already
 emitted are dropped and counted as late.
 
 Live streams (`detect`) go frame by frame: `read_stream` validates each
-record into an `AuFrame`, and `TimestepBuilder` arbitrates and aggregates.
+record into an `AuFrame` whose AU values stay a list of floats, and
+`TimestepBuilder` arbitrates and aggregates, making one array per timestep.
 That pair is the specification. Corpus files (`read_corpus`) take a batch
 path with the same result: each line is only decoded, the record checks run
 on whole columns, and whole-trial numpy operations slot, de-duplicate and
@@ -28,6 +29,7 @@ budgeted in one place, and its frames then take the same batch pass.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import os
@@ -66,6 +68,11 @@ CSV_HEADER = (
     + [f"{au.lower()}_occ" for au in AU_IDS]
 )
 
+# The writers mark an AU as occurring when its intensity exceeds this (the
+# rule simgen's extractor follows). Readers check only that a record carries
+# 17 occurrence entries; nothing downstream reads them.
+OCCURRENCE_THRESHOLD = 1.0
+
 ANNOTATION_HEADER = [
     "trial_id",
     "participant_id",
@@ -83,7 +90,8 @@ MAX_SKEW_S = 1.0
 
 # A record whose time lies more than this past the latest time its stream has
 # yielded is malformed, so one frame can open at most MAX_GAP_S of gap
-# timesteps.
+# timesteps. A trial whose first frame lies more than this past its start is
+# refused for the same reason.
 MAX_GAP_S = 600.0
 
 
@@ -118,17 +126,6 @@ class StreamStats:
     sources: set = field(default_factory=set)
 
 
-def _zeroed(source_id: str, t: float, confidence: float) -> AuFrame:
-    return AuFrame(
-        source_id=source_id,
-        t=t,
-        au=zero_au_vector(),
-        occurrences=np.zeros(N_AUS, dtype=bool),
-        confidence=confidence,
-        valid_face=False,
-    )
-
-
 def arbitrate(
     frame_a: AuFrame | None,
     frame_b: AuFrame | None,
@@ -156,7 +153,8 @@ def arbitrate(
         winner = frame_a if frame_a.confidence >= frame_b.confidence else frame_b
     if winner.confidence > policy.min_confidence and winner.valid_face:
         return winner
-    return _zeroed(winner.source_id, winner.t, winner.confidence)
+    return AuFrame(winner.source_id, winner.t, [0.0] * N_AUS, winner.confidence,
+                   valid_face=False)
 
 
 def aggregate(
@@ -169,7 +167,8 @@ def aggregate(
 
     Only valid-face frames contribute; with none, the timestep is a zero
     vector flagged invalid (stream gap or sustained low confidence). An empty
-    frame list is a gap and reduces the same way.
+    frame list is a gap and reduces the same way. The frames' AU lists become
+    one (k, 17) array here; its mean is `np.mean`'s, bit for bit.
     """
     if len(frames) > policy.frames_per_timestep:
         raise ContractError(
@@ -177,50 +176,25 @@ def aggregate(
         )
     t_start = trial_start + index / RATE_HZ
     t_end = trial_start + (index + 1) / RATE_HZ
-    valid = [f for f in frames if f.valid_face]
+    valid = [f.au for f in frames if f.valid_face]
     if not valid:
         return Timestep(index=index, t_start=t_start, t_end=t_end,
                         au=zero_au_vector(), valid_face=False)
-    if policy.aggregator == "mean":
-        au = np.mean([f.au for f in valid], axis=0)
-    elif policy.aggregator == "last":
-        au = valid[-1].au.copy()
-    else:  # max
-        au = np.max([f.au for f in valid], axis=0)
+    if policy.aggregator == "last":
+        au = np.array(valid[-1], dtype=np.float64)
+    else:
+        rows = np.fromiter(itertools.chain.from_iterable(valid), np.float64,
+                           len(valid) * N_AUS).reshape(len(valid), N_AUS)
+        if policy.aggregator == "mean":
+            au = np.add.reduce(rows, axis=0) / len(valid)
+        else:  # max
+            au = np.maximum.reduce(rows, axis=0)
     return Timestep(index=index, t_start=t_start, t_end=t_end, au=au, valid_face=True)
-
-
-def _parse_jsonl_record(obj: dict, counter: ClampCounter) -> AuFrame:
-    au = obj["au"]
-    occ = obj["occ"]
-    if len(occ) != N_AUS:
-        raise ContractError(f"occ must have exactly {N_AUS} entries, got {len(occ)}")
-    frame = AuFrame(
-        source_id=str(obj["source_id"]),
-        t=float(obj["t"]),
-        au=as_au_vector(au, counter),
-        occurrences=np.asarray(occ, dtype=bool),
-        confidence=float(obj["confidence"]),
-    )
-    return frame
-
-
-def _parse_csv_record(row: list[str], counter: ClampCounter) -> AuFrame:
-    if len(row) != len(CSV_HEADER):
-        raise ContractError(f"expected {len(CSV_HEADER)} columns, got {len(row)}")
-    occ = [v.strip().lower() in ("1", "true") for v in row[3 + N_AUS :]]
-    return AuFrame(
-        source_id=row[0],
-        t=float(row[1]),
-        au=as_au_vector(row[3 : 3 + N_AUS], counter),  # float() parses each cell
-        occurrences=np.asarray(occ, dtype=bool),
-        confidence=float(row[2]),
-    )
 
 
 def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
                 stats: StreamStats | None = None):
-    """Yield AuFrames from a text stream or path.
+    """Yield AuFrames from a text stream or path, each AU vector a list.
 
     JSONL streams may open with a header object ``{"catalog": [...]}``; when
     present it must match the canonical AU ordering. CSV streams must open
@@ -281,16 +255,6 @@ def _is_catalog_header(obj, line_no: int) -> bool:
     return False
 
 
-def _check_time(frame: AuFrame, last_t: dict[str, float], latest: float | None) -> None:
-    """Refuse a record whose time runs backward within its source or jumps
-    more than MAX_GAP_S past the latest time yielded."""
-    prev = last_t.get(frame.source_id)
-    if prev is not None and frame.t < prev:
-        raise ContractError(f"time ran backward for {frame.source_id}")
-    if latest is not None and frame.t - latest > MAX_GAP_S:
-        raise ContractError(f"time jumped {frame.t - latest:.6g} s ahead")
-
-
 # Decoding one line raises JSONDecodeError (a ValueError) for bad JSON, a
 # plain ValueError for an integer of more digits than Python converts, and
 # RecursionError for deep nesting.
@@ -298,45 +262,53 @@ _DECODE_ERRORS = (ValueError, RecursionError)
 
 
 def _read_jsonl(source, error_budget, stats, counter):
-    last_t: dict[str, float] = {}
-    latest = None  # the latest time yielded
-    first = True
-    for line_no, line in enumerate(source, start=1):
+    lines = enumerate(source, start=1)
+    for line_no, line in lines:
         line = line.strip()
-        if not line:
-            continue
-        if first:
-            first = False
+        if line:
             try:
                 obj = json.loads(line)
             except _DECODE_ERRORS as exc:
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
-            if _is_catalog_header(obj, line_no):
-                continue
-            # no header: fall through and treat the first line as a frame
-        else:
-            try:
-                obj, end = _raw_decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except _DECODE_ERRORS as exc:
-                _check_budget(stats, error_budget, line_no, exc)
-                continue
+            if not _is_catalog_header(obj, line_no):
+                lines = itertools.chain([(line_no, line)], lines)  # no header: a frame
+            break
+    last_t: dict[str, float] = {}
+    latest = None  # the latest time yielded
+    for line_no, line in lines:
+        line = line.strip()
+        if not line:
+            continue
         clamped = counter.clamped
+        # Every check of one record, inline: this loop runs once per frame.
         try:
+            obj, end = _raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
             if not isinstance(obj, dict):
                 raise ContractError("record is not an object")
-            frame = _parse_jsonl_record(obj, counter)
-            _check_time(frame, last_t, latest)
-        except (ContractError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            au, occ = obj["au"], obj["occ"]
+            if len(occ) != N_AUS:
+                raise ContractError(f"occ must have exactly {N_AUS} entries, got {len(occ)}")
+            src = str(obj["source_id"])
+            t = float(obj["t"])
+            frame = AuFrame(src, t, as_au_vector(au, counter), float(obj["confidence"]))
+            prev = last_t.get(src)
+            if prev is not None and t < prev:
+                raise ContractError(f"time ran backward for {src}")
+            if latest is not None and t - latest > MAX_GAP_S:
+                raise ContractError(f"time jumped {t - latest:.6g} s ahead")
+        except (ContractError, KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
             counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
-        last_t[frame.source_id] = frame.t
-        if latest is None or frame.t > latest:
-            latest = frame.t
+        last_t[src] = t
+        if latest is None or t > latest:
+            latest = t
         stats.frames_read += 1
-        stats.sources.add(frame.source_id)
+        if prev is None:
+            stats.sources.add(src)
         yield frame
 
 
@@ -349,32 +321,45 @@ def _read_csv(source, error_budget, stats, counter):
         raise StreamFormatError(
             "CSV header does not match the canonical AU ordering", line_no=1
         )
+    n_columns = len(CSV_HEADER)
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         clamped = counter.clamped
         try:
-            frame = _parse_csv_record(row, counter)
-            _check_time(frame, last_t, latest)
+            if len(row) != n_columns:
+                raise ContractError(f"expected {n_columns} columns, got {len(row)}")
+            src = row[0]
+            t = float(row[1])
+            # float() parses each AU cell; the occ cells are not read
+            frame = AuFrame(src, t, as_au_vector(row[3 : 3 + N_AUS], counter),
+                            float(row[2]))
+            prev = last_t.get(src)
+            if prev is not None and t < prev:
+                raise ContractError(f"time ran backward for {src}")
+            if latest is not None and t - latest > MAX_GAP_S:
+                raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, TypeError, ValueError) as exc:
             counter.clamped = clamped  # count clamps of yielded records only
             _check_budget(stats, error_budget, line_no, exc)
             continue
-        last_t[frame.source_id] = frame.t
-        if latest is None or frame.t > latest:
-            latest = frame.t
+        last_t[src] = t
+        if latest is None or t > latest:
+            latest = t
         stats.frames_read += 1
-        stats.sources.add(frame.source_id)
+        if prev is None:
+            stats.sources.add(src)
         yield frame
 
 
 def frame_to_obj(frame: AuFrame) -> dict:
+    au = [float(v) for v in frame.au]
     return {
         "source_id": frame.source_id,
         "t": frame.t,
         "confidence": frame.confidence,
-        "au": [float(v) for v in frame.au],
-        "occ": [bool(v) for v in frame.occurrences],
+        "au": au,
+        "occ": [v > OCCURRENCE_THRESHOLD for v in au],
     }
 
 
@@ -397,10 +382,11 @@ def write_frames_csv(path, frames) -> int:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for frame in frames:
+            au = [float(v) for v in frame.au]
             writer.writerow(
                 [frame.source_id, repr(frame.t), repr(frame.confidence)]
-                + [repr(float(v)) for v in frame.au]
-                + [int(bool(v)) for v in frame.occurrences]
+                + [repr(v) for v in au]
+                + [int(v > OCCURRENCE_THRESHOLD) for v in au]
             )
             n += 1
     return n
@@ -425,7 +411,9 @@ class TimestepBuilder:
     A frame whose timestep was already emitted comes from a source more than
     `MAX_SKEW_S` behind, or from one not seen before. It is dropped and
     counted on `late_frames`, and its slot is not recorded, so it cannot pull
-    the watermark back.
+    the watermark back. A first frame more than `MAX_GAP_S` past
+    `trial_start` is refused, so no frame opens more than that of gap
+    timesteps.
     """
 
     def __init__(self, policy: ArbitrationPolicy | None = None,
@@ -437,6 +425,8 @@ class TimestepBuilder:
         self._skew_slots = round(MAX_SKEW_S * self._fps)
         self._pending: dict[int, dict[str, AuFrame]] = {}
         self._last_slot: dict[str, int] = {}
+        self._lead = -1  # the latest slot recorded, of any source
+        self._behind = None  # a source last seen short of the next timestep
         self._finished = False
         self._next_index = 0
         self.duplicate_frames = 0
@@ -451,23 +441,32 @@ class TimestepBuilder:
         if self._finished:
             raise StreamIntegrityError(f"frame from {src!r} after the trial finished")
         prev = self._last_slot.get(src)
-        if prev is not None and slot < prev:
+        if prev is None:
+            if not self._last_slot:
+                if frame.t - self.trial_start > MAX_GAP_S:
+                    raise ContractError(_far_first_frame(frame.t, self.trial_start))
+                self._behind = src
+        elif slot < prev:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
         index = slot // self._fpt
         if index < self._next_index:
             self.late_frames += 1
             return []
         self._last_slot[src] = slot
-        per_source = self._pending.setdefault(slot, {})
-        if src in per_source:
+        if slot > self._lead:
+            self._lead = slot
+        per_source = self._pending.get(slot)
+        if per_source is None:
+            self._pending[slot] = {src: frame}
+        elif src in per_source:
             self.duplicate_frames += 1  # first frame for a (slot, source) wins
         else:
             per_source[src] = frame
-        if index <= self._next_index:
-            # Neither bound of the watermark can pass this timestep: the
-            # source furthest behind is now at most `slot`, and the one
-            # furthest ahead is either this frame or where the last drain
-            # saw it.
+        end = (self._next_index + 1) * self._fpt
+        if self._lead - self._skew_slots < end and (
+                slot < end or self._last_slot[self._behind] < end):
+            # The watermark cannot reach the next timestep's end: the source
+            # furthest behind is at most at this frame's slot or `_behind`'s.
             return []
         return self._drain()
 
@@ -475,18 +474,15 @@ class TimestepBuilder:
         """Flush everything up to the last observed slot; ends the trial."""
         self._finished = True
         out = []
-        slots = [s for s in self._pending] + list(self._last_slot.values())
-        if not slots:
-            return out
-        hi_index = max(slots) // self._fpt
-        while self._next_index <= hi_index:
+        while self._next_index <= self._lead // self._fpt:
             out.append(self._emit(self._next_index))
         return out
 
     def _drain(self) -> list[Timestep]:
         """Emit every timestep the watermark has passed."""
-        slots = self._last_slot.values()
-        watermark = max(min(slots), max(slots) - self._skew_slots)
+        slots = self._last_slot
+        self._behind = min(slots, key=slots.__getitem__)
+        watermark = max(slots[self._behind], self._lead - self._skew_slots)
         out = []
         while self._next_index < watermark // self._fpt:
             out.append(self._emit(self._next_index))
@@ -549,9 +545,9 @@ def reduce_ticks(index, offset, ticks, n_timesteps: int,
     ]
 
 
-# Past this many camera ticks after trial start a slot no longer fits the
-# int64 arithmetic below (and the trial could not be held in memory).
-_MAX_SLOT = 2.0 ** 62
+def _far_first_frame(t: float, trial_start: float) -> str:
+    return (f"first frame at t={t} lies more than {MAX_GAP_S:g} s "
+            f"past trial start {trial_start}")
 
 
 def _source_ranks(sources: list[str]) -> np.ndarray:
@@ -577,15 +573,14 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
         return []
     order = np.argsort(t, kind="stable")
     x = (t[order] - trial_start) * policy.fps
-    slot = np.rint(x)  # rounds half to even, as round() does
-    bad = ~(slot >= 0.0) | (slot >= _MAX_SLOT)
-    if bad.any():
-        i = int(bad.argmax())
-        at = float(t[order[i]])
-        if round(float(x[i])) < 0:  # NaN or infinity raise here, as in the builder
-            raise ContractError(f"frame at t={at} precedes trial start")
-        raise ContractError(f"frame at t={at} lies too far past trial start")
-    slot = slot.astype(np.int64)
+    first = float(t[order[0]])
+    if round(float(x[0])) < 0:
+        raise ContractError(f"frame at t={first} precedes trial start")
+    if first - trial_start > MAX_GAP_S:
+        raise ContractError(_far_first_frame(first, trial_start))
+    # Both readers hold every later frame within MAX_GAP_S of the ones
+    # before it, so each slot fits an int64 by many orders of magnitude.
+    slot = np.rint(x).astype(np.int64)  # rounds half to even, as round() does
     src = src[order]
     # First frame per (slot, source) in time order; lexsort is stable.
     by_tick = np.lexsort((src, slot))
@@ -609,25 +604,22 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
                         policy, trial_start)
 
 
-# Decoded AU and occ lists become arrays this many lines at a time, so only a
-# block of them is ever alive at once.
+# Decoded AU lists become arrays this many lines at a time, so only a block
+# of them is ever alive at once.
 _BLOCK_LINES = 256
 
 
-def _au_block(aus: list, occs: list):
-    """Decoded AU and occ rows as a float64 (n, 17) array, or None.
+def _au_block(aus: list):
+    """Decoded AU rows as a float64 (n, 17) array, or None.
 
-    AU rows that do not make an (n, 17) array of numbers or bools (strings,
-    None, integers beyond int64, ragged rows) are left to read_stream. Occ
-    rows need only convert to bool, as read_stream converts each of them.
+    Rows that do not make an (n, 17) array of numbers or bools (strings,
+    None, integers beyond int64, ragged rows) are left to read_stream.
     """
     try:
         au = np.array(aus)
-        occ = np.array(occs, dtype=bool)
     except (ValueError, TypeError, OverflowError):
         return None
-    n = len(aus)
-    if au.dtype.kind not in "biuf" or au.shape != (n, N_AUS) or occ.shape != (n, N_AUS):
+    if au.dtype.kind not in "biuf" or au.shape != (len(aus), N_AUS):
         return None
     return au.astype(np.float64, copy=False)
 
@@ -641,7 +633,7 @@ def _decode_trial(path):
     count and sources are then exactly what `read_stream` yields. Returns
     (sources, source ranks, t, confidence, clamped au, clamp count).
     """
-    sources, times, confs, aus, occs, blocks = [], [], [], [], [], []
+    sources, times, confs, aus, blocks = [], [], [], [], []
     first = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -659,21 +651,19 @@ def _decode_trial(path):
                 if _is_catalog_header(obj, line_no):
                     continue
             try:
-                occ = obj["occ"]
-                if len(occ) != N_AUS:
+                if len(obj["occ"]) != N_AUS:
                     return None
                 aus.append(obj["au"])
-                occs.append(occ)
                 sources.append(str(obj["source_id"]))
                 times.append(float(obj["t"]))
                 confs.append(float(obj["confidence"]))
             except (KeyError, TypeError, ValueError, OverflowError):
                 return None
             if len(aus) == _BLOCK_LINES:
-                blocks.append(_au_block(aus, occs))
-                aus, occs = [], []
+                blocks.append(_au_block(aus))
+                aus = []
     if aus:
-        blocks.append(_au_block(aus, occs))
+        blocks.append(_au_block(aus))
     if any(block is None for block in blocks):
         return None
     au = np.concatenate(blocks) if blocks else np.zeros((0, N_AUS))

@@ -227,13 +227,12 @@ class SimTrial:
         fpt = self.frames_per_timestep
         fps = fpt * RATE_HZ
         for k in range(self.n_timesteps):
-            au = trace[k]
-            occ = au > 1.0
+            au = trace[k].tolist()
             for j in range(fpt):
                 t = (k * fpt + j) / fps
-                yield AuFrame(source_id="cam_a", t=t, au=au, occurrences=occ,
+                yield AuFrame(source_id="cam_a", t=t, au=au,
                               confidence=float(self.conf_a[k]))
-                yield AuFrame(source_id="cam_b", t=t, au=au, occurrences=occ,
+                yield AuFrame(source_id="cam_b", t=t, au=au,
                               confidence=float(self.conf_b[k]))
 
 

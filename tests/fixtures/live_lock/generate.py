@@ -13,6 +13,10 @@ keeps the files small). Each stream then gets hand-made lines: two ticks with
 out-of-range values (clamped) and one record each of a NaN AU, a 16-entry AU
 vector, a string AU vector, an unparseable line, trailing garbage after the
 record, and time running backward within a source.
+
+The `occ` columns are those of simgen's unrounded values, as when the fixture
+was first written; the package's writers derive them from the written values,
+which differ on four frames, so the script puts them back.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import sys
 import numpy as np
 
 from ausentinel.cli import main
-from ausentinel.core import AuFrame
+from ausentinel.core import N_AUS, AuFrame
 from ausentinel.ingest import (
+    OCCURRENCE_THRESHOLD,
     StreamStats,
     read_stream,
     write_frames_csv,
@@ -51,19 +56,35 @@ def _model(path: str) -> None:
     save(train(generate(spec).records(), TrainConfig(epochs=120, seed=SEED)), path)
 
 
-def _frames() -> list[AuFrame]:
+def _frames() -> tuple[list[AuFrame], list[list[bool]]]:
+    """The stream's frames, and each frame's occ flags from unrounded values."""
     spec = ScenarioSpec(
         participants=1, trials_per_participant=1, seed=SEED + 1,
         errors=(ErrorPlan("concept", 8.0),), trial_len_s=20.0,
     )
-    frames = []
+    frames, occ = [], []
     for i, f in enumerate(generate(spec).trials[0].frames()):
         au = np.round(f.au, 4)
         if i // 2 in CLAMPED_TICKS:
-            au = au.copy()
             au[0], au[5] = 7.5, -0.25
-        frames.append(AuFrame(f.source_id, f.t, au, f.occurrences, round(f.confidence, 4)))
-    return frames
+        frames.append(AuFrame(f.source_id, f.t, au.tolist(), round(f.confidence, 4)))
+        occ.append([v > OCCURRENCE_THRESHOLD for v in f.au])
+    return frames, occ
+
+
+def _restore_occ(path: str, fmt: str, occ: list[list[bool]]) -> None:
+    # Line 0 is the JSONL catalog header or the CSV header; frame k is line k + 1.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    for k, flags in enumerate(occ, start=1):
+        if fmt == "jsonl":
+            obj = dict(json.loads(lines[k]), occ=flags)
+            lines[k] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        else:
+            row = next(csv.reader([lines[k]]))
+            lines[k] = _csv_line(row[: 3 + N_AUS] + [int(v) for v in flags])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _jsonl_bad_lines(lines: list[str]) -> list[str]:
@@ -113,11 +134,12 @@ def _insert(path: str, make_bad) -> None:
 def run() -> None:
     model = os.path.join(HERE, "model.json")
     _model(model)
-    frames = _frames()
+    frames, occ = _frames()
     for fmt, write, make_bad in (("jsonl", write_frames_jsonl, _jsonl_bad_lines),
                                  ("csv", write_frames_csv, _csv_bad_lines)):
         stream = os.path.join(HERE, f"stream.{fmt}")
         write(stream, frames)
+        _restore_occ(stream, fmt, occ)
         _insert(stream, make_bad)
         events = os.path.join(HERE, f"events_from_{fmt}.jsonl")
         rc = main(["detect", "--model", model, "--input", stream, "--format", fmt,

@@ -1,14 +1,18 @@
 """Benchmark tooling: the tracer of `bench/worker.py` still finds what it wraps.
 
 `--trace 1` replaces functions by name in the package's modules and stops
-on a name that is missing, so a rename in the package breaks traced runs.
+on a name that is missing, so a rename in the package breaks traced runs. A
+name that is still there but no longer called leaves its layer reading 0;
+the traced `detect` below catches that.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LIVE_LOCK = ROOT / "tests" / "fixtures" / "live_lock"
 
 
 def test_bench_tracer_installs():
@@ -17,3 +21,26 @@ def test_bench_tracer_installs():
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_tracer_sees_every_live_layer(tmp_path):
+    code = (
+        "import json, sys; sys.path.insert(0, 'bench'); import worker\n"
+        "from ausentinel.cli import main\n"
+        "tracer = worker.Tracer(); worker.install_tracer(tracer)\n"
+        "rc = main(['detect', '--model', sys.argv[1], '--input', sys.argv[2],\n"
+        "           '--out', sys.argv[3]])\n"
+        "print(json.dumps(dict(tracer.counts, rc=rc)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(LIVE_LOCK / "model.json"),
+         str(LIVE_LOCK / "stream.jsonl"), str(tmp_path / "events.jsonl")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    summary = json.loads(done.stderr.splitlines()[-1])
+    assert counts["rc"] == 0
+    assert counts["ingest.read_stream.frames"] == summary["frames_read"] == 1200
+    assert counts["ingest.builder.frames"] == 1200
+    assert counts["ingest.builder.timesteps"] == summary["timesteps"] == 60
+    assert counts["detector.step.events"] == summary["events"] > 0

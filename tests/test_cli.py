@@ -248,6 +248,21 @@ def _frame_line(src, k):
                        "au": [0.5] * 17, "occ": [False] * 17})
 
 
+def test_detect_refuses_a_first_frame_far_past_trial_start(tmp_path, capsys):
+    # A lone frame at t=1e9 once set detect building ~3e9 gap timesteps.
+    model, events = tmp_path / "model.json", tmp_path / "events.jsonl"
+    _always_firing_model(model)
+    stream = tmp_path / "stream.jsonl"
+    line = json.loads(_frame_line("cam_a", 0))
+    stream.write_text(json.dumps(dict(line, t=1e4)) + "\n")
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--trial-start", "5.0", "--out", str(events)])
+    assert rc == 2
+    assert "first frame at t=10000.0 lies more than 600 s past trial start 5.0" \
+        in capsys.readouterr().err
+    assert events.read_text() == ""
+
+
 def test_detect_keeps_going_while_a_camera_is_silent(tmp_path, capsys, monkeypatch):
     # Both cameras for 2 s; cam_b goes silent while cam_a runs 3 s more;
     # then cam_b's held-back frames arrive and both run 1 s more.

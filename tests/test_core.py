@@ -66,7 +66,30 @@ def test_as_au_vector_clamps_and_counts():
     assert counter.clamped == 2
     v2 = as_au_vector(np.full(N_AUS, 3.0), counter)
     assert counter.clamped == 2  # in-range values add nothing
-    assert v2.dtype == np.float64
+    assert v2 == [3.0] * N_AUS and all(type(v) is float for v in v2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(N_AUS))
+def test_as_au_vector_rejects_non_finite_at_any_position(bad, at):
+    # min/max alone miss a NaN past the first entry; the fast path must not.
+    values = [2.5] * N_AUS
+    values[at] = bad
+    counter = ClampCounter()
+    with pytest.raises(ContractError, match="non-finite"):
+        as_au_vector(values, counter)
+    assert counter.clamped == 0
+
+
+def test_as_au_vector_returns_python_floats_and_keeps_negative_zero():
+    for values in ([-0.0] + [1] * 16,           # in range: the fast path
+                   [-0.0] + [7.5] * 16,         # clamped: the slow path
+                   (-0.0, True) + (4.5,) * 15,  # tuple, bool
+                   np.full(N_AUS, -0.0),
+                   ["-0.0"] + ["2"] * 16):
+        v = as_au_vector(values, ClampCounter())
+        assert len(v) == N_AUS and all(type(x) is float for x in v)
+        assert math.copysign(1.0, v[0]) == -1.0
 
 
 def test_as_au_vector_rejects_bad_input():
@@ -136,9 +159,9 @@ def test_as_au_vector_matches_numpy_reference(values, bad, as_tuple):
     if isinstance(want, Exception):
         assert isinstance(got, (ContractError, ValueError))
     else:
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
-        assert got.shape == (N_AUS,)
-        assert got.tobytes() == want.tobytes()
+        assert isinstance(got, list) and len(got) == N_AUS
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()
         assert got_clamped == want_clamped
 
 
@@ -149,9 +172,9 @@ def test_zero_au_vector():
 
 
 def test_auframe_validates_confidence():
-    AuFrame("cam", 0.0, zero_au_vector(), np.zeros(N_AUS, dtype=bool), 0.5)
+    AuFrame("cam", 0.0, [0.0] * N_AUS, 0.5)
     with pytest.raises(ContractError):
-        AuFrame("cam", 0.0, zero_au_vector(), np.zeros(N_AUS, dtype=bool), 1.5)
+        AuFrame("cam", 0.0, [0.0] * N_AUS, 1.5)
 
 
 def test_ground_truth_label_array_closed_interval():

@@ -1,9 +1,11 @@
 """Stream parsing, arbitration, the streaming timestep builder and the corpus reader."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
+import math
 from unittest import mock
 
 import numpy as np
@@ -47,8 +49,7 @@ def frame(source="cam_a", t=0.0, conf=0.9, level=1.0, valid=True):
     return AuFrame(
         source_id=source,
         t=t,
-        au=np.full(N_AUS, level),
-        occurrences=np.zeros(N_AUS, dtype=bool),
+        au=[float(level)] * N_AUS,
         confidence=conf,
         valid_face=valid,
     )
@@ -90,7 +91,7 @@ def test_arbitrate_zeroes_below_floor():
     low = frame("cam_a", conf=0.4, level=3.0)
     out = arbitrate(low, None, policy)
     assert not out.valid_face
-    assert not out.au.any()
+    assert out.au == [0.0] * N_AUS
     assert out.confidence == 0.4  # the losing confidence is kept for telemetry
     # the floor is strict: exactly 0.5 does not clear it
     out = arbitrate(frame("cam_a", conf=0.5), None, policy)
@@ -113,6 +114,22 @@ def test_aggregate_reducers():
     assert aggregate(frames, last, 0).au[0] == 3.0
     mx = ArbitrationPolicy(aggregator="max")
     assert aggregate(frames, mx, 0).au[0] == 3.0
+
+
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_aggregate_of_au_lists_matches_numpy_reducers(aggregator):
+    # Frames carry lists; the timestep is a float64 array with the bits of
+    # np.mean / np.max / the last row over the same rows.
+    rng = np.random.default_rng(7)
+    policy = ArbitrationPolicy(aggregator=aggregator)
+    for k in range(1, 11):
+        rows = rng.uniform(0.0, 5.0, (k, N_AUS))
+        frames = [AuFrame("cam_a", j / 30, row.tolist(), 0.9) for j, row in enumerate(rows)]
+        want = {"mean": np.mean(rows, axis=0), "max": np.max(rows, axis=0),
+                "last": rows[-1]}[aggregator]
+        au = aggregate(frames, policy, 0).au
+        assert isinstance(au, np.ndarray) and au.dtype == np.float64
+        assert au.tobytes() == want.tobytes()
 
 
 def test_aggregate_gap_and_invalid_frames():
@@ -278,6 +295,53 @@ def test_builder_dead_camera_does_not_stall_the_stream():
     assert builder.late_frames == 0
 
 
+def test_builder_dead_camera_drains_once_per_timestep(monkeypatch):
+    # The repro above: cam_b's last slot keeps the source furthest behind
+    # short of every later timestep, so only cam_a's lead can release one,
+    # once per timestep. A drain on every cam_a frame emitted nothing nine
+    # times in ten.
+    frames = [frame(src, t=k / 30.0, conf=0.9 if src == "cam_a" else 0.8, level=k % 7)
+              for k in range(30) for src in ("cam_a", "cam_b")]
+    frames += [frame("cam_a", t=k / 30.0, level=k % 7) for k in range(30, 30 + 60 * 30)]
+    drains = []
+    real = TimestepBuilder._drain
+    monkeypatch.setattr(TimestepBuilder, "_drain",
+                        lambda self: drains.append(1) or real(self))
+    builder = TimestepBuilder()
+    out = [ts for f in frames for ts in builder.add(f)]
+    assert [ts.index for ts in out] == list(range(179))
+    assert len(drains) <= len(out) + 5
+    out += builder.finish()
+    # The whole-trial column path shares no code with the builder's drain.
+    want = ingest._columns_to_timesteps(
+        ingest._source_ranks([f.source_id for f in frames]),
+        np.array([f.t for f in frames]), np.array([f.confidence for f in frames]),
+        np.array([f.au for f in frames]), ArbitrationPolicy(), 0.0)
+    assert len(out) == len(want) == 183
+    for ours, theirs in zip(out, want):
+        assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
+        assert ours.au.tobytes() == theirs.au.tobytes()
+
+
+def test_builder_refuses_a_first_frame_far_past_trial_start():
+    gap = ingest.MAX_GAP_S
+    # Exactly MAX_GAP_S past the start is allowed and opens its gap.
+    builder = TimestepBuilder(trial_start=2.5)
+    assert len(builder.add(frame(t=2.5 + gap)) + builder.finish()) == round(gap * 3) + 1
+    # Further is refused before anything is held (a first frame at t=1e9
+    # once meant ~3e9 gap timesteps; the test stays at sizes that fail
+    # cheaply if the rule goes). A later source may still join past the bound.
+    for t in (2.5 + gap + 0.5, 1e4):
+        builder = TimestepBuilder(trial_start=2.5)
+        with pytest.raises(ContractError, match="first frame"):
+            builder.add(frame(t=t))
+        assert builder._pending == {} and builder._last_slot == {}
+    builder = TimestepBuilder(trial_start=2.5)
+    builder.add(frame("cam_a", t=gap))
+    builder.add(frame("cam_b", t=gap + 3.0))
+    assert builder.late_frames == 0
+
+
 @st.composite
 def builder_feeds(draw):
     """Any frame sequence: sources, slots, jitter and order all free."""
@@ -420,7 +484,6 @@ def test_read_stream_jsonl_roundtrip(tmp_path):
     for a, b in zip(frames, got):
         assert a.t == b.t and a.confidence == b.confidence
         assert np.array_equal(a.au, b.au)
-        assert np.array_equal(a.occurrences, b.occurrences)
 
 
 def test_read_stream_csv_roundtrip(tmp_path):
@@ -432,6 +495,67 @@ def test_read_stream_csv_roundtrip(tmp_path):
     for a, b in zip(frames, got):
         assert a.t == b.t and a.confidence == b.confidence
         assert np.array_equal(a.au, b.au)
+
+
+# The writers' bytes for one small simgen trial, `occ` column included.
+WRITER_SHA256 = {
+    "jsonl": "87ee4a6a367e1dc4d23858c3b36d6c15a8b6446e2bd1766f13a546ecc41d62ea",
+    "csv": "b769bad07b40dbb73ae6912baa4ea80b10dbe97833a2a5d4930c9d587cdef189",
+}
+
+
+def test_writers_reproduce_pinned_bytes(tmp_path):
+    spec = ScenarioSpec(participants=1, trials_per_participant=1, seed=3,
+                        errors=(ErrorPlan("physical", 1.0),), trial_len_s=3.0)
+    frames = list(generate(spec).trials[0].frames())
+    assert any(v > ingest.OCCURRENCE_THRESHOLD for f in frames for v in f.au)
+    for fmt, write in (("jsonl", write_frames_jsonl), ("csv", write_frames_csv)):
+        path = tmp_path / f"frames.{fmt}"
+        assert write(path, frames) == 180
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITER_SHA256[fmt]
+    # `occ` is the AU value strictly above the threshold.
+    edge = AuFrame("cam_a", 0.0, [1.0, 1.0000000000000002] + [0.0] * 15, 0.5)
+    assert frame_to_obj(edge)["occ"][:3] == [False, True, False]
+
+
+_WRITTEN_AU = st.one_of(
+    st.floats(0.0, 5.0),
+    st.sampled_from([-0.0, 5.0, 5.000000000000001, -5e-324, math.nan, math.inf]),
+    st.floats(),  # any float, NaN and infinities included
+)
+
+
+@st.composite
+def written_frames(draw):
+    """Any frames the writers take: free sources, times, values, order."""
+    sources = st.sampled_from(["cam_a", "cam_b", ' a,"b" ', ""])
+    return [AuFrame(draw(sources), draw(st.floats(0.0, 5.0)),
+                    draw(st.lists(_WRITTEN_AU, min_size=N_AUS, max_size=N_AUS)),
+                    draw(st.floats(0.0, 1.0)))
+            for _ in range(draw(st.integers(0, 30)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames=written_frames())
+def test_jsonl_and_csv_streams_read_back_alike(tmp_path_factory, frames):
+    directory = tmp_path_factory.mktemp("formats")
+    reads = []
+    for fmt, write in (("jsonl", write_frames_jsonl), ("csv", write_frames_csv)):
+        path = directory / f"frames.{fmt}"
+        write(path, frames)
+        stats = StreamStats()
+        got = list(read_stream(path, fmt, error_budget=len(frames), stats=stats))
+        assert all(type(v) is float for f in got for v in f.au)
+        builder = TimestepBuilder()
+        timesteps = [ts for f in got for ts in builder.add(f)] + builder.finish()
+        reads.append((
+            [(f.source_id, f.t, f.confidence, f.au) for f in got],
+            [(ts.index, ts.valid_face, ts.au.tobytes()) for ts in timesteps],
+            vars(stats),
+        ))
+    jsonl, csv_ = reads
+    # float == float cannot tell -0.0 from 0.0; the timestep bytes can.
+    assert jsonl == csv_
 
 
 def test_read_stream_rejects_wrong_catalog():
@@ -694,7 +818,7 @@ def trial_files(draw):
                 else:
                     au = rng.uniform(*au_mode, N_AUS)
                 frames.append(AuFrame(src, trial_start + (tick + jitter) / policy.fps,
-                                      au, np.zeros(N_AUS, dtype=bool), conf))
+                                      au.tolist(), conf))
         frames.sort(key=lambda f: f.t)  # clean files keep each source's time order
         queues.append(frames)
     interleaved = []
@@ -740,6 +864,42 @@ def test_corpus_reader_frame_before_trial_start(tmp_path):
     want, got = read_trial_both(path, trial_start=10.0)
     assert isinstance(got[0], ContractError)
     assert "t=9.0 precedes trial start" in str(got[0])
+    assert_same_reads(want, got)
+
+
+@pytest.mark.parametrize("past", [ingest.MAX_GAP_S, ingest.MAX_GAP_S + 0.5, 1e4])
+def test_corpus_reader_first_frame_far_past_trial_start(tmp_path, past):
+    # A frame before the far one, but of a later line, sets the bound.
+    frames = [frame(t=10.0 + past + k / 30.0) for k in range(1, 40)]
+    frames.append(frame("cam_b", t=10.0 + past))
+    path = tmp_path / "frames.jsonl"
+    write_frames_jsonl(path, frames)
+    want, got = read_trial_both(path, trial_start=10.0)
+    if past > ingest.MAX_GAP_S:
+        assert isinstance(got[0], ContractError)
+        assert f"first frame at t={10.0 + past} lies more than" in str(got[0])
+    else:
+        assert len(got[0]) == round(past * 3) + 4
+    assert_same_reads(want, got)
+
+
+_NO_OCC = object()
+
+
+@pytest.mark.parametrize("occ, skipped", [
+    ([False] * 16, True), ([0] * 18, True), (5, True), (None, True), (_NO_OCC, True),
+    ([[1], [1, 2]] + [0] * 15, False),  # nothing reads the entries themselves
+    ("x" * 17, False),
+])
+def test_occ_is_checked_for_arity_only(tmp_path, occ, skipped):
+    objs = [frame_to_obj(frame(t=k / 30.0)) for k in range(3)]
+    del objs[1]["occ"]
+    if occ is not _NO_OCC:
+        objs[1]["occ"] = occ
+    path = tmp_path / "frames.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    want, got = read_trial_both(path)
+    assert (got[1].records_skipped, got[1].frames_read) == (skipped, 3 - skipped)
     assert_same_reads(want, got)
 
 
