@@ -7,6 +7,10 @@ environment variable (DEBUG/INFO/WARNING/ERROR; default WARNING).
 Every subcommand accepts ``--config FILE`` (JSON object of flag defaults,
 keyed by flag dest names); explicit command-line flags override config
 values. All outputs are deterministic given identical inputs and seeds.
+
+Frame streams (``--input``, stdin, ``--listen``) are decoded as UTF-8 with
+undecodable bytes replaced by U+FFFD, so a garbage byte costs at most the
+record that holds it (see `ingest.read_stream`).
 """
 
 from __future__ import annotations
@@ -314,13 +318,17 @@ def cmd_detect(args) -> int:
             logger.info("listening on %s", args.listen)
             conn, peer = server.accept()
             logger.info("stream from %s", peer)
-            with conn, conn.makefile("r", encoding="utf-8") as fh:
+            with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
                 counters = _detect_stream(fh, args, params, writer)
             server.close()
         elif args.input:
-            with open(args.input, "r", encoding="utf-8", newline="") as fh:
+            with open(args.input, "r", encoding="utf-8", errors="replace",
+                      newline="") as fh:
                 counters = _detect_stream(fh, args, params, writer)
         else:
+            reconfigure = getattr(sys.stdin, "reconfigure", None)
+            if reconfigure is not None:  # a text file; not a stand-in such as StringIO
+                reconfigure(errors="replace")
             counters = _detect_stream(sys.stdin, args, params, writer)
     finally:
         writer.close()

@@ -7,11 +7,13 @@ artifacts so mismatched producers are rejected at load time instead of
 silently misaligning features.
 
 All types are value objects and safe to share across threads once built.
-They are immutable, except `AuFrame`: the per-frame type is a plain slotted
-class (a frozen dataclass pays for `object.__setattr__` on every field),
-and is read-only by convention. It carries only what aggregation reads, with
-its AU values as a list of Python floats; they become a float64 array at the
-`Timestep`, the first type that does arithmetic on them.
+They are immutable, except the two built on the live path once per frame and
+once per timestep: `AuFrame` and `Timestep` are plain slotted classes (a
+frozen dataclass pays for `object.__setattr__` on every field) and are
+read-only by convention. A frame carries only what arbitration and
+aggregation read, with its AU values as a list of Python floats; they become
+a float64 array at the `Timestep`, the first type that does arithmetic on
+them.
 """
 
 from __future__ import annotations
@@ -162,17 +164,16 @@ class AuFrame:
     """One camera-frame observation from a single source.
 
     `au` holds the 17 intensities as Python floats (see `as_au_vector`);
-    they become an array only when a timestep aggregates them. `valid_face`
-    is True for raw extractor output; confidence arbitration may emit zeroed
-    frames with it cleared. Frames are read-only by convention: nothing
-    changes a field after construction.
+    they become an array only when a timestep aggregates them. `confidence`
+    is the extractor's face-detection confidence: a tick's frame counts only
+    when it wins its tick and clears the confidence floor. Frames are
+    read-only by convention: nothing changes a field after construction.
     """
 
     source_id: str
     t: float
     au: list[float]
     confidence: float
-    valid_face: bool = True
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t):
@@ -181,9 +182,14 @@ class AuFrame:
             raise ContractError(f"confidence {self.confidence} outside [0, 1]")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Timestep:
-    """One 1/3 s aggregated sample; the classifier's input unit."""
+    """One 1/3 s aggregated sample; the classifier's input unit.
+
+    `au` is a float64 array of the 17 intensities; `valid_face` is False
+    when no tick of the timestep held a frame above the confidence floor,
+    and `au` is then all zero. Read-only by convention, as `AuFrame` is.
+    """
 
     index: int
     t_start: float

@@ -2,8 +2,9 @@
 
 Frames arrive from one or two camera sources as newline-delimited JSON (or
 CSV). Per camera tick the source with higher face-detection confidence wins;
-if neither clears the confidence floor the tick is zeroed. Ten arbitrated
-frames (at 30 fps) aggregate into one 1/3 s timestep.
+a winner that does not clear the confidence floor leaves its tick out. The
+winning ticks of a 1/3 s timestep (ten at 30 fps) aggregate into one
+sample, and a timestep with none is a zero vector flagged invalid.
 
 The streaming builder guarantees: for any input stream, output timestep
 indices are exactly 0..N-1 with no duplicates or holes, and at most
@@ -16,12 +17,19 @@ emitted are dropped and counted as late.
 
 Live streams (`detect`) go frame by frame: `read_stream` validates each
 record into an `AuFrame` whose AU values stay a list of floats, and
-`TimestepBuilder` arbitrates and aggregates, making one array per timestep.
-That pair is the specification. Corpus files (`read_corpus`) take a batch
-path with the same result: each line is only decoded, the record checks run
-on whole columns, and whole-trial numpy operations slot, de-duplicate and
-arbitrate the frames and aggregate them (`reduce_ticks`), as a builder fed
-the frames in time order would. A file that fails any check is read again
+`TimestepBuilder` arbitrates each tick when its timestep closes and reduces
+the winners once, making one array per timestep. That pair is the
+specification. A CSV line with no quote or inner line break is split on
+commas directly and any other record is left to `csv.reader`, with the
+fields one `csv.reader` over the whole stream would give. Text is decoded
+as UTF-8 with undecodable bytes replaced, so a garbage byte costs at most
+its record.
+
+Corpus files (`read_corpus`) take a batch path with the same result: each
+line is only decoded, the record checks run on whole columns, and
+whole-trial numpy operations slot, de-duplicate and arbitrate the frames
+and aggregate them (`reduce_ticks`), as a builder fed the frames in time
+order would. A file that fails any check is read again
 by `read_stream`, so malformed records are skipped, counted, logged and
 budgeted in one place, and its frames then take the same batch pass.
 """
@@ -126,70 +134,38 @@ class StreamStats:
     sources: set = field(default_factory=set)
 
 
-def arbitrate(
-    frame_a: AuFrame | None,
-    frame_b: AuFrame | None,
-    policy: ArbitrationPolicy,
-) -> AuFrame:
-    """Pick the higher-confidence source for one camera tick.
-
-    Ties go to `frame_a` (callers order sources lexicographically, so ties
-    resolve to the lexicographically first source id — deterministic). When
-    the better confidence does not strictly exceed the floor, the tick is
-    zeroed: all-zero AU vector, invalid_face, confidence of the better source.
-    """
-    if frame_a is None and frame_b is None:
-        raise ContractError("arbitrate requires at least one frame")
-    if frame_a is None:
-        winner = frame_b
-    elif frame_b is None:
-        winner = frame_a
-    else:
-        period = 1.0 / policy.fps
-        if abs(frame_a.t - frame_b.t) > 1.5 * period:
-            raise ContractError(
-                f"frames not tick-aligned: t={frame_a.t} vs t={frame_b.t}"
-            )
-        winner = frame_a if frame_a.confidence >= frame_b.confidence else frame_b
-    if winner.confidence > policy.min_confidence and winner.valid_face:
-        return winner
-    return AuFrame(winner.source_id, winner.t, [0.0] * N_AUS, winner.confidence,
-                   valid_face=False)
-
-
 def aggregate(
-    frames: list[AuFrame],
+    aus: list[list[float]],
     policy: ArbitrationPolicy,
     index: int,
     trial_start: float = 0.0,
 ) -> Timestep:
-    """Reduce one timestep's arbitrated frames to a single sample.
+    """Reduce one timestep's winning ticks to a single sample.
 
-    Only valid-face frames contribute; with none, the timestep is a zero
-    vector flagged invalid (stream gap or sustained low confidence). An empty
-    frame list is a gap and reduces the same way. The frames' AU lists become
-    one (k, 17) array here; its mean is `np.mean`'s, bit for bit.
+    `aus` holds, in tick order, the AU lists of the ticks whose winner
+    cleared the confidence floor. With none, the timestep is a zero vector
+    flagged invalid (a stream gap or sustained low confidence). The lists
+    become one (k, 17) array here; its mean is `np.mean`'s, bit for bit.
     """
-    if len(frames) > policy.frames_per_timestep:
+    k = len(aus)
+    if k > policy.frames_per_timestep:
         raise ContractError(
-            f"{len(frames)} frames in one timestep (max {policy.frames_per_timestep})"
+            f"{k} ticks in one timestep (max {policy.frames_per_timestep})"
         )
     t_start = trial_start + index / RATE_HZ
     t_end = trial_start + (index + 1) / RATE_HZ
-    valid = [f.au for f in frames if f.valid_face]
-    if not valid:
-        return Timestep(index=index, t_start=t_start, t_end=t_end,
-                        au=zero_au_vector(), valid_face=False)
+    if not k:
+        return Timestep(index, t_start, t_end, zero_au_vector(), False)
     if policy.aggregator == "last":
-        au = np.array(valid[-1], dtype=np.float64)
+        au = np.array(aus[-1], dtype=np.float64)
     else:
-        rows = np.fromiter(itertools.chain.from_iterable(valid), np.float64,
-                           len(valid) * N_AUS).reshape(len(valid), N_AUS)
+        rows = np.fromiter(itertools.chain.from_iterable(aus), np.float64,
+                           k * N_AUS).reshape(k, N_AUS)
         if policy.aggregator == "mean":
-            au = np.add.reduce(rows, axis=0) / len(valid)
+            au = np.add.reduce(rows, axis=0) / k
         else:  # max
             au = np.maximum.reduce(rows, axis=0)
-    return Timestep(index=index, t_start=t_start, t_end=t_end, au=au, valid_face=True)
+    return Timestep(index, t_start, t_end, au, True)
 
 
 def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
@@ -198,26 +174,30 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
 
     JSONL streams may open with a header object ``{"catalog": [...]}``; when
     present it must match the canonical AU ordering. CSV streams must open
-    with the exact canonical header.
+    with the exact canonical header. A path is opened as UTF-8 with
+    undecodable bytes replaced by U+FFFD, so a garbage byte is never an error
+    of its own: it leaves a malformed record, or a U+FFFD inside a string
+    field such as the source id.
 
     Each record is validated in plain Python (see `as_au_vector`). A record
     is malformed when its line is not one JSON object with nothing after it
-    (JSONL) or has the wrong column count (CSV); when a field is missing or
-    a value does not convert to a number; when the AU vector is not 17
-    finite numbers or the occurrence vector not 17 entries; when the
-    confidence lies outside [0, 1]; or when its time is not finite, runs
-    backward within its source, or lies more than `MAX_GAP_S` past the
-    latest time yielded so far. Malformed records are skipped and counted;
-    exceeding `error_budget` skips is fatal. AU values outside [0, 5] of
-    the records yielded are clamped, not rejected, and counted as
-    `values_clamped`. Counters accumulate on `stats` when provided.
+    (JSONL), or when the CSV parser refuses it or it has the wrong column
+    count (CSV); when a field is missing or a value does not convert to a
+    number; when the AU vector is not 17 finite numbers or the occurrence
+    vector not 17 entries; when the confidence lies outside [0, 1]; or when
+    its time is not finite, runs backward within its source, or lies more
+    than `MAX_GAP_S` past the latest time yielded so far. Malformed records
+    are skipped and counted; exceeding `error_budget` skips is fatal. AU
+    values outside [0, 5] of the records yielded are clamped, not rejected,
+    and counted as `values_clamped`. Counters accumulate on `stats` when
+    provided.
     """
     if stats is None:
         stats = StreamStats()
     counter = ClampCounter()
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        source = open(source, "r", encoding="utf-8", newline="")
+        source = open(source, "r", encoding="utf-8", errors="replace", newline="")
         close = True
     try:
         if format == "jsonl":
@@ -313,31 +293,71 @@ def _read_jsonl(source, error_budget, stats, counter):
 
 
 def _read_csv(source, error_budget, stats, counter):
-    reader = csv.reader(source)
-    last_t: dict[str, float] = {}
-    latest = None  # the latest time yielded
-    header = next(reader, None)
+    """CSV records, split as one `csv.reader` over the whole stream splits them.
+
+    A plain line is split with `str.split`. It holds no quote and, less its
+    trailing CR and LF characters, no CR or LF, and it is shorter than
+    `csv.field_size_limit()`: it is one record, and `csv.reader` would give
+    the same fields (or none, for a blank line). The header and every other
+    record go through `csv.reader`, which reads as many further lines as the
+    record needs, so quoted fields, embedded line breaks and the field size
+    limit behave as they always have. A record the parser refuses is
+    malformed. Records are numbered one per record, the header being record
+    1, in warnings and in `StreamFormatError`.
+    """
+    lines = iter(source)
+    try:
+        header = next(csv.reader(lines), None)
+    except csv.Error:
+        header = None
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise StreamFormatError(
             "CSV header does not match the canonical AU ordering", line_no=1
         )
     n_columns = len(CSV_HEADER)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    size_limit = csv.field_size_limit()
+    max_gap = MAX_GAP_S
+    au_end = 3 + N_AUS  # the occurrence cells follow; nothing reads them
+    lo, hi = AU_INTENSITY_MIN, AU_INTENSITY_MAX
+    last_t: dict[str, float] = {}
+    latest = None  # the latest time yielded
+    line_no = 1
+    for line in lines:
+        line_no += 1
+        body = line.rstrip("\r\n")
+        if (len(line) < size_limit and '"' not in body
+                and "\n" not in body and "\r" not in body):
+            if not body:
+                continue
+            # The occurrence cells stay one string; its commas finish the
+            # column count.
+            row = body.split(",", au_end)
+            n = len(row) + row[-1].count(",")
+        else:
+            try:
+                row = next(csv.reader(itertools.chain((line,), lines)), None)
+            except csv.Error as exc:
+                _check_budget(stats, error_budget, line_no, exc)
+                continue
+            if not row:
+                continue
+            n = len(row)
         clamped = counter.clamped
         try:
-            if len(row) != n_columns:
-                raise ContractError(f"expected {n_columns} columns, got {len(row)}")
+            if n != n_columns:
+                raise ContractError(f"expected {n_columns} columns, got {n}")
             src = row[0]
             t = float(row[1])
-            # float() parses each AU cell; the occ cells are not read
-            frame = AuFrame(src, t, as_au_vector(row[3 : 3 + N_AUS], counter),
-                            float(row[2]))
+            # An in-range row passes as_au_vector's one-pass check here.
+            au = list(map(float, row[3:au_end]))
+            s = sum(au)
+            if not (lo <= min(au) and max(au) <= hi and s == s):
+                au = as_au_vector(au, counter)
+            frame = AuFrame(src, t, au, float(row[2]))
             prev = last_t.get(src)
             if prev is not None and t < prev:
                 raise ContractError(f"time ran backward for {src}")
-            if latest is not None and t - latest > MAX_GAP_S:
+            if latest is not None and t - latest > max_gap:
                 raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, TypeError, ValueError) as exc:
             counter.clamped = clamped  # count clamps of yielded records only
@@ -408,6 +428,13 @@ class TimestepBuilder:
     zero-vector/invalid rather than stalling the clock, keeping downstream
     latency accounting truthful.
 
+    A timestep is emitted by arbitrating each of its ticks and reducing the
+    winners once (`aggregate`). Per tick, the frame with the highest
+    confidence wins, ties going to the lexicographically first source, and
+    the winner counts only when its confidence is above the floor; the
+    first frame of a (tick, source) is kept and later ones are counted on
+    `duplicate_frames`.
+
     A frame whose timestep was already emitted comes from a source more than
     `MAX_SKEW_S` behind, or from one not seen before. It is dropped and
     counted on `late_frames`, and its slot is not recorded, so it cannot pull
@@ -423,12 +450,14 @@ class TimestepBuilder:
         self._fps = self.policy.fps
         self._fpt = self.policy.frames_per_timestep
         self._skew_slots = round(MAX_SKEW_S * self._fps)
-        self._pending: dict[int, dict[str, AuFrame]] = {}
+        # slot -> its one frame, or {source: frame} once a second source sends one
+        self._pending: dict[int, AuFrame | dict[str, AuFrame]] = {}
         self._last_slot: dict[str, int] = {}
         self._lead = -1  # the latest slot recorded, of any source
         self._behind = None  # a source last seen short of the next timestep
         self._finished = False
         self._next_index = 0
+        self._end = self._fpt  # the first slot past timestep `_next_index`
         self.duplicate_frames = 0
         self.late_frames = 0
 
@@ -440,34 +469,42 @@ class TimestepBuilder:
         src = frame.source_id
         if self._finished:
             raise StreamIntegrityError(f"frame from {src!r} after the trial finished")
-        prev = self._last_slot.get(src)
+        last_slot = self._last_slot
+        prev = last_slot.get(src)
         if prev is None:
-            if not self._last_slot:
+            if not last_slot:
                 if frame.t - self.trial_start > MAX_GAP_S:
                     raise ContractError(_far_first_frame(frame.t, self.trial_start))
                 self._behind = src
         elif slot < prev:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
-        index = slot // self._fpt
-        if index < self._next_index:
+        end = self._end
+        if slot < end - self._fpt:  # its timestep was emitted
             self.late_frames += 1
             return []
-        self._last_slot[src] = slot
-        if slot > self._lead:
-            self._lead = slot
-        per_source = self._pending.get(slot)
-        if per_source is None:
-            self._pending[slot] = {src: frame}
-        elif src in per_source:
-            self.duplicate_frames += 1  # first frame for a (slot, source) wins
+        last_slot[src] = slot
+        lead = self._lead
+        if slot > lead:
+            self._lead = lead = slot
+        # The first frame for a (slot, source) wins; later ones are duplicates.
+        pending = self._pending
+        held = pending.get(slot)
+        if held is None:
+            pending[slot] = frame
+        elif held.__class__ is dict:
+            if src in held:
+                self.duplicate_frames += 1
+            else:
+                held[src] = frame
+        elif held.source_id == src:
+            self.duplicate_frames += 1
         else:
-            per_source[src] = frame
-        end = (self._next_index + 1) * self._fpt
-        if self._lead - self._skew_slots < end and (
-                slot < end or self._last_slot[self._behind] < end):
+            pending[slot] = {held.source_id: held, src: frame}
+        if lead - self._skew_slots < end and (slot < end or last_slot[self._behind] < end):
             # The watermark cannot reach the next timestep's end: the source
             # furthest behind is at most at this frame's slot or `_behind`'s.
             return []
+        self._behind = src  # the drain keeps it unless a source is further behind
         return self._drain()
 
     def finish(self) -> list[Timestep]:
@@ -479,10 +516,21 @@ class TimestepBuilder:
         return out
 
     def _drain(self) -> list[Timestep]:
-        """Emit every timestep the watermark has passed."""
+        """Emit every timestep the watermark has passed.
+
+        The source furthest behind becomes `_behind`, ties going to the one
+        `add` left there, the source of the frame that called the drain. In
+        lockstep streams that source is the one whose next frame can close
+        the next timestep, so the other source's frame need not drain.
+        """
         slots = self._last_slot
-        self._behind = min(slots, key=slots.__getitem__)
-        watermark = max(slots[self._behind], self._lead - self._skew_slots)
+        behind = self._behind
+        low = slots[behind]
+        for src, slot in slots.items():
+            if slot < low:
+                behind, low = src, slot
+        self._behind = behind
+        watermark = max(low, self._lead - self._skew_slots)
         out = []
         while self._next_index < watermark // self._fpt:
             out.append(self._emit(self._next_index))
@@ -490,21 +538,25 @@ class TimestepBuilder:
 
     def _emit(self, index: int) -> Timestep:
         fpt = self._fpt
-        arbitrated = []
+        floor = self.policy.min_confidence
+        pending = self._pending
+        winners = []
         for slot in range(index * fpt, (index + 1) * fpt):
-            per_source = self._pending.pop(slot, None)
-            if not per_source:
+            frame = pending.pop(slot, None)
+            if frame is None:
                 continue
-            srcs = sorted(per_source)
-            winner = per_source[srcs[0]]
-            if len(srcs) == 1:
-                winner = arbitrate(winner, None, self.policy)
-            else:
-                for src in srcs[1:]:
-                    winner = arbitrate(winner, per_source[src], self.policy)
-            arbitrated.append(winner)
+            if frame.__class__ is dict:  # two or more sources
+                per_source = frame
+                srcs = sorted(per_source)
+                frame = per_source[srcs[0]]
+                for src in srcs[1:]:  # ties stay with the first source id
+                    if per_source[src].confidence > frame.confidence:
+                        frame = per_source[src]
+            if frame.confidence > floor:
+                winners.append(frame.au)
         self._next_index = index + 1
-        return aggregate(arbitrated, self.policy, index, self.trial_start)
+        self._end = (index + 2) * fpt
+        return aggregate(winners, self.policy, index, self.trial_start)
 
 
 def reduce_ticks(index, offset, ticks, n_timesteps: int,
@@ -635,7 +687,7 @@ def _decode_trial(path):
     """
     sources, times, confs, aus, blocks = [], [], [], [], []
     first = True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import shutil
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -121,23 +125,22 @@ def test_detect_from_stdin(cli_env, capsys, monkeypatch):
             json.loads(line)
 
 
-def test_detect_listen_tcp(cli_env, tmp_path):
+def _detect_over_tcp(model, payload: bytes, events_path):
+    """Run `detect --listen` in a thread, send it `payload`; returns its exit code."""
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
 
-    events_path = tmp_path / "ev.jsonl"
     result = {}
 
     def serve():
-        result["rc"] = main(["detect", "--model", str(cli_env["model"]),
+        result["rc"] = main(["detect", "--model", str(model),
                              "--listen", f"127.0.0.1:{port}",
                              "--out", str(events_path)])
 
     server = threading.Thread(target=serve)
     server.start()
-    payload = (cli_env["corpus"] / "frames" / "p00_t00.jsonl").read_bytes()
     client = None
     for _ in range(100):
         try:
@@ -150,7 +153,13 @@ def test_detect_listen_tcp(cli_env, tmp_path):
     client.close()
     server.join(timeout=20)
     assert not server.is_alive()
-    assert result["rc"] == 0
+    return result["rc"]
+
+
+def test_detect_listen_tcp(cli_env, tmp_path):
+    events_path = tmp_path / "ev.jsonl"
+    payload = (cli_env["corpus"] / "frames" / "p00_t00.jsonl").read_bytes()
+    assert _detect_over_tcp(cli_env["model"], payload, events_path) == 0
     assert events_path.exists()
 
 
@@ -429,3 +438,83 @@ def test_evaluate_missing_corpus(tmp_path, capsys):
     rc = main(["evaluate", "--corpus", str(tmp_path / "nope")])
     assert rc == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def _stream_with_a_bad_byte() -> bytes:
+    """Ten good JSONL frames; the fourth holds a 0xff byte in its confidence."""
+    lines = [_frame_line("cam_a", k).encode() for k in range(10)]
+    lines[3] = lines[3].replace(b'"confidence": 0.9', b'"confidence": 0.\xff')
+    return b"\n".join(lines) + b"\n"
+
+
+def _summary(err: str) -> dict:
+    return json.loads(err.strip().splitlines()[-1])
+
+
+def test_detect_input_replaces_undecodable_bytes(tmp_path, capsys):
+    model, stream = tmp_path / "model.json", tmp_path / "stream.jsonl"
+    _always_firing_model(model)
+    stream.write_bytes(_stream_with_a_bad_byte())
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--out", str(tmp_path / "events.jsonl")])
+    assert rc == 0
+    summary = _summary(capsys.readouterr().err)
+    assert (summary["frames_read"], summary["records_skipped"]) == (9, 1)
+
+
+def test_detect_listen_replaces_undecodable_bytes(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    rc = _detect_over_tcp(model, _stream_with_a_bad_byte(), tmp_path / "events.jsonl")
+    assert rc == 0
+    summary = _summary(capsys.readouterr().err)
+    assert (summary["frames_read"], summary["records_skipped"]) == (9, 1)
+
+
+def test_detect_stdin_replaces_undecodable_bytes(tmp_path):
+    # A strict UTF-8 stdin, as PYTHONIOENCODING=utf-8 or a UTF-8 locale sets it.
+    import ausentinel
+
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    src = os.path.dirname(os.path.dirname(ausentinel.__file__))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ausentinel", "detect", "--model", str(model)],
+                          input=_stream_with_a_bad_byte(), capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    summary = _summary(proc.stderr.decode())
+    assert (summary["frames_read"], summary["records_skipped"]) == (9, 1)
+
+
+def test_detect_skips_a_csv_field_past_the_size_limit(tmp_path, capsys):
+    # A 140 000-character field made csv.reader raise out of detect.
+    from ausentinel.core import AuFrame, N_AUS
+    from ausentinel.ingest import write_frames_csv
+
+    model, stream = tmp_path / "model.json", tmp_path / "stream.csv"
+    _always_firing_model(model)
+    write_frames_csv(stream, [AuFrame("cam_a", k / 30.0, [0.5] * N_AUS, 0.9)
+                              for k in range(10)])
+    lines = stream.read_text().splitlines(keepends=True)
+    lines.insert(4, "x" * 140_000 + lines[4])
+    stream.write_text("".join(lines))
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--format", "csv", "--out", str(tmp_path / "events.jsonl")])
+    assert rc == 0
+    summary = _summary(capsys.readouterr().err)
+    assert (summary["frames_read"], summary["records_skipped"]) == (10, 1)
+
+
+def test_evaluate_replaces_undecodable_bytes_in_a_corpus_file(cli_env, tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_env["corpus"], corpus)
+    frames = corpus / "frames" / "p00_t00.jsonl"
+    data = frames.read_bytes()
+    at = data.index(b'"confidence":0.', 2000) + len(b'"confidence":0.')
+    frames.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with caplog.at_level("WARNING"):
+        rc = main(["evaluate", "--corpus", str(corpus), "--model", str(cli_env["model"])])
+    assert rc == 0
+    assert caplog.text.count("skipping malformed record") == 1

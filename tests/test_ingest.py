@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -32,8 +33,6 @@ from ausentinel.ingest import (
     ArbitrationPolicy,
     StreamStats,
     TimestepBuilder,
-    aggregate,
-    arbitrate,
     frame_to_obj,
     read_annotations,
     read_corpus,
@@ -45,18 +44,23 @@ from ausentinel.ingest import (
 from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate, write_corpus
 
 
-def frame(source="cam_a", t=0.0, conf=0.9, level=1.0, valid=True):
+def frame(source="cam_a", t=0.0, conf=0.9, level=1.0):
     return AuFrame(
         source_id=source,
         t=t,
         au=[float(level)] * N_AUS,
         confidence=conf,
-        valid_face=valid,
     )
 
 
+def build(frames, policy=None, trial_start=0.0):
+    """The timesteps of a builder fed `frames` in order, then finished."""
+    builder = TimestepBuilder(policy, trial_start)
+    return [ts for f in frames for ts in builder.add(f)] + builder.finish()
+
+
 # ---------------------------------------------------------------------------
-# Policy and arbitration
+# Policy and arbitration (each tick of a timestep, inside the builder)
 
 
 def test_policy_validation():
@@ -72,48 +76,42 @@ def test_policy_validation():
 
 
 def test_arbitrate_higher_confidence_wins():
-    policy = ArbitrationPolicy()
     a = frame("cam_a", conf=0.8, level=1.0)
     b = frame("cam_b", conf=0.9, level=2.0)
-    assert arbitrate(a, b, policy) is b
-    assert arbitrate(b, a, policy) is b
+    for feed in ([a, b], [b, a]):
+        (ts,) = build(feed)
+        assert ts.valid_face and ts.au.tolist() == [2.0] * N_AUS
 
 
-def test_arbitrate_tie_goes_to_first_argument():
-    policy = ArbitrationPolicy()
+def test_arbitrate_tie_goes_to_first_source():
+    # Ties go to the lexicographically first source id, whichever came first.
     a = frame("cam_a", conf=0.8, level=1.0)
     b = frame("cam_b", conf=0.8, level=2.0)
-    assert arbitrate(a, b, policy) is a
+    for feed in ([a, b], [b, a]):
+        (ts,) = build(feed)
+        assert ts.au.tolist() == [1.0] * N_AUS
 
 
 def test_arbitrate_zeroes_below_floor():
     policy = ArbitrationPolicy(min_confidence=0.5)
-    low = frame("cam_a", conf=0.4, level=3.0)
-    out = arbitrate(low, None, policy)
-    assert not out.valid_face
-    assert out.au == [0.0] * N_AUS
-    assert out.confidence == 0.4  # the losing confidence is kept for telemetry
+    (ts,) = build([frame("cam_a", conf=0.4, level=3.0)], policy)
+    assert not ts.valid_face
+    assert ts.au.tolist() == [0.0] * N_AUS
     # the floor is strict: exactly 0.5 does not clear it
-    out = arbitrate(frame("cam_a", conf=0.5), None, policy)
-    assert not out.valid_face
-
-
-def test_arbitrate_contract_checks():
-    policy = ArbitrationPolicy()
-    with pytest.raises(ContractError):
-        arbitrate(None, None, policy)
-    with pytest.raises(ContractError):
-        arbitrate(frame("cam_a", t=0.0), frame("cam_b", t=1.0), policy)
+    (ts,) = build([frame("cam_a", conf=0.5)], policy)
+    assert not ts.valid_face
+    # with two sources, the winner's confidence is the one held to the floor
+    (ts,) = build([frame("cam_a", conf=0.3), frame("cam_b", conf=0.5)], policy)
+    assert not ts.valid_face
+    (ts,) = build([frame("cam_a", conf=0.3), frame("cam_b", conf=0.6)], policy)
+    assert ts.valid_face
 
 
 def test_aggregate_reducers():
-    policy = ArbitrationPolicy()
     frames = [frame(t=0.0, level=1.0), frame(t=1 / 30, level=3.0)]
-    assert aggregate(frames, policy, 0).au[0] == 2.0
-    last = ArbitrationPolicy(aggregator="last")
-    assert aggregate(frames, last, 0).au[0] == 3.0
-    mx = ArbitrationPolicy(aggregator="max")
-    assert aggregate(frames, mx, 0).au[0] == 3.0
+    assert build(frames)[0].au[0] == 2.0
+    assert build(frames, ArbitrationPolicy(aggregator="last"))[0].au[0] == 3.0
+    assert build(frames, ArbitrationPolicy(aggregator="max"))[0].au[0] == 3.0
 
 
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
@@ -127,18 +125,23 @@ def test_aggregate_of_au_lists_matches_numpy_reducers(aggregator):
         frames = [AuFrame("cam_a", j / 30, row.tolist(), 0.9) for j, row in enumerate(rows)]
         want = {"mean": np.mean(rows, axis=0), "max": np.max(rows, axis=0),
                 "last": rows[-1]}[aggregator]
-        au = aggregate(frames, policy, 0).au
-        assert isinstance(au, np.ndarray) and au.dtype == np.float64
-        assert au.tobytes() == want.tobytes()
+        (ts,) = build(frames, policy)
+        assert isinstance(ts.au, np.ndarray) and ts.au.dtype == np.float64
+        assert ts.au.tobytes() == want.tobytes()
 
 
 def test_aggregate_gap_and_invalid_frames():
-    policy = ArbitrationPolicy()
-    ts = aggregate([], policy, 4, trial_start=10.0)
-    assert ts.index == 4 and not ts.valid_face and not ts.au.any()
-    assert ts.t_start == 10.0 + 4 / 3.0
-    dead = [frame(level=2.0, valid=False)]
-    assert not aggregate(dead, policy, 0).valid_face
+    # Timesteps 0-3 hold no frame: each is a zero vector flagged invalid.
+    out = build([frame(t=10.0 + 4 / 3.0)], trial_start=10.0)
+    ts = out[3]
+    assert ts.index == 3 and not ts.valid_face and not ts.au.any()
+    assert ts.t_start == 10.0 + 3 / 3.0
+    (dead,) = build([frame(level=2.0, conf=0.2)])
+    assert not dead.valid_face
+    # A sub-floor tick is left out of the mean, not averaged in as zeros.
+    (ts,) = build([frame(t=0.0, level=1.0), frame(t=1 / 30, conf=0.2, level=3.0),
+                   frame(t=2 / 30, level=2.0)])
+    assert ts.valid_face and ts.au[0] == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,29 @@ def test_builder_dead_camera_drains_once_per_timestep(monkeypatch):
         np.array([f.t for f in frames]), np.array([f.confidence for f in frames]),
         np.array([f.au for f in frames]), ArbitrationPolicy(), 0.0)
     assert len(out) == len(want) == 183
+    for ours, theirs in zip(out, want):
+        assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
+        assert ours.au.tobytes() == theirs.au.tobytes()
+
+
+def test_builder_lockstep_cameras_drain_once_per_timestep(monkeypatch):
+    # Two cameras in lockstep, cam_a first at every tick. The drain once
+    # kept the first-inserted source as the one behind on a tie, so the next
+    # cam_a frame always drained and emitted nothing: 2 drains per timestep.
+    frames = [frame(src, t=k / 30.0, conf=0.6 + 0.3 * ((k + (src == "cam_b")) % 2),
+                    level=(k + 3 * (src == "cam_b")) % 7)
+              for k in range(600) for src in ("cam_a", "cam_b")]
+    drains = []
+    real = TimestepBuilder._drain
+    monkeypatch.setattr(TimestepBuilder, "_drain",
+                        lambda self: drains.append(1) or real(self))
+    builder = TimestepBuilder()
+    out = [ts for f in frames for ts in builder.add(f)]
+    assert [ts.index for ts in out] == list(range(59))
+    assert len(drains) <= len(out) + 2
+    out += builder.finish()
+    want = frames_to_timesteps(frames)
+    assert len(out) == len(want) == 60
     for ours, theirs in zip(out, want):
         assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
         assert ours.au.tobytes() == theirs.au.tobytes()
@@ -702,6 +728,165 @@ def test_csv_header_is_strict():
     assert CSV_HEADER[3 + N_AUS] == "au01_occ"
 
 
+def whole_stream_csv(lines, error_budget, stats, counter):
+    """The CSV reader as one `csv.reader` over the whole stream.
+
+    This is the loop `ingest._read_csv` ran before it split plain lines
+    itself, with one change that both keep: a record the parser refuses is
+    a malformed record (and a header it refuses a bad header), not a crash.
+    """
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error:
+        header = None
+    if header is None or [h.strip() for h in header] != CSV_HEADER:
+        raise StreamFormatError(
+            "CSV header does not match the canonical AU ordering", line_no=1
+        )
+    n_columns = len(CSV_HEADER)
+    last_t, latest = {}, None
+    line_no = 1
+    while True:
+        line_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            ingest._check_budget(stats, error_budget, line_no, exc)
+            continue
+        if not row:
+            continue
+        clamped = counter.clamped
+        try:
+            if len(row) != n_columns:
+                raise ContractError(f"expected {n_columns} columns, got {len(row)}")
+            src = row[0]
+            t = float(row[1])
+            frame = AuFrame(src, t, ingest.as_au_vector(row[3 : 3 + N_AUS], counter),
+                            float(row[2]))
+            prev = last_t.get(src)
+            if prev is not None and t < prev:
+                raise ContractError(f"time ran backward for {src}")
+            if latest is not None and t - latest > ingest.MAX_GAP_S:
+                raise ContractError(f"time jumped {t - latest:.6g} s ahead")
+        except (ContractError, TypeError, ValueError) as exc:
+            counter.clamped = clamped
+            ingest._check_budget(stats, error_budget, line_no, exc)
+            continue
+        last_t[src] = t
+        if latest is None or t > latest:
+            latest = t
+        stats.frames_read += 1
+        if prev is None:
+            stats.sources.add(src)
+        yield frame
+
+
+_CSV_ALPHABET = ',"\r\n\x00 0123456789abcz'
+_CSV_ENDINGS = st.sampled_from(["\r\n", "\n", "\r", ""])
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_streams(draw):
+    """CSV lines: records of the canonical shape with short or long numbers,
+    fields quoted or swapped for text over `_CSV_ALPHABET`, lines of that
+    text alone, any of the line endings or none, and a header that is
+    usually right."""
+    header = list(CSV_HEADER)
+    if draw(st.integers(0, 4)) == 0:
+        header[draw(st.integers(0, len(header) - 1))] = draw(st.text(_CSV_ALPHABET, max_size=6))
+    quote = draw(st.sampled_from([(), (0,), (0, 5, 36)]))
+    lines = [",".join(_quoted(h) if i in quote else h for i, h in enumerate(header))
+             + draw(_CSV_ENDINGS)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # AU cells, cheaply
+    text = st.text(_CSV_ALPHABET, max_size=12)
+    for k in range(draw(st.integers(0, 25))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            lines.append(draw(text) + draw(_CSV_ENDINGS))
+            continue
+        fields = [draw(st.sampled_from(["cam_a", "cam_b", " cam_a"])),
+                  repr(k / 30.0 + draw(st.sampled_from([0.0] * 6 + [-1.0, 700.0]))),
+                  draw(st.sampled_from(["0.9", "0.9", "0.4", "1.5"]))]
+        fields += [rng.choice(["0.5", "1.25", "-0.0", "7.5", repr(rng.uniform(0.0, 5.0))])
+                   for _ in range(N_AUS)] + ["0"] * N_AUS
+        if draw(st.integers(0, 9)) == 0:
+            fields[draw(st.integers(3, 2 + N_AUS))] = draw(st.sampled_from(["nan", "1e400"]))
+        for _ in range(draw(st.integers(0, 3)) if kind == 1 else 0):
+            at = draw(st.integers(0, len(fields) - 1))
+            change = draw(st.integers(0, 3))
+            if change == 0:
+                fields[at] = _quoted(fields[at])
+            elif change == 1:
+                fields[at] = draw(text)
+            elif change == 2:
+                fields[at] = _quoted(draw(text))
+            else:
+                del fields[at]
+        lines.append(",".join(fields) + draw(_CSV_ENDINGS))
+    return lines
+
+
+def _read_csv_lines(read, lines, budget):
+    """What one CSV reader makes of `lines`: frames (by repr, so -0.0 and NaN
+    count), counters and warnings, or the exception that ended it."""
+    logger = logging.getLogger("ausentinel.ingest")
+    handler = _ListHandler()
+    logger.addHandler(handler)
+    stats, counter = StreamStats(), ingest.ClampCounter()
+    frames = []
+    try:
+        for f in read(iter(lines), budget, stats, counter):
+            frames.append(repr((f.source_id, f.t, f.confidence, f.au)))
+        error = None
+    except StreamFormatError as exc:
+        error = str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return frames, vars(stats), counter.clamped, handler.messages, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=csv_streams(), budget=st.sampled_from([0, 3, 100]),
+       size_limit=st.sampled_from([None, None, 120, 20]))
+def test_csv_reader_matches_one_whole_stream_csv_reader(lines, budget, size_limit):
+    # A small field size limit sends lines past it to csv.reader and makes
+    # it refuse some of their records.
+    saved = csv.field_size_limit()
+    if size_limit is not None:
+        csv.field_size_limit(size_limit)
+    try:
+        got = _read_csv_lines(ingest._read_csv, lines, budget)
+        want = _read_csv_lines(whole_stream_csv, lines, budget)
+    finally:
+        csv.field_size_limit(saved)
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_undecodable_bytes_in_a_stream_file(tmp_path, fmt):
+    # A 0xff byte inside a number leaves a malformed record; inside the
+    # source id it stays a U+FFFD character of a good record.
+    objs = [frame_to_obj(frame(t=k / 30.0)) for k in range(4)]
+    data = stream_text(objs, fmt).encode()
+    at = data.index(b"0.9", data.index(b"cam_a", data.index(b"cam_a") + 1))
+    data = data[:at] + b"\xff" + data[at + 1:]  # the second record's confidence
+    at = data.rindex(b"cam_a")
+    data = data[:at + 3] + b"\xff" + data[at + 4:]  # the last record's source id
+    path = tmp_path / f"frames.{fmt}"
+    path.write_bytes(data)
+    stats = StreamStats()
+    got = list(read_stream(path, fmt, stats=stats))
+    assert [f.source_id for f in got] == ["cam_a", "cam_a", "cam\ufffda"]
+    assert stats.records_skipped == 1
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ContractError):
         list(read_stream(io.StringIO(""), "parquet"))
@@ -974,7 +1159,7 @@ def test_read_corpus_reads_clean_files_without_frames(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a clean corpus file took the per-frame path")
 
-    for name in ("AuFrame", "read_stream", "TimestepBuilder", "arbitrate", "aggregate"):
+    for name in ("AuFrame", "read_stream", "TimestepBuilder", "aggregate"):
         monkeypatch.setattr(ingest, name, refuse)
     got = read_corpus(tmp_path)
     assert len(got) == len(want) == 2
