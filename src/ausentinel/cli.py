@@ -26,6 +26,7 @@ from ausentinel.core import (
     RATE_HZ,
     AusentinelError,
     ContractError,
+    StreamStats,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
 from ausentinel.evaluation import (
@@ -42,7 +43,6 @@ from ausentinel.evaluation import (
 from ausentinel.ingest import (
     AGGREGATORS,
     ArbitrationPolicy,
-    StreamStats,
     TimestepBuilder,
     read_corpus,
     read_stream,
@@ -242,39 +242,34 @@ def cmd_train(args) -> int:
 
 
 class _EventWriter:
-    def __init__(self, path: str | None):
+    def __init__(self, path: str | None, stats: StreamStats):
         self._own = path is not None
         self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
-        self.events = 0
-        self.unmerged = 0
+        self._stats = stats
 
     def write(self, trial_id: str, event, trial_start: float) -> None:
         self._fh.write(_dump(event_to_obj(trial_id, event, trial_start)) + "\n")
         self._fh.flush()  # live consumers see events as they fire
-        self.events += 1
+        self._stats.events += 1
         if not event.merged:
-            self.unmerged += 1
+            self._stats.unmerged_events += 1
 
     def close(self) -> None:
         if self._own:
             self._fh.close()
 
 
-def _detect_stream(fh, args, params, writer) -> dict:
-    """Consume one frame stream; returns its counters for the summary."""
-    policy = _policy(args)
+def _detect_stream(fh, args, params, writer, stats: StreamStats) -> None:
+    """Consume one frame stream, counting on `stats`."""
     cfg = _window(args)
-    builder = TimestepBuilder(policy, args.trial_start)
+    builder = TimestepBuilder(_policy(args), args.trial_start, stats)
     state = DetectorState()
-    stats = StreamStats()
-    n_timesteps = 0
 
     def process(timesteps) -> None:
-        nonlocal n_timesteps
+        stats.timesteps += len(timesteps)
         for ts in timesteps:
             weight = classify_timestep(params, ts.au[None]).item()
             event = step(state, ts.index, weight, cfg)
-            n_timesteps += 1
             if event is not None:
                 writer.write(args.trial_id, event, args.trial_start)
 
@@ -284,29 +279,19 @@ def _detect_stream(fh, args, params, writer) -> dict:
         if timesteps:
             process(timesteps)
     process(builder.finish())
-    if stats.records_skipped:
-        logger.warning("skipped %d malformed records", stats.records_skipped)
-    return {
-        "timesteps": n_timesteps,
-        "frames_read": stats.frames_read,
-        "records_skipped": stats.records_skipped,
-        "values_clamped": stats.values_clamped,
-        "late_frames": builder.late_frames,
-        "duplicate_frames": builder.duplicate_frames,
-    }
 
 
 def cmd_detect(args) -> int:
     params = load(args.model)
-    writer = _EventWriter(args.out)
-    counters = {"timesteps": 0}
+    stats = StreamStats()
+    writer = _EventWriter(args.out, stats)
     try:
         if args.corpus:
             cfg = _window(args)
-            for trial in read_corpus(args.corpus, _policy(args)):
+            for trial in read_corpus(args.corpus, _policy(args), stats):
                 for event in run_trial(trial, params, cfg):
                     writer.write(trial.trial_id, event, 0.0)
-                counters["timesteps"] += len(trial)
+                stats.timesteps += len(trial)
         elif args.listen:
             host, _, port = args.listen.rpartition(":")
             if not port.isdigit():
@@ -319,20 +304,22 @@ def cmd_detect(args) -> int:
             conn, peer = server.accept()
             logger.info("stream from %s", peer)
             with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
-                counters = _detect_stream(fh, args, params, writer)
+                _detect_stream(fh, args, params, writer, stats)
             server.close()
         elif args.input:
             with open(args.input, "r", encoding="utf-8", errors="replace",
                       newline="") as fh:
-                counters = _detect_stream(fh, args, params, writer)
+                _detect_stream(fh, args, params, writer, stats)
         else:
             reconfigure = getattr(sys.stdin, "reconfigure", None)
             if reconfigure is not None:  # a text file; not a stand-in such as StringIO
                 reconfigure(errors="replace")
-            counters = _detect_stream(sys.stdin, args, params, writer)
+            _detect_stream(sys.stdin, args, params, writer, stats)
     finally:
         writer.close()
-    summary = dict(counters, events=writer.events, unmerged_events=writer.unmerged)
+    if stats.records_skipped:
+        logger.warning("skipped %d malformed records", stats.records_skipped)
+    summary = {key: value for key, value in vars(stats).items() if key != "sources"}
     print(_dump(summary), file=sys.stderr)
     return 0
 

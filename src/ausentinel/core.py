@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,20 +96,28 @@ class StreamIntegrityError(AusentinelError):
     """Timestep stream broke an ordering invariant at runtime."""
 
 
-class ClampCounter:
-    """Counts out-of-range AU intensities that were clamped instead of rejected."""
+@dataclass
+class StreamStats:
+    """Every counter of a `detect` run; each layer adds to the one it is handed."""
 
-    def __init__(self) -> None:
-        self.clamped = 0
+    frames_read: int = 0
+    records_skipped: int = 0
+    values_clamped: int = 0
+    sources: set = field(default_factory=set)
+    late_frames: int = 0
+    duplicate_frames: int = 0
+    timesteps: int = 0
+    events: int = 0
+    unmerged_events: int = 0
 
 
-def as_au_vector(values, counter: ClampCounter | None = None) -> list[float]:
+def as_au_vector(values, stats: StreamStats | None = None) -> list[float]:
     """Validate and normalize a 17-entry AU intensity vector.
 
     `values` is a list, tuple or 1-d array of 17 numbers (anything `float()`
     converts, so numeric strings and bools pass). Entries must be finite;
     values outside [0, 5] are clamped (live estimators occasionally
-    overshoot) and tallied on `counter`. Returns a list of 17 Python floats.
+    overshoot) and tallied on `stats`. Returns a list of 17 Python floats.
     The checks run in plain Python, which for 17 values costs a fraction of
     numpy's per-call overhead, and an in-range vector takes one pass.
     """
@@ -133,8 +141,8 @@ def as_au_vector(values, counter: ClampCounter | None = None) -> list[float]:
         return au
     if not all(map(math.isfinite, au)):
         raise ContractError("AU vector contains non-finite values")
-    if counter is not None:
-        counter.clamped += sum(1 for v in au if v < lo or v > hi)
+    if stats is not None:
+        stats.values_clamped += sum(1 for v in au if v < lo or v > hi)
     return [lo if v < lo else hi if v > hi else v for v in au]
 
 

@@ -57,8 +57,6 @@ class DetectorState:
     buffer: deque = field(default_factory=deque)  # (timestep, weight), chronological
     expected_next: int | None = None
     last_detected_at: int | None = None
-    events_emitted: int = 0
-    unmerged_events: int = 0
 
 
 def merge_rule(state: DetectorState, candidate: ErrorEvent,
@@ -76,9 +74,6 @@ def merge_rule(state: DetectorState, candidate: ErrorEvent,
         or abs(candidate.estimated_start - last) <= cfg.merge_gap
     )
     state.last_detected_at = candidate.detected_at
-    state.events_emitted += 1
-    if not merged:
-        state.unmerged_events += 1
     return replace(candidate, merged=merged)
 
 
@@ -113,13 +108,12 @@ def step(state: DetectorState, index: int, weight: float,
     return merge_rule(state, candidate, cfg)
 
 
-def detect_sequence(weights, cfg: WindowConfig | None = None,
-                    start_index: int = 0) -> list[ErrorEvent]:
-    """Run the detector over a bare weight sequence (replay/bench path)."""
+def detect_sequence(weights, cfg: WindowConfig | None = None) -> list[ErrorEvent]:
+    """Run the detector over a bare weight sequence indexed from 0."""
     cfg = cfg or WindowConfig()
     state = DetectorState()
     events = []
-    for index, w in enumerate(weights, start_index):
+    for index, w in enumerate(weights):
         event = step(state, index, float(w), cfg)
         if event is not None:
             events.append(event)

@@ -41,7 +41,7 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,11 @@ from ausentinel.core import (
     N_AUS,
     RATE_HZ,
     AuFrame,
-    ClampCounter,
     ContractError,
     GroundTruth,
     StreamFormatError,
     StreamIntegrityError,
+    StreamStats,
     Timestep,
     TrialRecord,
     as_au_vector,
@@ -124,16 +124,6 @@ class ArbitrationPolicy:
         return self.frames_per_timestep * RATE_HZ
 
 
-@dataclass
-class StreamStats:
-    """Running ingestion counters (mutable; one per stream)."""
-
-    frames_read: int = 0
-    records_skipped: int = 0
-    values_clamped: int = 0
-    sources: set = field(default_factory=set)
-
-
 def aggregate(
     aus: list[list[float]],
     policy: ArbitrationPolicy,
@@ -187,38 +177,39 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     vector not 17 entries; when the confidence lies outside [0, 1]; or when
     its time is not finite, runs backward within its source, or lies more
     than `MAX_GAP_S` past the latest time yielded so far. Malformed records
-    are skipped and counted; exceeding `error_budget` skips is fatal. AU
-    values outside [0, 5] of the records yielded are clamped, not rejected,
-    and counted as `values_clamped`. Counters accumulate on `stats` when
-    provided.
+    are skipped and counted; more than `error_budget` skips in this stream
+    is fatal. AU values outside [0, 5] of the records yielded are clamped,
+    not rejected, and counted as `values_clamped`. Counters accumulate on
+    `stats` when provided, so one `StreamStats` may span many streams; each
+    stream's budget counts only its own skips.
     """
     if stats is None:
         stats = StreamStats()
-    counter = ClampCounter()
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         source = open(source, "r", encoding="utf-8", errors="replace", newline="")
         close = True
     try:
         if format == "jsonl":
-            yield from _read_jsonl(source, error_budget, stats, counter)
+            yield from _read_jsonl(source, error_budget, stats)
         elif format == "csv":
-            yield from _read_csv(source, error_budget, stats, counter)
+            yield from _read_csv(source, error_budget, stats)
         else:
             raise ContractError(f"unknown stream format {format!r}")
     finally:
-        stats.values_clamped += counter.clamped
         if close:
             source.close()
 
 
-def _check_budget(stats: StreamStats, error_budget: int, line_no: int, exc: Exception) -> None:
+def _check_budget(stats: StreamStats, start: int, error_budget: int, line_no: int,
+                  exc: Exception) -> None:
+    """Count a skip; fail once the stream's own skips (past `start`) exceed the budget."""
     stats.records_skipped += 1
     logger.warning("skipping malformed record at line %d: %s", line_no, exc)
-    if stats.records_skipped > error_budget:
+    skipped = stats.records_skipped - start
+    if skipped > error_budget:
         raise StreamFormatError(
-            f"error budget exceeded ({stats.records_skipped} malformed records)",
-            line_no=line_no,
+            f"error budget exceeded ({skipped} malformed records)", line_no=line_no
         )
 
 
@@ -241,7 +232,8 @@ def _is_catalog_header(obj, line_no: int) -> bool:
 _DECODE_ERRORS = (ValueError, RecursionError)
 
 
-def _read_jsonl(source, error_budget, stats, counter):
+def _read_jsonl(source, error_budget, stats):
+    start = stats.records_skipped
     lines = enumerate(source, start=1)
     for line_no, line in lines:
         line = line.strip()
@@ -259,7 +251,7 @@ def _read_jsonl(source, error_budget, stats, counter):
         line = line.strip()
         if not line:
             continue
-        clamped = counter.clamped
+        clamped = stats.values_clamped
         # Every check of one record, inline: this loop runs once per frame.
         try:
             obj, end = _raw_decode(line)
@@ -272,7 +264,7 @@ def _read_jsonl(source, error_budget, stats, counter):
                 raise ContractError(f"occ must have exactly {N_AUS} entries, got {len(occ)}")
             src = str(obj["source_id"])
             t = float(obj["t"])
-            frame = AuFrame(src, t, as_au_vector(au, counter), float(obj["confidence"]))
+            frame = AuFrame(src, t, as_au_vector(au, stats), float(obj["confidence"]))
             prev = last_t.get(src)
             if prev is not None and t < prev:
                 raise ContractError(f"time ran backward for {src}")
@@ -280,8 +272,8 @@ def _read_jsonl(source, error_budget, stats, counter):
                 raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, KeyError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
-            counter.clamped = clamped  # count clamps of yielded records only
-            _check_budget(stats, error_budget, line_no, exc)
+            stats.values_clamped = clamped  # count clamps of yielded records only
+            _check_budget(stats, start, error_budget, line_no, exc)
             continue
         last_t[src] = t
         if latest is None or t > latest:
@@ -292,7 +284,7 @@ def _read_jsonl(source, error_budget, stats, counter):
         yield frame
 
 
-def _read_csv(source, error_budget, stats, counter):
+def _read_csv(source, error_budget, stats):
     """CSV records, split as one `csv.reader` over the whole stream splits them.
 
     A plain line is split with `str.split`. It holds no quote and, less its
@@ -305,6 +297,7 @@ def _read_csv(source, error_budget, stats, counter):
     malformed. Records are numbered one per record, the header being record
     1, in warnings and in `StreamFormatError`.
     """
+    start = stats.records_skipped
     lines = iter(source)
     try:
         header = next(csv.reader(lines), None)
@@ -337,12 +330,12 @@ def _read_csv(source, error_budget, stats, counter):
             try:
                 row = next(csv.reader(itertools.chain((line,), lines)), None)
             except csv.Error as exc:
-                _check_budget(stats, error_budget, line_no, exc)
+                _check_budget(stats, start, error_budget, line_no, exc)
                 continue
             if not row:
                 continue
             n = len(row)
-        clamped = counter.clamped
+        clamped = stats.values_clamped
         try:
             if n != n_columns:
                 raise ContractError(f"expected {n_columns} columns, got {n}")
@@ -352,7 +345,7 @@ def _read_csv(source, error_budget, stats, counter):
             au = list(map(float, row[3:au_end]))
             s = sum(au)
             if not (lo <= min(au) and max(au) <= hi and s == s):
-                au = as_au_vector(au, counter)
+                au = as_au_vector(au, stats)
             frame = AuFrame(src, t, au, float(row[2]))
             prev = last_t.get(src)
             if prev is not None and t < prev:
@@ -360,8 +353,8 @@ def _read_csv(source, error_budget, stats, counter):
             if latest is not None and t - latest > max_gap:
                 raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, TypeError, ValueError) as exc:
-            counter.clamped = clamped  # count clamps of yielded records only
-            _check_budget(stats, error_budget, line_no, exc)
+            stats.values_clamped = clamped  # count clamps of yielded records only
+            _check_budget(stats, start, error_budget, line_no, exc)
             continue
         last_t[src] = t
         if latest is None or t > latest:
@@ -433,20 +426,21 @@ class TimestepBuilder:
     confidence wins, ties going to the lexicographically first source, and
     the winner counts only when its confidence is above the floor; the
     first frame of a (tick, source) is kept and later ones are counted on
-    `duplicate_frames`.
+    `stats.duplicate_frames`.
 
     A frame whose timestep was already emitted comes from a source more than
     `MAX_SKEW_S` behind, or from one not seen before. It is dropped and
-    counted on `late_frames`, and its slot is not recorded, so it cannot pull
-    the watermark back. A first frame more than `MAX_GAP_S` past
+    counted on `stats.late_frames`; its slot is not recorded, so it cannot
+    pull the watermark back. A first frame more than `MAX_GAP_S` past
     `trial_start` is refused, so no frame opens more than that of gap
     timesteps.
     """
 
     def __init__(self, policy: ArbitrationPolicy | None = None,
-                 trial_start: float = 0.0):
+                 trial_start: float = 0.0, stats: StreamStats | None = None):
         self.policy = policy or ArbitrationPolicy()
         self.trial_start = trial_start
+        self.stats = StreamStats() if stats is None else stats
         self._fps = self.policy.fps
         self._fpt = self.policy.frames_per_timestep
         self._skew_slots = round(MAX_SKEW_S * self._fps)
@@ -458,8 +452,6 @@ class TimestepBuilder:
         self._finished = False
         self._next_index = 0
         self._end = self._fpt  # the first slot past timestep `_next_index`
-        self.duplicate_frames = 0
-        self.late_frames = 0
 
     def add(self, frame: AuFrame) -> list[Timestep]:
         """Absorb one frame; return any timesteps that became final."""
@@ -480,7 +472,7 @@ class TimestepBuilder:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
         end = self._end
         if slot < end - self._fpt:  # its timestep was emitted
-            self.late_frames += 1
+            self.stats.late_frames += 1
             return []
         last_slot[src] = slot
         lead = self._lead
@@ -493,11 +485,11 @@ class TimestepBuilder:
             pending[slot] = frame
         elif held.__class__ is dict:
             if src in held:
-                self.duplicate_frames += 1
+                self.stats.duplicate_frames += 1
             else:
                 held[src] = frame
         elif held.source_id == src:
-            self.duplicate_frames += 1
+            self.stats.duplicate_frames += 1
         else:
             pending[slot] = {held.source_id: held, src: frame}
         if lead - self._skew_slots < end and (slot < end or last_slot[self._behind] < end):
@@ -610,12 +602,13 @@ def _source_ranks(sources: list[str]) -> np.ndarray:
 
 
 def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
-                          trial_start: float) -> list[Timestep]:
+                          trial_start: float, stats: StreamStats) -> list[Timestep]:
     """Whole-trial `TimestepBuilder`: a trial's frames, as columns, to timesteps.
 
     The result equals feeding the frames to a builder sorted by time and
     finishing it. Frames are stably sorted by `t`, keyed to slots as the
-    builder keys them, and the first frame per (slot, source) is kept. The
+    builder keys them, and the first frame per (slot, source) is kept; the
+    others are counted on `stats.duplicate_frames`, and none is late. The
     winner of a slot has the highest confidence, ties going to the
     lexicographically first source; the tick is valid iff that confidence
     clears the floor. `src` holds source ranks (`_source_ranks`), and `au`
@@ -641,6 +634,7 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     first[0] = True
     first[1:] = (slot[1:] != slot[:-1]) | (src[1:] != src[:-1])
     slot, src, order = slot[first], src[first], order[first]
+    stats.duplicate_frames += first.size - slot.size
     # Per slot, the highest confidence first and ties by source rank.
     conf = confidence[order]
     by_conf = np.lexsort((src, -conf, slot))
@@ -811,7 +805,8 @@ def write_annotations(path, rows: dict[str, dict]) -> None:
             ])
 
 
-def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None) -> list[TrialRecord]:
+def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
+                stats: StreamStats | None = None) -> list[TrialRecord]:
     """Load a corpus directory (manifest.json + frames/ + annotations.csv).
 
     Each trial's timesteps are those of a `TimestepBuilder` fed the file's
@@ -819,10 +814,12 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None) -> list[Tri
     decoded into columns and reduced in one numpy pass, with no per-frame
     object; a file with any record `read_stream` would skip, or any value
     the column checks cannot vouch for, is read by `read_stream` instead
-    (same warnings, skip counts, error budget and errors) and its frames
-    then take the same pass.
+    (same warnings, skip counts and errors, and a budget of its own) and its
+    frames then take the same pass. Every trial adds its ingest counters to
+    `stats` when provided.
     """
     policy = policy or ArbitrationPolicy()
+    stats = StreamStats() if stats is None else stats
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -837,9 +834,9 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None) -> list[Tri
     for entry in manifest.get("trials", []):
         trial_id = entry["trial_id"]
         frames_path = os.path.join(corpus_dir, entry["frames"])
-        columns = _read_trial(frames_path, StreamStats())
+        columns = _read_trial(frames_path, stats)
         timesteps = _columns_to_timesteps(
-            *columns, policy, trial_start=float(entry.get("trial_start", 0.0))
+            *columns, policy, float(entry.get("trial_start", 0.0)), stats
         )
         ann = annotations.get(trial_id)
         if ann is not None:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ausentinel.core import GroundTruth, Timestep, TrialRecord
+from ausentinel.core import GroundTruth, StreamStats, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
 from ausentinel.evaluation import loocv_folds
 from ausentinel.ingest import ArbitrationPolicy, TimestepBuilder
@@ -46,13 +46,15 @@ def load_fixture_script(name: str):
 
 
 def frames_to_timesteps(frames, policy: ArbitrationPolicy | None = None,
-                        trial_start: float = 0.0) -> list[Timestep]:
+                        trial_start: float = 0.0,
+                        stats: StreamStats | None = None) -> list[Timestep]:
     """The batch oracle: a whole frame collection through the live builder.
 
     Frames are stably sorted by timestamp first, so per-source order is
-    preserved; `ingest.read_corpus` must produce exactly this.
+    preserved; `ingest.read_corpus` must produce exactly this, and count the
+    same duplicate frames on `stats`.
     """
-    builder = TimestepBuilder(policy, trial_start)
+    builder = TimestepBuilder(policy, trial_start, stats)
     out: list[Timestep] = []
     for frame in sorted(frames, key=lambda f: f.t):
         out.extend(builder.add(frame))

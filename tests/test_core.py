@@ -13,10 +13,10 @@ from ausentinel.core import (
     N_AUS,
     RATE_HZ,
     AuFrame,
-    ClampCounter,
     ContractError,
     ErrorEvent,
     GroundTruth,
+    StreamStats,
     Timestep,
     TrialRecord,
     as_au_vector,
@@ -60,12 +60,12 @@ def test_timesteps_to_seconds_is_exact():
 
 
 def test_as_au_vector_clamps_and_counts():
-    counter = ClampCounter()
-    v = as_au_vector([6.0] + [2.0] * 15 + [-1.0], counter)
+    stats = StreamStats()
+    v = as_au_vector([6.0] + [2.0] * 15 + [-1.0], stats)
     assert v[0] == 5.0 and v[-1] == 0.0
-    assert counter.clamped == 2
-    v2 = as_au_vector(np.full(N_AUS, 3.0), counter)
-    assert counter.clamped == 2  # in-range values add nothing
+    assert stats.values_clamped == 2
+    v2 = as_au_vector(np.full(N_AUS, 3.0), stats)
+    assert stats.values_clamped == 2  # in-range values add nothing
     assert v2 == [3.0] * N_AUS and all(type(v) is float for v in v2)
 
 
@@ -75,10 +75,10 @@ def test_as_au_vector_rejects_non_finite_at_any_position(bad, at):
     # min/max alone miss a NaN past the first entry; the fast path must not.
     values = [2.5] * N_AUS
     values[at] = bad
-    counter = ClampCounter()
+    stats = StreamStats()
     with pytest.raises(ContractError, match="non-finite"):
-        as_au_vector(values, counter)
-    assert counter.clamped == 0
+        as_au_vector(values, stats)
+    assert stats.values_clamped == 0
 
 
 def test_as_au_vector_returns_python_floats_and_keeps_negative_zero():
@@ -87,23 +87,23 @@ def test_as_au_vector_returns_python_floats_and_keeps_negative_zero():
                    (-0.0, True) + (4.5,) * 15,  # tuple, bool
                    np.full(N_AUS, -0.0),
                    ["-0.0"] + ["2"] * 16):
-        v = as_au_vector(values, ClampCounter())
+        v = as_au_vector(values, StreamStats())
         assert len(v) == N_AUS and all(type(x) is float for x in v)
         assert math.copysign(1.0, v[0]) == -1.0
 
 
 def test_as_au_vector_rejects_bad_input():
     with pytest.raises(ContractError):
-        as_au_vector([1.0] * 16, ClampCounter())
+        as_au_vector([1.0] * 16, StreamStats())
     with pytest.raises(ContractError):
-        as_au_vector([math.nan] + [0.0] * 16, ClampCounter())
+        as_au_vector([math.nan] + [0.0] * 16, StreamStats())
     for not_a_vector in ("1" * N_AUS, 1.0, None, np.float64(1.0), np.ones((N_AUS, 1)),
                          [[1.0]] * N_AUS, {str(k): 1.0 for k in range(N_AUS)}):
         with pytest.raises(ContractError):
-            as_au_vector(not_a_vector, ClampCounter())
+            as_au_vector(not_a_vector, StreamStats())
 
 
-def _numpy_as_au_vector(values, counter):
+def _numpy_as_au_vector(values, stats):
     """The numpy implementation as_au_vector replaced: the parity reference."""
     au = np.asarray(values, dtype=np.float64)
     if au.shape != (N_AUS,):
@@ -112,7 +112,7 @@ def _numpy_as_au_vector(values, counter):
         raise ContractError("AU vector contains non-finite values")
     out_of_range = int(np.count_nonzero((au < 0.0) | (au > 5.0)))
     if out_of_range:
-        counter.clamped += out_of_range
+        stats.values_clamped += out_of_range
         au = np.clip(au, 0.0, 5.0)
     return au
 
@@ -148,9 +148,9 @@ def test_as_au_vector_matches_numpy_reference(values, bad, as_tuple):
         values = tuple(values)
 
     def run(fn):
-        counter = ClampCounter()
+        stats = StreamStats()
         try:
-            return fn(values, counter), counter.clamped
+            return fn(values, stats), stats.values_clamped
         except (ContractError, ValueError) as exc:
             return exc, None
 

@@ -102,19 +102,14 @@ def test_step_requires_contiguous_indices():
         step(state, 2, 0.0, cfg)
 
 
-def test_detect_sequence_start_index():
-    events = detect_sequence([1.0] * 11, start_index=100)
-    assert events[0].detected_at == 110
-    assert events[0].estimated_start == 100
-
-
 def test_buffer_stays_window_sized():
     cfg = WindowConfig()
     state = DetectorState()
+    fired = False
     for i in range(100):
-        step(state, i, 0.75, cfg)
+        fired |= step(state, i, 0.75, cfg) is not None
         assert len(state.buffer) <= cfg.window_len
-    assert state.events_emitted > 0
+    assert fired
 
 
 def test_no_trigger_below_threshold():

@@ -210,7 +210,7 @@ def test_builder_duplicate_and_backward_frames():
     builder = TimestepBuilder()
     builder.add(frame(t=0.0, level=1.0))
     builder.add(frame(t=0.0, level=9.0))  # duplicate (slot, source): first wins
-    assert builder.duplicate_frames == 1
+    assert builder.stats.duplicate_frames == 1
     builder.add(frame(t=5 / 30.0))
     with pytest.raises(StreamIntegrityError):
         builder.add(frame(t=2 / 30.0))
@@ -246,14 +246,14 @@ def test_builder_skew_bound_releases_a_stalled_source():
     assert [ts.index for ts in out] == list(range((2 * skew - 1) // 10))
     # cam_b's frames for emitted timesteps are late; later ones still count
     assert builder.add(frame("cam_b", t=1 / 30.0)) == []
-    assert builder.late_frames == 1
+    assert builder.stats.late_frames == 1
     # cam_b catching up releases what cam_a alone could not
     out.extend(builder.add(frame("cam_b", t=(3 * skew - 1) / 30.0, conf=0.95, level=2.0)))
     assert [ts.index for ts in out] == list(range((3 * skew - 1) // 10))
     out.extend(builder.finish())
     assert [ts.index for ts in out] == list(range(3 * skew // 10))
     assert out[-1].au[0] == np.mean([1.0] * 9 + [2.0])
-    assert builder.late_frames == 1
+    assert builder.stats.late_frames == 1
 
 
 def test_builder_drops_late_first_frame_of_a_new_source():
@@ -264,7 +264,7 @@ def test_builder_drops_late_first_frame_of_a_new_source():
         out.extend(builder.add(frame("cam_a", t=k / 30.0)))
     assert [ts.index for ts in out] == [0, 1, 2, 3, 4]
     assert builder.add(frame("cam_b", t=0.0)) == []
-    assert builder.late_frames == 1
+    assert builder.stats.late_frames == 1
     # the late source does not hold the watermark back
     for k in range(60, 71):
         out.extend(builder.add(frame("cam_a", t=k / 30.0)))
@@ -272,7 +272,7 @@ def test_builder_drops_late_first_frame_of_a_new_source():
     out.extend(builder.finish())
     assert [ts.index for ts in out] == [0, 1, 2, 3, 4, 5, 6, 7]
     assert builder._pending == {}
-    assert builder.late_frames == 1
+    assert builder.stats.late_frames == 1
 
 
 def test_builder_finish_idempotent():
@@ -295,7 +295,7 @@ def test_builder_dead_camera_does_not_stall_the_stream():
         out.extend(builder.add(frame("cam_a", t=k / 30.0)))
     assert [ts.index for ts in out] == list(range(179))
     assert len(builder._pending) == 40  # one second of ticks plus a timestep
-    assert builder.late_frames == 0
+    assert builder.stats.late_frames == 0
 
 
 def test_builder_dead_camera_drains_once_per_timestep(monkeypatch):
@@ -319,7 +319,7 @@ def test_builder_dead_camera_drains_once_per_timestep(monkeypatch):
     want = ingest._columns_to_timesteps(
         ingest._source_ranks([f.source_id for f in frames]),
         np.array([f.t for f in frames]), np.array([f.confidence for f in frames]),
-        np.array([f.au for f in frames]), ArbitrationPolicy(), 0.0)
+        np.array([f.au for f in frames]), ArbitrationPolicy(), 0.0, StreamStats())
     assert len(out) == len(want) == 183
     for ours, theirs in zip(out, want):
         assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
@@ -365,7 +365,7 @@ def test_builder_refuses_a_first_frame_far_past_trial_start():
     builder = TimestepBuilder(trial_start=2.5)
     builder.add(frame("cam_a", t=gap))
     builder.add(frame("cam_b", t=gap + 3.0))
-    assert builder.late_frames == 0
+    assert builder.stats.late_frames == 0
 
 
 @st.composite
@@ -400,12 +400,12 @@ def test_builder_indices_and_backlog_are_bounded_for_any_input(feed):
     bound = round(ingest.MAX_SKEW_S * policy.fps) + policy.frames_per_timestep
     out, accepted = [], []
     for f in frames:
-        late = builder.late_frames
+        late = builder.stats.late_frames
         try:
             out.extend(builder.add(f))
         except StreamIntegrityError:
             continue  # a slot ran backward within its source
-        if builder.late_frames == late:
+        if builder.stats.late_frames == late:
             accepted.append(round(f.t * policy.fps))
         assert len(builder._pending) <= bound
     out.extend(builder.finish())
@@ -459,7 +459,7 @@ def test_builder_interleaving_within_the_skew_matches_the_oracle(feed):
     for f in arrived:
         got.extend(builder.add(f))
     got.extend(builder.finish())
-    assert builder.late_frames == 0
+    assert builder.stats.late_frames == 0
     assert len(got) == len(want)
     for ours, theirs in zip(got, want):
         assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
@@ -728,7 +728,7 @@ def test_csv_header_is_strict():
     assert CSV_HEADER[3 + N_AUS] == "au01_occ"
 
 
-def whole_stream_csv(lines, error_budget, stats, counter):
+def whole_stream_csv(lines, error_budget, stats):
     """The CSV reader as one `csv.reader` over the whole stream.
 
     This is the loop `ingest._read_csv` ran before it split plain lines
@@ -754,17 +754,17 @@ def whole_stream_csv(lines, error_budget, stats, counter):
         except StopIteration:
             break
         except csv.Error as exc:
-            ingest._check_budget(stats, error_budget, line_no, exc)
+            ingest._check_budget(stats, 0, error_budget, line_no, exc)
             continue
         if not row:
             continue
-        clamped = counter.clamped
+        clamped = stats.values_clamped
         try:
             if len(row) != n_columns:
                 raise ContractError(f"expected {n_columns} columns, got {len(row)}")
             src = row[0]
             t = float(row[1])
-            frame = AuFrame(src, t, ingest.as_au_vector(row[3 : 3 + N_AUS], counter),
+            frame = AuFrame(src, t, ingest.as_au_vector(row[3 : 3 + N_AUS], stats),
                             float(row[2]))
             prev = last_t.get(src)
             if prev is not None and t < prev:
@@ -772,8 +772,8 @@ def whole_stream_csv(lines, error_budget, stats, counter):
             if latest is not None and t - latest > ingest.MAX_GAP_S:
                 raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, TypeError, ValueError) as exc:
-            counter.clamped = clamped
-            ingest._check_budget(stats, error_budget, line_no, exc)
+            stats.values_clamped = clamped
+            ingest._check_budget(stats, 0, error_budget, line_no, exc)
             continue
         last_t[src] = t
         if latest is None or t > latest:
@@ -839,17 +839,17 @@ def _read_csv_lines(read, lines, budget):
     logger = logging.getLogger("ausentinel.ingest")
     handler = _ListHandler()
     logger.addHandler(handler)
-    stats, counter = StreamStats(), ingest.ClampCounter()
+    stats = StreamStats()
     frames = []
     try:
-        for f in read(iter(lines), budget, stats, counter):
+        for f in read(iter(lines), budget, stats):
             frames.append(repr((f.source_id, f.t, f.confidence, f.au)))
         error = None
     except StreamFormatError as exc:
         error = str(exc)
     finally:
         logger.removeHandler(handler)
-    return frames, vars(stats), counter.clamped, handler.messages, error
+    return frames, vars(stats), handler.messages, error
 
 
 @settings(max_examples=300, deadline=None)
@@ -916,9 +916,9 @@ def read_trial_both(path, policy=None, trial_start=0.0):
         return result, stats, handler.messages
 
     want = run(lambda stats: frames_to_timesteps(
-        list(read_stream(path, "jsonl", stats=stats)), policy, trial_start))
+        list(read_stream(path, "jsonl", stats=stats)), policy, trial_start, stats))
     got = run(lambda stats: ingest._columns_to_timesteps(
-        *ingest._read_trial(path, stats), policy, trial_start))
+        *ingest._read_trial(path, stats), policy, trial_start, stats))
     return want, got
 
 
