@@ -6,7 +6,8 @@ AU intensities in this order; the ordering hash is embedded in serialized
 artifacts so mismatched producers are rejected at load time instead of
 silently misaligning features.
 
-All types are value objects and safe to share across threads once built.
+All types but `StreamStats`, a run's mutable counters, are value objects
+and safe to share across threads once built.
 They are immutable, except the two built on the live path once per frame and
 once per timestep: `AuFrame` and `Timestep` are plain slotted classes (a
 frozen dataclass pays for `object.__setattr__` on every field) and are
@@ -98,7 +99,19 @@ class StreamIntegrityError(AusentinelError):
 
 @dataclass
 class StreamStats:
-    """Every counter of a `detect` run; each layer adds to the one it is handed."""
+    """Every counter of a `detect` run, each kept only here (mutable).
+
+    Each layer adds to the one instance it is handed, which may span many
+    streams, and `detect` prints every field but `sources` as its summary:
+
+    - `read_stream` writes `frames_read`, `records_skipped` and `sources`,
+      as `read_corpus` does for a trial file it decodes as columns;
+    - `as_au_vector` writes `values_clamped`;
+    - `TimestepBuilder` writes `late_frames` and `duplicate_frames`, and
+      `read_corpus` writes `duplicate_frames` (a feed sorted by time has no
+      late frames);
+    - `detect` writes `timesteps`, `events` and `unmerged_events`.
+    """
 
     frames_read: int = 0
     records_skipped: int = 0

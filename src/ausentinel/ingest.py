@@ -40,6 +40,7 @@ import csv
 import itertools
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -760,34 +761,46 @@ def read_annotations(path) -> dict[str, dict]:
     """Read the annotation CSV into {trial_id: row} with parsed GroundTruth.
 
     Only trials with an annotated reaction appear in the file; error-free
-    trials are listed in the corpus manifest alone.
+    trials are listed in the corpus manifest alone. The file must be UTF-8
+    and its three index columns integers; anything else is a
+    `StreamFormatError` naming the file (and the line and column, where
+    known), since a ground truth is never guessed.
     """
     rows: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-            raise StreamFormatError("annotation CSV header mismatch", line_no=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ANNOTATION_HEADER):
-                raise StreamFormatError(
-                    f"expected {len(ANNOTATION_HEADER)} columns", line_no=line_no
-                )
-            trial_id = row[0]
-            if trial_id in rows:
-                raise StreamFormatError(f"duplicate trial_id {trial_id!r}",
-                                        line_no=line_no)
-            rows[trial_id] = {
-                "participant_id": row[1],
-                "error_type": row[2],
-                "ground_truth": GroundTruth(
-                    reaction_start=int(row[3]),
-                    reaction_end=int(row[4]),
-                    perceived_error_start=int(row[5]),
-                ),
-            }
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
+                raise StreamFormatError("annotation CSV header mismatch", line_no=1)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(ANNOTATION_HEADER):
+                    raise StreamFormatError(
+                        f"expected {len(ANNOTATION_HEADER)} columns", line_no=line_no
+                    )
+                trial_id = row[0]
+                if trial_id in rows:
+                    raise StreamFormatError(f"duplicate trial_id {trial_id!r}",
+                                            line_no=line_no)
+                indices = []
+                for name, cell in zip(ANNOTATION_HEADER[3:], row[3:]):
+                    try:
+                        indices.append(int(cell))
+                    except ValueError:
+                        raise StreamFormatError(
+                            f"{path}: {name} {cell!r} is not an integer", line_no=line_no
+                        ) from None
+                rows[trial_id] = {
+                    "participant_id": row[1],
+                    "error_type": row[2],
+                    "ground_truth": GroundTruth(*indices),
+                }
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise StreamFormatError(f"{path}: {exc}") from None
     return rows
 
 
@@ -805,6 +818,39 @@ def write_annotations(path, rows: dict[str, dict]) -> None:
             ])
 
 
+# The string fields of a manifest trial entry, in the order `_manifest_trials`
+# returns them; `trial_start` (a number, default 0) follows.
+_TRIAL_KEYS = ("trial_id", "participant_id", "error_type", "frames")
+
+
+def _manifest_trials(manifest) -> list[tuple]:
+    """The trial entries of a decoded manifest, each as (trial_id,
+    participant_id, error_type, frames, trial_start); any other shape is a
+    `ContractError` naming the entry and the field."""
+    entries = manifest.get("trials", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ContractError("manifest.json must be an object whose trials are a list")
+    trials = []
+    for pos, entry in enumerate(entries):
+        where = f"manifest.json trial {pos}"
+        if not isinstance(entry, dict):
+            raise ContractError(f"{where} is not an object")
+        for key in _TRIAL_KEYS:
+            if key not in entry:
+                raise ContractError(f"{where} lacks {key}")
+            if not isinstance(entry[key], str):
+                raise ContractError(f"{where}: {key} must be a string, got {entry[key]!r}")
+        try:
+            trial_start = float(entry.get("trial_start", 0.0))
+        except (TypeError, ValueError):
+            trial_start = math.nan
+        if not math.isfinite(trial_start):
+            raise ContractError(f"{where}: trial_start must be a finite number, "
+                                f"got {entry['trial_start']!r}")
+        trials.append((*(entry[key] for key in _TRIAL_KEYS), trial_start))
+    return trials
+
+
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
                 stats: StreamStats | None = None) -> list[TrialRecord]:
     """Load a corpus directory (manifest.json + frames/ + annotations.csv).
@@ -817,6 +863,11 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     (same warnings, skip counts and errors, and a budget of its own) and its
     frames then take the same pass. Every trial adds its ingest counters to
     `stats` when provided.
+
+    The manifest and the annotations are checked before any frame file is
+    read: a manifest that does not decode as UTF-8 JSON, or whose shape is
+    not the documented one, is a `ContractError`, and so is a bad
+    annotation file (see `read_annotations`).
     """
     policy = policy or ArbitrationPolicy()
     stats = StreamStats() if stats is None else stats
@@ -826,29 +877,27 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ContractError(f"no manifest.json in {corpus_dir}")
-    except json.JSONDecodeError as exc:
+    except _DECODE_ERRORS as exc:
         raise ContractError(f"unreadable manifest.json: {exc}")
+    entries = _manifest_trials(manifest)
     ann_path = os.path.join(corpus_dir, "annotations.csv")
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
     trials = []
-    for entry in manifest.get("trials", []):
-        trial_id = entry["trial_id"]
-        frames_path = os.path.join(corpus_dir, entry["frames"])
-        columns = _read_trial(frames_path, stats)
-        timesteps = _columns_to_timesteps(
-            *columns, policy, float(entry.get("trial_start", 0.0)), stats
-        )
+    for trial_id, participant_id, error_type, frames, trial_start in entries:
+        columns = _read_trial(os.path.join(corpus_dir, frames), stats)
+        timesteps = _columns_to_timesteps(*columns, policy, trial_start, stats)
         ann = annotations.get(trial_id)
         if ann is not None:
-            for key in ("participant_id", "error_type"):
-                if ann[key] != entry[key]:
+            for key, value in (("participant_id", participant_id),
+                               ("error_type", error_type)):
+                if ann[key] != value:
                     raise ContractError(
                         f"trial {trial_id}: manifest/annotation {key} mismatch"
                     )
         trials.append(TrialRecord(
             trial_id=trial_id,
-            participant_id=entry["participant_id"],
-            error_type=entry["error_type"],
+            participant_id=participant_id,
+            error_type=error_type,
             timesteps=tuple(timesteps),
             annotations=ann["ground_truth"] if ann is not None else None,
         ))

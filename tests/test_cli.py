@@ -518,3 +518,97 @@ def test_evaluate_replaces_undecodable_bytes_in_a_corpus_file(cli_env, tmp_path,
         rc = main(["evaluate", "--corpus", str(corpus), "--model", str(cli_env["model"])])
     assert rc == 0
     assert caplog.text.count("skipping malformed record") == 1
+
+
+@pytest.fixture(scope="module")
+def two_trial_corpus(tmp_path_factory):
+    """A simulated corpus of one participant's two trials, the first annotated."""
+    root = tmp_path_factory.mktemp("two_trials")
+    spec = root / "scenario.json"
+    spec.write_text(json.dumps({
+        "participants": 1, "trials_per_participant": 2, "seed": 3, "trial_len_s": 20.0,
+        "errors": [{"error_type": "physical", "perceived_error_start_s": 8.0},
+                   {"error_type": "none"}],
+    }))
+    assert main(["simulate", "--spec", str(spec), "--out", str(root / "corpus")]) == 0
+    return root / "corpus"
+
+
+def _edit_manifest(change):
+    def corrupt(corpus):
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(change(manifest)))
+    return corrupt
+
+
+def _edit_trial(key, value=None):
+    def change(manifest):
+        entry = manifest["trials"][0]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        return manifest
+    return _edit_manifest(change)
+
+
+def _insert_byte(name, after):
+    def corrupt(corpus):
+        data = (corpus / name).read_bytes()
+        at = data.index(after) + len(after)
+        (corpus / name).write_bytes(data[:at] + b"\xff" + data[at:])
+    return corrupt
+
+
+def _reaction_start_x(corpus):
+    path = corpus / "annotations.csv"
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[3] = "x"
+    path.write_text(header + "\n" + ",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_edit_manifest(lambda manifest: [1, 2]), "manifest.json"),
+    (_edit_manifest(lambda manifest: dict(manifest, trials=5)), "trials"),
+    (_edit_trial("participant_id"), "participant_id"),
+    (_edit_trial("trial_start", "x"), "trial_start"),
+    (_edit_trial("frames", 3), "frames"),
+    (_insert_byte("manifest.json", b'"trials"'), "manifest.json"),
+    (_insert_byte("annotations.csv", b"\np00"), "annotations.csv"),
+    (_reaction_start_x, "reaction_start"),
+], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
+        "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text"])
+def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
+                                            corrupt, named):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    corrupt(corpus)
+    rc = main(["evaluate", "--corpus", str(corpus), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and named in err
+
+
+def test_detect_over_corpus_prints_the_stream_summary(cli_env, two_trial_corpus,
+                                                      tmp_path, capsys):
+    from ausentinel.ingest import read_stream
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    path = corpus / "frames" / "p00_t00.jsonl"
+    lines = path.read_text().splitlines()
+    lines[50:50] = ["garbage", lines[49]]  # a skipped record, then a repeated frame
+    path.write_text("\n".join(lines) + "\n")
+    frames = sum(sum(1 for _ in read_stream(f))
+                 for f in sorted((corpus / "frames").iterdir()))
+    args = ["detect", "--model", str(cli_env["model"]), "--out", str(tmp_path / "ev.jsonl")]
+    assert main(args + ["--input", str(corpus / "frames" / "p00_t01.jsonl")]) == 0
+    stream = _summary(capsys.readouterr().err)
+    assert main(args + ["--corpus", str(corpus)]) == 0
+    summary = _summary(capsys.readouterr().err)
+    assert summary.keys() == stream.keys()
+    assert summary["timesteps"] == 2 * 60
+    assert (summary["records_skipped"], summary["duplicate_frames"]) == (1, 1)
+    assert summary["frames_read"] == frames

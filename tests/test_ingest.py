@@ -607,6 +607,20 @@ def test_read_stream_error_budget():
     assert "line 4" in str(info.value)
 
 
+def test_error_budget_counts_each_stream_on_a_shared_stats():
+    # Both live-lock streams hold six bad lines. On one StreamStats the second
+    # stream's budget counts only its own skips, so neither fails at 10.
+    stats = StreamStats()
+    for fmt in ("jsonl", "csv"):
+        n = sum(1 for _ in read_stream(FIXTURES / "live_lock" / f"stream.{fmt}", fmt,
+                                       error_budget=10, stats=stats))
+        assert n == 1200
+    assert (stats.frames_read, stats.records_skipped) == (2400, 12)
+    with pytest.raises(StreamFormatError, match=r"\(6 malformed records\)"):
+        list(read_stream(FIXTURES / "live_lock" / "stream.jsonl", error_budget=5,
+                         stats=stats))
+
+
 def test_read_stream_skips_integers_too_large_for_a_float():
     good = frame_to_obj(frame(t=0.0))
     lines = [json.dumps(good),
