@@ -133,15 +133,14 @@ def make_trial(au: np.ndarray, gt: GroundTruth | None = None,
                        error_type=error_type, timesteps=steps, annotations=gt)
 
 
-def batch_oracle(weights, cfg: WindowConfig, start_index: int = 0):
+def batch_oracle(weights, cfg: WindowConfig):
     """Brute-force reference detector: full-history window sums, no streaming.
 
     Returns (detected_at, estimated_start, score, merged) tuples. Sums each
     window in chronological order so float totals are bit-identical to the
     streaming path.
     """
-    kept = [(start_index + j, float(w)) for j, w in enumerate(weights)
-            if start_index + j >= cfg.warmup]
+    kept = [(j, float(w)) for j, w in enumerate(weights) if j >= cfg.warmup]
     events = []
     last = None
     for k in range(len(kept)):

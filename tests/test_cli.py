@@ -561,12 +561,14 @@ def _insert_byte(name, after):
     return corrupt
 
 
-def _reaction_start_x(corpus):
-    path = corpus / "annotations.csv"
-    header, row = path.read_text().splitlines()
-    cells = row.split(",")
-    cells[3] = "x"
-    path.write_text(header + "\n" + ",".join(cells) + "\n")
+def _annotation_cell(at, value):
+    def corrupt(corpus):
+        path = corpus / "annotations.csv"
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[at] = value
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt, named", [
@@ -577,9 +579,11 @@ def _reaction_start_x(corpus):
     (_edit_trial("frames", 3), "frames"),
     (_insert_byte("manifest.json", b'"trials"'), "manifest.json"),
     (_insert_byte("annotations.csv", b"\np00"), "annotations.csv"),
-    (_reaction_start_x, "reaction_start"),
+    (_annotation_cell(3, "x"), "reaction_start"),
+    (_annotation_cell(1, "p" * 200_000), "field larger than field limit"),
 ], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
-        "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text"])
+        "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text",
+        "annotations-field-past-the-size-limit"])
 def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
                                             corrupt, named):
     corpus = tmp_path / "corpus"
