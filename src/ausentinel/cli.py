@@ -319,8 +319,7 @@ def cmd_detect(args) -> int:
         writer.close()
     if stats.records_skipped:
         logger.warning("skipped %d malformed records", stats.records_skipped)
-    summary = {key: value for key, value in vars(stats).items() if key != "sources"}
-    print(_dump(summary), file=sys.stderr)
+    print(_dump(vars(stats)), file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,21 +102,20 @@ class StreamStats:
     """Every counter of a `detect` run, each kept only here (mutable).
 
     Each layer adds to the one instance it is handed, which may span many
-    streams, and `detect` prints every field but `sources` as its summary:
+    streams, and `detect` prints every field as its summary:
 
-    - `read_stream` writes `frames_read`, `records_skipped` and `sources`,
-      as `read_corpus` does for a trial file it decodes as columns;
+    - `read_stream` writes `frames_read` and `records_skipped`;
     - `as_au_vector` writes `values_clamped`;
-    - `TimestepBuilder` writes `late_frames` and `duplicate_frames`, and
-      `read_corpus` writes `duplicate_frames` (a feed sorted by time has no
-      late frames);
+    - `TimestepBuilder` writes `late_frames` and `duplicate_frames`;
+    - `read_corpus` writes `frames_read` and `values_clamped` for a trial
+      file it decodes as columns, and `duplicate_frames` for every trial (a
+      feed sorted by time has no late frames);
     - `detect` writes `timesteps`, `events` and `unmerged_events`.
     """
 
     frames_read: int = 0
     records_skipped: int = 0
     values_clamped: int = 0
-    sources: set = field(default_factory=set)
     late_frames: int = 0
     duplicate_frames: int = 0
     timesteps: int = 0

@@ -17,21 +17,22 @@ emitted are dropped and counted as late.
 
 Live streams (`detect`) go frame by frame: `read_stream` validates each
 record into an `AuFrame` whose AU values stay a list of floats, and
-`TimestepBuilder` arbitrates each tick when its timestep closes and reduces
-the winners once, making one array per timestep. That pair is the
-specification. A CSV line with no quote or inner line break is split on
-commas directly and any other record is left to `csv.reader`, with the
-fields one `csv.reader` over the whole stream would give. Text is decoded
-as UTF-8 with undecodable bytes replaced, so a garbage byte costs at most
-its record.
+`TimestepBuilder` arbitrates each tick when its timestep closes and hands
+the winners, as one array, to `aggregate`. That pair is the specification.
+A CSV line with no quote or inner line break is split on commas directly
+and any other record is left to `csv.reader`, with the fields one
+`csv.reader` over the whole stream would give. Text is decoded as UTF-8
+with undecodable bytes replaced, so a garbage byte costs at most its
+record.
 
 Corpus files (`read_corpus`) take a batch path with the same result: each
 line is only decoded, the record checks run on whole columns, and
-whole-trial numpy operations slot, de-duplicate and arbitrate the frames
-and aggregate them (`reduce_ticks`), as a builder fed the frames in time
-order would. A file that fails any check is read again
-by `read_stream`, so malformed records are skipped, counted, logged and
-budgeted in one place, and its frames then take the same batch pass.
+whole-trial numpy operations slot, de-duplicate and arbitrate the frames,
+as a builder fed the frames in time order would. A file that fails any
+check is read again by `read_stream`, so malformed records are skipped,
+counted, logged and budgeted in one place, and its frames then take the
+same batch pass. Either way, each timestep's winning ticks are reduced by
+`aggregate`, the one place a timestep is made.
 """
 
 from __future__ import annotations
@@ -126,19 +127,19 @@ class ArbitrationPolicy:
 
 
 def aggregate(
-    aus: list[list[float]],
+    rows: np.ndarray,
     policy: ArbitrationPolicy,
     index: int,
     trial_start: float = 0.0,
 ) -> Timestep:
     """Reduce one timestep's winning ticks to a single sample.
 
-    `aus` holds, in tick order, the AU lists of the ticks whose winner
-    cleared the confidence floor. With none, the timestep is a zero vector
-    flagged invalid (a stream gap or sustained low confidence). The lists
-    become one (k, 17) array here; its mean is `np.mean`'s, bit for bit.
+    `rows` is a (k, 17) float64 array of the AU rows of the ticks whose
+    winner cleared the confidence floor, in tick order. With none, the
+    timestep is a zero vector flagged invalid (a stream gap or sustained low
+    confidence). Every timestep, live or batch, is reduced and stamped here.
     """
-    k = len(aus)
+    k = len(rows)
     if k > policy.frames_per_timestep:
         raise ContractError(
             f"{k} ticks in one timestep (max {policy.frames_per_timestep})"
@@ -147,15 +148,12 @@ def aggregate(
     t_end = trial_start + (index + 1) / RATE_HZ
     if not k:
         return Timestep(index, t_start, t_end, zero_au_vector(), False)
-    if policy.aggregator == "last":
-        au = np.array(aus[-1], dtype=np.float64)
-    else:
-        rows = np.fromiter(itertools.chain.from_iterable(aus), np.float64,
-                           k * N_AUS).reshape(k, N_AUS)
-        if policy.aggregator == "mean":
-            au = np.add.reduce(rows, axis=0) / k
-        else:  # max
-            au = np.maximum.reduce(rows, axis=0)
+    if policy.aggregator == "mean":
+        au = np.add.reduce(rows, axis=0) / k
+    elif policy.aggregator == "max":
+        au = np.maximum.reduce(rows, axis=0)
+    else:  # last; a copy, so the sample holds no view of a larger array
+        au = rows[-1].copy()
     return Timestep(index, t_start, t_end, au, True)
 
 
@@ -280,8 +278,6 @@ def _read_jsonl(source, error_budget, stats):
         if latest is None or t > latest:
             latest = t
         stats.frames_read += 1
-        if prev is None:
-            stats.sources.add(src)
         yield frame
 
 
@@ -361,8 +357,6 @@ def _read_csv(source, error_budget, stats):
         if latest is None or t > latest:
             latest = t
         stats.frames_read += 1
-        if prev is None:
-            stats.sources.add(src)
         yield frame
 
 
@@ -549,45 +543,10 @@ class TimestepBuilder:
                 winners.append(frame.au)
         self._next_index = index + 1
         self._end = (index + 2) * fpt
-        return aggregate(winners, self.policy, index, self.trial_start)
-
-
-def reduce_ticks(index, offset, ticks, n_timesteps: int,
-                 policy: ArbitrationPolicy, trial_start: float = 0.0) -> list[Timestep]:
-    """Reduce a trial's valid arbitrated ticks to its timesteps in one pass.
-
-    `ticks[i]` is the AU row at tick `offset[i]` of timestep `index[i]`, in
-    (index, offset) order; timesteps without a tick are zero and invalid.
-    This is `aggregate` over a whole trial, bit for bit: each reduction runs
-    over one timestep's ticks in tick order, and the unused ticks of a
-    timestep hold the reduction's exact identity (-0.0 for a sum, -inf for
-    a max). Only timesteps that hold ticks are padded.
-    """
-    au = np.zeros((n_timesteps, N_AUS))
-    valid = np.zeros(n_timesteps, dtype=bool)
-    if index.size:
-        new = np.empty(index.size, dtype=bool)
-        new[0] = True
-        np.not_equal(index[1:], index[:-1], out=new[1:])
-        held = index[new]
-        valid[held] = True
-        if policy.aggregator == "last":
-            au[held] = ticks[np.append(new[1:], True)]
-        else:
-            mean = policy.aggregator == "mean"
-            pad = np.full((held.size, policy.frames_per_timestep, N_AUS),
-                          -0.0 if mean else -np.inf)
-            pad[np.cumsum(new) - 1, offset] = ticks
-            if mean:
-                counts = np.diff(np.append(np.flatnonzero(new), index.size))
-                au[held] = pad.sum(axis=1) / counts[:, np.newaxis]
-            else:
-                au[held] = pad.max(axis=1)
-    return [
-        Timestep(index=k, t_start=trial_start + k / RATE_HZ,
-                 t_end=trial_start + (k + 1) / RATE_HZ, au=au[k], valid_face=v)
-        for k, v in enumerate(valid.tolist())
-    ]
+        k = len(winners)
+        rows = np.fromiter(itertools.chain.from_iterable(winners), np.float64,
+                           k * N_AUS).reshape(k, N_AUS)
+        return aggregate(rows, self.policy, index, self.trial_start)
 
 
 def _far_first_frame(t: float, trial_start: float) -> str:
@@ -612,8 +571,8 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     others are counted on `stats.duplicate_frames`, and none is late. The
     winner of a slot has the highest confidence, ties going to the
     lexicographically first source; the tick is valid iff that confidence
-    clears the floor. `src` holds source ranks (`_source_ranks`), and `au`
-    is already clamped.
+    clears the floor, and each timestep's valid ticks go to `aggregate`.
+    `src` holds source ranks (`_source_ranks`), and `au` is already clamped.
     """
     if not t.size:
         return []
@@ -646,9 +605,11 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     fpt = policy.frames_per_timestep
     n_timesteps = int(slot[-1]) // fpt + 1
     win = first & (conf > policy.min_confidence)
-    slot = slot[win]
-    return reduce_ticks(slot // fpt, slot % fpt, au[order[win]], n_timesteps,
-                        policy, trial_start)
+    rows = au[order[win]]
+    # Timestep k's winning ticks are rows[bounds[k]:bounds[k + 1]].
+    bounds = np.searchsorted(slot[win], np.arange(n_timesteps + 1) * fpt).tolist()
+    return [aggregate(rows[lo:hi], policy, k, trial_start)
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 # Decoded AU lists become arrays this many lines at a time, so only a block
@@ -671,14 +632,15 @@ def _au_block(aus: list):
     return au.astype(np.float64, copy=False)
 
 
-def _decode_trial(path):
+def _decode_trial(path, stats: StreamStats):
     """Decode a clean JSONL trial file into columns, or None if it is not clean.
 
     Per line this only decodes the record and pulls out its fields; the
     value checks of `read_stream` then run on whole columns. A file is clean
-    when `read_stream` would skip none of its records, and its frames, clamp
-    count and sources are then exactly what `read_stream` yields. Returns
-    (sources, source ranks, t, confidence, clamped au, clamp count).
+    when `read_stream` would skip none of its records, and its frames and
+    clamp count are then exactly what `read_stream` yields; they are added
+    to `stats`, which a file that is not clean leaves untouched. Returns
+    (source ranks, t, confidence, clamped au).
     """
     sources, times, confs, aus, blocks = [], [], [], [], []
     first = True
@@ -731,30 +693,28 @@ def _decode_trial(path):
     if clamped:
         # Select, as as_au_vector does: -0.0 stays -0.0 (np.maximum would not).
         au = np.where(low, AU_INTENSITY_MIN, np.where(high, AU_INTENSITY_MAX, au))
-    return sources, src, t, confidence, au, clamped
+    stats.frames_read += t.size
+    stats.values_clamped += clamped
+    return src, t, confidence, au
 
 
 def _read_trial(path, stats: StreamStats):
     """A trial file's frames as columns (source ranks, t, confidence, au).
 
-    A clean file is decoded straight into columns. Any other file is read
-    by `read_stream`, so its warnings, skip counts, error budget and
-    errors stay those of the live path.
+    A clean file is decoded straight into columns (`_decode_trial`); any
+    other is read by `read_stream`, so its warnings, skip counts, error
+    budget and errors stay those of the live path.
     """
-    decoded = _decode_trial(path)
-    if decoded is None:
+    columns = _decode_trial(path, stats)
+    if columns is None:
         frames = list(read_stream(path, "jsonl", stats=stats))
-        return (
+        columns = (
             _source_ranks([f.source_id for f in frames]),
             np.array([f.t for f in frames]),
             np.array([f.confidence for f in frames]),
             np.array([f.au for f in frames]).reshape(-1, N_AUS),
         )
-    sources, src, t, confidence, au, clamped = decoded
-    stats.frames_read += len(sources)
-    stats.values_clamped += clamped
-    stats.sources.update(sources)
-    return src, t, confidence, au
+    return columns
 
 
 def read_annotations(path) -> dict[str, dict]:
@@ -857,12 +817,12 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
 
     Each trial's timesteps are those of a `TimestepBuilder` fed the file's
     frames sorted by time (stably), then finished. A clean frame file is
-    decoded into columns and reduced in one numpy pass, with no per-frame
-    object; a file with any record `read_stream` would skip, or any value
-    the column checks cannot vouch for, is read by `read_stream` instead
-    (same warnings, skip counts and errors, and a budget of its own) and its
-    frames then take the same pass. Every trial adds its ingest counters to
-    `stats` when provided.
+    decoded into columns and arbitrated in one numpy pass, with no
+    per-frame object; a file with any record `read_stream` would skip, or
+    any value the column checks cannot vouch for, is read by `read_stream`
+    instead (same warnings, skip counts and errors, and a budget of its
+    own) and its frames then take the same pass. Every trial adds
+    its ingest counters to `stats` when provided.
 
     The manifest and the annotations are checked before any frame file is
     read: a manifest that does not decode as UTF-8 JSON, or whose shape is

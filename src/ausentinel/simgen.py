@@ -41,7 +41,7 @@ from ausentinel.core import (
 )
 from ausentinel.ingest import (
     ArbitrationPolicy,
-    reduce_ticks,
+    aggregate,
     write_annotations,
     write_frames_jsonl,
 )
@@ -206,13 +206,14 @@ class SimTrial:
     def record(self) -> TrialRecord:
         """The trial as the ingest pipeline would deliver it, bit-exactly."""
         fpt = self.frames_per_timestep
+        policy = ArbitrationPolicy(frames_per_timestep=fpt)
         # The ingest reduction over the fpt identical frames of each
-        # timestep with a face; occluded timesteps are zero and invalid.
-        shown = np.repeat(np.flatnonzero(~self.occluded), fpt)
-        steps = reduce_ticks(
-            shown, np.tile(np.arange(fpt), shown.size // fpt), self.trace()[shown],
-            self.n_timesteps, ArbitrationPolicy(frames_per_timestep=fpt),
-        )
+        # timestep with a face; occluded timesteps have no valid tick.
+        ticks = np.repeat(self.trace(), fpt, axis=0)
+        steps = [
+            aggregate(ticks[:0] if hidden else ticks[k * fpt:(k + 1) * fpt], policy, k)
+            for k, hidden in enumerate(self.occluded.tolist())
+        ]
         return TrialRecord(
             trial_id=self.trial_id,
             participant_id=self.participant_id,
