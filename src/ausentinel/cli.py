@@ -122,7 +122,8 @@ def build_parser():
                      help="stream time of timestep 0 (default 0.0)")
     sub.add_argument("--out", help="events JSONL path (default stdout)")
     sub.add_argument("--error-budget", type=int, default=10,
-                     help="malformed records tolerated before failing (default 10)")
+                     help="malformed records tolerated per stream or corpus "
+                          "trial file before failing (default 10)")
     _add_window_flags(sub)
     _add_ingest_flags(sub)
     sub.add_argument("--config", help="JSON file of flag defaults")
@@ -172,7 +173,7 @@ def _apply_config(parser, subs, args, argv):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise ContractError(f"unreadable config file {path}: {exc}")
     if not isinstance(overrides, dict):
         raise ContractError("config file must hold a JSON object")
@@ -288,9 +289,11 @@ def cmd_detect(args) -> int:
     try:
         if args.corpus:
             cfg = _window(args)
-            for trial in read_corpus(args.corpus, _policy(args), stats):
+            for trial in read_corpus(args.corpus, _policy(args), stats,
+                                     error_budget=args.error_budget):
+                start = trial.timesteps[0].t_start if trial.timesteps else 0.0
                 for event in run_trial(trial, params, cfg):
-                    writer.write(trial.trial_id, event, 0.0)
+                    writer.write(trial.trial_id, event, start)
                 stats.timesteps += len(trial)
         elif args.listen:
             host, _, port = args.listen.rpartition(":")

@@ -698,16 +698,17 @@ def _decode_trial(path, stats: StreamStats):
     return src, t, confidence, au
 
 
-def _read_trial(path, stats: StreamStats):
+def _read_trial(path, stats: StreamStats, error_budget: int):
     """A trial file's frames as columns (source ranks, t, confidence, au).
 
     A clean file is decoded straight into columns (`_decode_trial`); any
-    other is read by `read_stream`, so its warnings, skip counts, error
-    budget and errors stay those of the live path.
+    other is read by `read_stream` with `error_budget`, so its warnings,
+    skip counts, budget and errors stay those of the live path.
     """
     columns = _decode_trial(path, stats)
     if columns is None:
-        frames = list(read_stream(path, "jsonl", stats=stats))
+        frames = list(read_stream(path, "jsonl", error_budget=error_budget,
+                                  stats=stats))
         columns = (
             _source_ranks([f.source_id for f in frames]),
             np.array([f.t for f in frames]),
@@ -812,7 +813,8 @@ def _manifest_trials(manifest) -> list[tuple]:
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
-                stats: StreamStats | None = None) -> list[TrialRecord]:
+                stats: StreamStats | None = None, *,
+                error_budget: int = 10) -> list[TrialRecord]:
     """Load a corpus directory (manifest.json + frames/ + annotations.csv).
 
     Each trial's timesteps are those of a `TimestepBuilder` fed the file's
@@ -820,8 +822,8 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     decoded into columns and arbitrated in one numpy pass, with no
     per-frame object; a file with any record `read_stream` would skip, or
     any value the column checks cannot vouch for, is read by `read_stream`
-    instead (same warnings, skip counts and errors, and a budget of its
-    own) and its frames then take the same pass. Every trial adds
+    instead (same warnings, skip counts and errors, and its own
+    `error_budget`) and its frames then take the same pass. Every trial adds
     its ingest counters to `stats` when provided.
 
     The manifest and the annotations are checked before any frame file is
@@ -844,7 +846,7 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
     trials = []
     for trial_id, participant_id, error_type, frames, trial_start in entries:
-        columns = _read_trial(os.path.join(corpus_dir, frames), stats)
+        columns = _read_trial(os.path.join(corpus_dir, frames), stats, error_budget)
         timesteps = _columns_to_timesteps(*columns, policy, trial_start, stats)
         ann = annotations.get(trial_id)
         if ann is not None:

@@ -139,15 +139,15 @@ class ScenarioSpec:
                 f"errors schedule has {len(self.errors)} entries for "
                 f"{self.trials_per_participant} trials per participant"
             )
-        if self.trial_len_s <= 0:
-            raise ContractError("trial_len_s must be > 0")
+        if not 0 < self.trial_len_s < math.inf:
+            raise ContractError("trial_len_s must be > 0 and finite")
         if self.baseline_noise < 0:
             raise ContractError("baseline_noise must be >= 0")
         n = self.n_timesteps
         for plan in self.errors:
             if plan.perceived_error_start_s is not None:
                 ts = plan.perceived_error_start_s
-                if not 0 <= ts or timestep_of(ts) >= n:
+                if not 0 <= ts < math.inf or timestep_of(ts) >= n:
                     raise ContractError(
                         f"perceived_error_start_s {ts} outside the trial"
                     )
@@ -477,6 +477,8 @@ def scenario_to_obj(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_obj(obj: dict) -> ScenarioSpec:
+    if not isinstance(obj, dict):
+        raise ContractError("scenario spec must be a JSON object")
     if "seed" not in obj:
         raise ContractError("scenario spec must pin a seed")
     try:
@@ -496,16 +498,17 @@ def scenario_from_obj(obj: dict) -> ScenarioSpec:
             ),
             profile=profile,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"bad scenario spec: {exc}")
 
 
 def load_scenario(path) -> ScenarioSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return scenario_from_obj(json.load(fh))
-    except json.JSONDecodeError as exc:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise ContractError(f"unreadable scenario file {path}: {exc}")
+    return scenario_from_obj(obj)
 
 
 def write_corpus(corpus: SimCorpus, out_dir) -> dict:

@@ -616,3 +616,75 @@ def test_detect_over_corpus_prints_the_stream_summary(cli_env, two_trial_corpus,
     assert summary["timesteps"] == 2 * 60
     assert (summary["records_skipped"], summary["duplicate_frames"]) == (1, 1)
     assert summary["frames_read"] == frames
+
+
+def test_detect_over_corpus_honours_the_error_budget(cli_env, two_trial_corpus,
+                                                      tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    path = corpus / "frames" / "p00_t00.jsonl"
+    lines = path.read_text().splitlines()
+    lines[50:50] = ["garbage"] * 11
+    path.write_text("\n".join(lines) + "\n")
+    args = ["detect", "--model", str(cli_env["model"]), "--corpus", str(corpus),
+            "--out", str(tmp_path / "ev.jsonl")]
+    assert main(args + ["--error-budget", "100"]) == 0
+    assert _summary(capsys.readouterr().err)["records_skipped"] == 11
+    assert main(args) == 2
+    assert "error budget exceeded (11 malformed records)" in capsys.readouterr().err
+
+
+def test_detect_over_corpus_stamps_the_manifest_trial_start(two_trial_corpus, tmp_path,
+                                                           capsys):
+    from ausentinel.core import AuFrame
+    from ausentinel.ingest import read_stream, write_frames_jsonl
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    path = corpus / "frames" / "p00_t00.jsonl"
+    write_frames_jsonl(path, [AuFrame(f.source_id, f.t + 2.5, f.au, f.confidence)
+                              for f in list(read_stream(path))])
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["trials"] = [dict(manifest["trials"][0], trial_start=2.5)]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    args = ["detect", "--model", str(model)]
+    assert main(args + ["--corpus", str(corpus), "--out", str(tmp_path / "batch.jsonl")]) == 0
+    assert main(args + ["--input", str(path), "--trial-start", "2.5",
+                        "--trial-id", "p00_t00", "--out", str(tmp_path / "live.jsonl")]) == 0
+    capsys.readouterr()
+    batch = (tmp_path / "batch.jsonl").read_bytes()
+    assert batch == (tmp_path / "live.jsonl").read_bytes()
+    first = json.loads(batch.splitlines()[0])
+    assert first["detected_t_seconds"] == 2.5 + first["detected_at"] / 3.0
+
+
+def _spec_text(**raw) -> bytes:
+    """A one-trial scenario spec whose fields are the given raw JSON texts."""
+    fields = {"participants": "1", "trials_per_participant": "1", "seed": "1",
+              "errors": '[{"error_type": "none"}]', **raw}
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--spec", b'{"seed": 1, \xff}'),
+    ("--config", b"{\xff}"),
+    ("--spec", b"5"),
+    ("--spec", _spec_text(participants="1e400")),
+    ("--spec", _spec_text(trial_len_s="1e400")),
+    ("--spec", _spec_text(errors='[{"error_type": "physical", '
+                                 '"perceived_error_start_s": 1e400}]')),
+], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
+        "error-start-inf"])
+def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(_spec_text())
+    args = ["simulate", "--out", str(tmp_path / "out"), "--spec"]
+    args += [str(bad)] if flag == "--spec" else [str(spec), "--config", str(bad)]
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ")

@@ -943,7 +943,7 @@ def read_trial_both(path, policy=None, trial_start=0.0):
     want = run(lambda stats: frames_to_timesteps(
         list(read_stream(path, "jsonl", stats=stats)), policy, trial_start, stats))
     got = run(lambda stats: ingest._columns_to_timesteps(
-        *ingest._read_trial(path, stats), policy, trial_start, stats))
+        *ingest._read_trial(path, stats, 10), policy, trial_start, stats))
     return want, got
 
 
