@@ -141,8 +141,8 @@ class ScenarioSpec:
             )
         if not 0 < self.trial_len_s < math.inf:
             raise ContractError("trial_len_s must be > 0 and finite")
-        if self.baseline_noise < 0:
-            raise ContractError("baseline_noise must be >= 0")
+        if not 0 <= self.baseline_noise < math.inf:
+            raise ContractError("baseline_noise must be >= 0 and finite")
         n = self.n_timesteps
         for plan in self.errors:
             if plan.perceived_error_start_s is not None:

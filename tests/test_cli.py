@@ -673,10 +673,11 @@ def _spec_text(**raw) -> bytes:
     ("--spec", b"5"),
     ("--spec", _spec_text(participants="1e400")),
     ("--spec", _spec_text(trial_len_s="1e400")),
+    ("--spec", _spec_text(baseline_noise="1e400")),
     ("--spec", _spec_text(errors='[{"error_type": "physical", '
                                  '"perceived_error_start_s": 1e400}]')),
 ], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
-        "error-start-inf"])
+        "noise-inf", "error-start-inf"])
 def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
