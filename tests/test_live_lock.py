@@ -37,6 +37,46 @@ def test_detect_reproduces_locked_events(fmt, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == PINNED_SUMMARY
 
 
+# The warnings `detect` logs for the six bad lines of each stream, in order:
+# the line number (physical lines for JSONL, records for CSV) and the text
+# of the check that refused the record.
+PINNED_WARNINGS = {
+    "jsonl": [
+        "skipping malformed record at line 102: AU vector contains non-finite values",
+        "skipping malformed record at line 183: AU vector must have exactly 17 entries, "
+        "got 16",
+        "skipping malformed record at line 264: AU vector must be a list of 17 numbers, "
+        "got str",
+        "skipping malformed record at line 345: Expecting ',' delimiter: "
+        "line 1 column 15 (char 14)",
+        "skipping malformed record at line 426: Extra data: line 1 column 298 (char 297)",
+        "skipping malformed record at line 507: time ran backward for cam_b",
+    ],
+    "csv": [
+        "skipping malformed record at line 102: AU vector contains non-finite values",
+        "skipping malformed record at line 183: expected 37 columns, got 36",
+        "skipping malformed record at line 264: could not convert string to float: 'n/a'",
+        "skipping malformed record at line 345: expected 37 columns, got 2",
+        "skipping malformed record at line 426: expected 37 columns, got 38",
+        "skipping malformed record at line 507: time ran backward for cam_b",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_detect_warnings_are_pinned(fmt, tmp_path, caplog):
+    with caplog.at_level("WARNING"):
+        rc = main(["detect", "--model", str(FIXTURE / "model.json"),
+                   "--input", str(FIXTURE / f"stream.{fmt}"), "--format", fmt,
+                   "--out", str(tmp_path / "events.jsonl")])
+    assert rc == 0
+    warnings = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert warnings == (
+        [("ausentinel.ingest", "WARNING", text) for text in PINNED_WARNINGS[fmt]]
+        + [("ausentinel.cli", "WARNING", "skipped 6 malformed records")]
+    )
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_read_stream_counters_are_pinned(fmt):
     stats = StreamStats()
