@@ -260,8 +260,8 @@ class _EventWriter:
             self._fh.close()
 
 
-def _detect_stream(fh, args, params, writer, stats: StreamStats) -> None:
-    """Consume one frame stream, counting on `stats`."""
+def _detect_stream(source, args, params, writer, stats: StreamStats) -> None:
+    """Consume one frame stream (a text stream or a path), counting on `stats`."""
     cfg = _window(args)
     builder = TimestepBuilder(_policy(args), args.trial_start, stats)
     state = DetectorState()
@@ -274,7 +274,7 @@ def _detect_stream(fh, args, params, writer, stats: StreamStats) -> None:
             if event is not None:
                 writer.write(args.trial_id, event, args.trial_start)
 
-    for frame in read_stream(fh, args.format, error_budget=args.error_budget,
+    for frame in read_stream(source, args.format, error_budget=args.error_budget,
                              stats=stats):
         timesteps = builder.add(frame)
         if timesteps:
@@ -310,9 +310,7 @@ def cmd_detect(args) -> int:
                 _detect_stream(fh, args, params, writer, stats)
             server.close()
         elif args.input:
-            with open(args.input, "r", encoding="utf-8", errors="replace",
-                      newline="") as fh:
-                _detect_stream(fh, args, params, writer, stats)
+            _detect_stream(args.input, args, params, writer, stats)
         else:
             reconfigure = getattr(sys.stdin, "reconfigure", None)
             if reconfigure is not None:  # a text file; not a stand-in such as StringIO

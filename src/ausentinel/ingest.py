@@ -37,6 +37,7 @@ same batch pass. Either way, each timestep's winning ticks are reduced by
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -184,20 +185,45 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     """
     if stats is None:
         stats = StreamStats()
-    close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        source = open(source, "r", encoding="utf-8", errors="replace", newline="")
-        close = True
-    try:
+        opened = open(source, "r", encoding="utf-8", errors="replace", newline="")
+    else:
+        opened = contextlib.nullcontext(source)  # the caller's to close
+    with opened as source:
         if format == "jsonl":
-            yield from _read_jsonl(source, error_budget, stats)
+            records, keys = _jsonl_records(source), _JSONL_KEYS
         elif format == "csv":
-            yield from _read_csv(source, error_budget, stats)
+            records, keys = _csv_records(source), _CSV_KEYS
         else:
             raise ContractError(f"unknown stream format {format!r}")
-    finally:
-        if close:
-            source.close()
+        src_key, t_key, au_key, confidence_key = keys
+        start = stats.records_skipped
+        last_t: dict[str, float] = {}
+        latest = None  # the latest time yielded
+        for line_no, record in records:
+            clamped = stats.values_clamped
+            # Every check of one record, inline: this loop runs once per frame.
+            try:
+                if isinstance(record, Exception):
+                    raise record  # the format's own checks refused it
+                src = str(record[src_key])
+                t = float(record[t_key])
+                frame = AuFrame(src, t, as_au_vector(record[au_key], stats),
+                                float(record[confidence_key]))
+                prev = last_t.get(src)
+                if prev is not None and t < prev:
+                    raise ContractError(f"time ran backward for {src}")
+                if latest is not None and t - latest > MAX_GAP_S:
+                    raise ContractError(f"time jumped {t - latest:.6g} s ahead")
+            except _RECORD_ERRORS as exc:
+                stats.values_clamped = clamped  # count clamps of yielded records only
+                _check_budget(stats, start, error_budget, line_no, exc)
+                continue
+            last_t[src] = t
+            if latest is None or t > latest:
+                latest = t
+            stats.frames_read += 1
+            yield frame
 
 
 def _check_budget(stats: StreamStats, start: int, error_budget: int, line_no: int,
@@ -212,77 +238,72 @@ def _check_budget(stats: StreamStats, start: int, error_budget: int, line_no: in
         )
 
 
-def _is_catalog_header(obj, line_no: int) -> bool:
-    """Whether a stream's first record is its catalog header; a header must
-    list the canonical AU ordering."""
-    if isinstance(obj, dict) and "catalog" in obj:
-        if list(obj["catalog"]) != list(AU_IDS):
-            raise StreamFormatError(
-                "stream catalog does not match the canonical AU ordering",
-                line_no=line_no,
-            )
-        return True
-    return False
-
-
 # Decoding one line raises JSONDecodeError (a ValueError) for bad JSON, a
 # plain ValueError for an integer of more digits than Python converts, and
 # RecursionError for deep nesting.
 _DECODE_ERRORS = (ValueError, RecursionError)
 
+# What one malformed record raises, in its format's checks or in read_stream's.
+_RECORD_ERRORS = (ContractError, KeyError, TypeError, ValueError, OverflowError,
+                  RecursionError, csv.Error)
 
-def _read_jsonl(source, error_budget, stats):
-    start = stats.records_skipped
-    lines = enumerate(source, start=1)
+# Where a record keeps its source id, time, AU vector and confidence.
+_JSONL_KEYS = ("source_id", "t", "au", "confidence")
+_CSV_KEYS = (0, 1, slice(3, 3 + N_AUS), 2)  # the occurrence cells follow
+
+
+def _after_catalog_header(lines):
+    """A JSONL stream's (line number, line) pairs, less its catalog header.
+
+    The first non-blank line is the header when it decodes to an object with
+    a "catalog" key, which must list the canonical AU ordering; otherwise it
+    is the first record. A first line that does not decode is fatal.
+    """
     for line_no, line in lines:
-        line = line.strip()
-        if line:
+        text = line.strip()
+        if text:
             try:
-                obj = json.loads(line)
+                obj = json.loads(text)
             except _DECODE_ERRORS as exc:
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
-            if not _is_catalog_header(obj, line_no):
-                lines = itertools.chain([(line_no, line)], lines)  # no header: a frame
+            if not (isinstance(obj, dict) and "catalog" in obj):
+                return itertools.chain([(line_no, line)], lines)  # no header: a frame
+            if list(obj["catalog"]) != list(AU_IDS):
+                raise StreamFormatError(
+                    "stream catalog does not match the canonical AU ordering",
+                    line_no=line_no,
+                )
             break
-    last_t: dict[str, float] = {}
-    latest = None  # the latest time yielded
-    for line_no, line in lines:
+    return lines
+
+
+def _jsonl_records(lines):
+    """(line number, record) per JSONL record: its decoded object, or the
+    exception of a line that is not one object with "au" and a 17-entry
+    "occ". Lines count physically, blank lines and the header included."""
+    for line_no, line in _after_catalog_header(enumerate(lines, start=1)):
         line = line.strip()
         if not line:
             continue
-        clamped = stats.values_clamped
-        # Every check of one record, inline: this loop runs once per frame.
         try:
             obj, end = _raw_decode(line)
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
             if not isinstance(obj, dict):
                 raise ContractError("record is not an object")
-            au, occ = obj["au"], obj["occ"]
+            obj["au"]  # a missing "au" is reported before a missing "occ"
+            occ = obj["occ"]
             if len(occ) != N_AUS:
                 raise ContractError(f"occ must have exactly {N_AUS} entries, got {len(occ)}")
-            src = str(obj["source_id"])
-            t = float(obj["t"])
-            frame = AuFrame(src, t, as_au_vector(au, stats), float(obj["confidence"]))
-            prev = last_t.get(src)
-            if prev is not None and t < prev:
-                raise ContractError(f"time ran backward for {src}")
-            if latest is not None and t - latest > MAX_GAP_S:
-                raise ContractError(f"time jumped {t - latest:.6g} s ahead")
-        except (ContractError, KeyError, TypeError, ValueError, OverflowError,
-                RecursionError) as exc:
-            stats.values_clamped = clamped  # count clamps of yielded records only
-            _check_budget(stats, start, error_budget, line_no, exc)
-            continue
-        last_t[src] = t
-        if latest is None or t > latest:
-            latest = t
-        stats.frames_read += 1
-        yield frame
+        except (ContractError, KeyError, TypeError, *_DECODE_ERRORS) as exc:
+            obj = exc
+        yield line_no, obj
 
 
-def _read_csv(source, error_budget, stats):
-    """CSV records, split as one `csv.reader` over the whole stream splits them.
+def _csv_records(lines):
+    """(line number, record) per CSV record, split as one `csv.reader` over
+    the whole stream splits them: its cells, or the exception of a record
+    the parser refuses or of the wrong column count.
 
     A plain line is split with `str.split`. It holds no quote and, less its
     trailing CR and LF characters, no CR or LF, and it is shorter than
@@ -290,12 +311,10 @@ def _read_csv(source, error_budget, stats):
     the same fields (or none, for a blank line). The header and every other
     record go through `csv.reader`, which reads as many further lines as the
     record needs, so quoted fields, embedded line breaks and the field size
-    limit behave as they always have. A record the parser refuses is
-    malformed. Records are numbered one per record, the header being record
-    1, in warnings and in `StreamFormatError`.
+    limit behave as they always have. Records are numbered one per record,
+    the header being record 1, in warnings and in `StreamFormatError`.
     """
-    start = stats.records_skipped
-    lines = iter(source)
+    lines = iter(lines)
     try:
         header = next(csv.reader(lines), None)
     except csv.Error:
@@ -306,11 +325,7 @@ def _read_csv(source, error_budget, stats):
         )
     n_columns = len(CSV_HEADER)
     size_limit = csv.field_size_limit()
-    max_gap = MAX_GAP_S
     au_end = 3 + N_AUS  # the occurrence cells follow; nothing reads them
-    lo, hi = AU_INTENSITY_MIN, AU_INTENSITY_MAX
-    last_t: dict[str, float] = {}
-    latest = None  # the latest time yielded
     line_no = 1
     for line in lines:
         line_no += 1
@@ -327,37 +342,14 @@ def _read_csv(source, error_budget, stats):
             try:
                 row = next(csv.reader(itertools.chain((line,), lines)), None)
             except csv.Error as exc:
-                _check_budget(stats, start, error_budget, line_no, exc)
+                yield line_no, exc
                 continue
             if not row:
                 continue
             n = len(row)
-        clamped = stats.values_clamped
-        try:
-            if n != n_columns:
-                raise ContractError(f"expected {n_columns} columns, got {n}")
-            src = row[0]
-            t = float(row[1])
-            # An in-range row passes as_au_vector's one-pass check here.
-            au = list(map(float, row[3:au_end]))
-            s = sum(au)
-            if not (lo <= min(au) and max(au) <= hi and s == s):
-                au = as_au_vector(au, stats)
-            frame = AuFrame(src, t, au, float(row[2]))
-            prev = last_t.get(src)
-            if prev is not None and t < prev:
-                raise ContractError(f"time ran backward for {src}")
-            if latest is not None and t - latest > max_gap:
-                raise ContractError(f"time jumped {t - latest:.6g} s ahead")
-        except (ContractError, TypeError, ValueError) as exc:
-            stats.values_clamped = clamped  # count clamps of yielded records only
-            _check_budget(stats, start, error_budget, line_no, exc)
-            continue
-        last_t[src] = t
-        if latest is None or t > latest:
-            latest = t
-        stats.frames_read += 1
-        yield frame
+        if n != n_columns:
+            row = ContractError(f"expected {n_columns} columns, got {n}")
+        yield line_no, row
 
 
 def frame_to_obj(frame: AuFrame) -> dict:
@@ -643,25 +635,11 @@ def _decode_trial(path, stats: StreamStats):
     (source ranks, t, confidence, clamped au).
     """
     sources, times, confs, aus, blocks = [], [], [], [], []
-    first = True
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _raw_decode(line)
-            except (ValueError, RecursionError):
+        for _, obj in _jsonl_records(fh):
+            if isinstance(obj, Exception):
                 return None
-            if end != len(line):
-                return None
-            if first:
-                first = False
-                if _is_catalog_header(obj, line_no):
-                    continue
             try:
-                if len(obj["occ"]) != N_AUS:
-                    return None
                 aus.append(obj["au"])
                 sources.append(str(obj["source_id"]))
                 times.append(float(obj["t"]))

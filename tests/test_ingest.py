@@ -887,7 +887,10 @@ def test_csv_reader_matches_one_whole_stream_csv_reader(lines, budget, size_limi
     if size_limit is not None:
         csv.field_size_limit(size_limit)
     try:
-        got = _read_csv_lines(ingest._read_csv, lines, budget)
+        got = _read_csv_lines(
+            lambda lines, budget, stats: read_stream(lines, "csv", error_budget=budget,
+                                                     stats=stats),
+            lines, budget)
         want = _read_csv_lines(whole_stream_csv, lines, budget)
     finally:
         csv.field_size_limit(saved)
