@@ -183,15 +183,33 @@ def _apply_config(parser, subs, args, argv):
     for key, value in overrides.items():
         if key not in actions or key in ("help", "config"):
             raise ContractError(f"config key {key!r} is not a {args.command} flag")
-        action = actions[key]
-        try:
-            if action.type is not None and value is not None:
-                value = action.type(value)
-        except (TypeError, ValueError) as exc:
-            raise ContractError(f"config key {key!r}: {exc}")
-        coerced[key] = value
+        coerced[key] = _config_value(key, value, actions[key])
     sub.set_defaults(**coerced)
     return parser.parse_args(argv)
+
+
+def _config_value(key: str, value, action):
+    """A config value for the flag of `action`, if its JSON type is the
+    flag's: true or false for a switch, an integer for an int flag, a number
+    (an integer or a float, not a boolean) for a float flag, and a string
+    for any other; anything else is a `ContractError`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.nargs == 0:  # store_true
+        fits, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        fits, kind = number and isinstance(value, int), "an integer"
+    elif action.type is float:
+        fits, kind = number, "a number"
+    else:
+        fits, kind = isinstance(value, str), "a string"
+    if not fits:
+        raise ContractError(f"config key {key!r} must be {kind}, got {value!r}")
+    if action.type is float:
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer beyond any float
+            raise ContractError(f"config key {key!r}: {exc}")
+    return value
 
 
 def _policy(args) -> ArbitrationPolicy:
@@ -299,16 +317,15 @@ def cmd_detect(args) -> int:
             host, _, port = args.listen.rpartition(":")
             if not port.isdigit():
                 raise ContractError(f"--listen wants host:port, got {args.listen!r}")
-            server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.bind((host or "127.0.0.1", int(port)))
-            server.listen(1)
-            logger.info("listening on %s", args.listen)
-            conn, peer = server.accept()
-            logger.info("stream from %s", peer)
-            with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
-                _detect_stream(fh, args, params, writer, stats)
-            server.close()
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+                server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                server.bind((host or "127.0.0.1", int(port)))
+                server.listen(1)
+                logger.info("listening on %s", args.listen)
+                conn, peer = server.accept()
+                logger.info("stream from %s", peer)
+                with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
+                    _detect_stream(fh, args, params, writer, stats)
         elif args.input:
             _detect_stream(args.input, args, params, writer, stats)
         else:

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,13 +92,40 @@ class ReactionProfile:
     amplitudes: dict = field(default_factory=lambda: dict(DEFAULT_AMPLITUDES))
 
     def __post_init__(self) -> None:
+        for name in _PROFILE_NUMBERS:
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ContractError(f"profile {name} must be a finite number, got {value!r}")
+            if name in _PROFILE_NON_NEGATIVE and value < 0:
+                raise ContractError(f"profile {name} must be >= 0, got {value!r}")
+        if not isinstance(self.predictable, bool):
+            raise ContractError(
+                f"profile predictable must be true or false, got {self.predictable!r}")
         if self.duration_min_s <= 0 or self.duration_max_s < self.duration_min_s:
             raise ContractError("duration bounds must satisfy 0 < min <= max")
+        if not isinstance(self.amplitudes, dict):
+            raise ContractError(
+                f"profile amplitudes must be an object, got {self.amplitudes!r}")
         for au_id, amp in self.amplitudes.items():
             if au_id not in AU_IDS:
                 raise ContractError(f"unknown AU id {au_id!r} in profile")
-            if amp < 0:
-                raise ContractError("amplitudes must be >= 0")
+            if not _is_finite_number(amp) or amp < 0:
+                raise ContractError(
+                    f"profile amplitudes {au_id} must be a finite number >= 0, got {amp!r}")
+
+
+# The numeric fields of a ReactionProfile, and those of them that may not be
+# negative (spreads and the attack time).
+_PROFILE_NUMBERS = ("onset_latency_mean_s", "onset_latency_sd_s", "duration_mean_s",
+                    "duration_sd_s", "duration_min_s", "duration_max_s", "attack_s",
+                    "decay_frac")
+_PROFILE_NON_NEGATIVE = ("onset_latency_sd_s", "duration_sd_s", "attack_s")
+
+
+def _is_finite_number(value) -> bool:
+    """Whether `value` is an int or float (not a bool) that a float holds finitely."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -193,7 +221,6 @@ class SimTrial:
     occluded: np.ndarray        # (n,) bool
     conf_a: np.ndarray          # (n,)
     conf_b: np.ndarray          # (n,)
-    frames_per_timestep: int = 10
 
     @property
     def n_timesteps(self) -> int:
@@ -205,8 +232,8 @@ class SimTrial:
 
     def record(self) -> TrialRecord:
         """The trial as the ingest pipeline would deliver it, bit-exactly."""
-        fpt = self.frames_per_timestep
-        policy = ArbitrationPolicy(frames_per_timestep=fpt)
+        policy = ArbitrationPolicy()
+        fpt = policy.frames_per_timestep
         # The ingest reduction over the fpt identical frames of each
         # timestep with a face; occluded timesteps have no valid tick.
         ticks = np.repeat(self.trace(), fpt, axis=0)
@@ -225,8 +252,8 @@ class SimTrial:
     def frames(self):
         """Yield the dual-source 30 fps frame stream, interleaved by tick."""
         trace = self.trace()
-        fpt = self.frames_per_timestep
-        fps = fpt * RATE_HZ
+        policy = ArbitrationPolicy()
+        fpt, fps = policy.frames_per_timestep, policy.fps
         for k in range(self.n_timesteps):
             au = trace[k].tolist()
             for j in range(fpt):

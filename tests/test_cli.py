@@ -1,5 +1,6 @@
 """Command-line surface: parsing, config merge, and the full pipeline."""
 
+import gc
 import io
 import json
 import os
@@ -161,6 +162,18 @@ def test_detect_listen_tcp(cli_env, tmp_path):
     payload = (cli_env["corpus"] / "frames" / "p00_t00.jsonl").read_bytes()
     assert _detect_over_tcp(cli_env["model"], payload, events_path) == 0
     assert events_path.exists()
+
+
+def test_detect_listen_closes_its_socket_when_the_stream_fails(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _detect_over_tcp(model, b"not json\n", tmp_path / "events.jsonl")
+        gc.collect()
+    assert rc == 2
+    assert "unreadable first record" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_evaluate_with_model(cli_env, tmp_path, capsys):
@@ -414,6 +427,36 @@ def test_config_rejects_unknown_key(cli_env, tmp_path, capsys):
     assert "is not a detect flag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, kind", [
+    ({"finetune_per_participant": "false"}, "true or false"),
+    ({"epochs": 1.5}, "an integer"),
+    ({"seed": True}, "an integer"),
+    ({"learning_rate": True}, "a number"),
+    ({"learning_rate": "0.1"}, "a number"),
+    ({"model": 5}, "a string"),
+], ids=["switch-text", "int-float", "int-bool", "float-bool", "float-text", "string-number"])
+def test_config_refuses_a_value_of_the_wrong_json_type(tmp_path, capsys, override, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(override))
+    rc = main(["evaluate", "--corpus", str(tmp_path / "none"), "--config", str(config)])
+    assert rc == 2
+    (key,) = override
+    assert f"config key {key!r} must be {kind}" in capsys.readouterr().err
+
+
+def test_config_takes_each_kind_of_flag(tmp_path):
+    from ausentinel.cli import _apply_config
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"finetune_per_participant": True, "epochs": 2,
+                                  "learning_rate": 1, "model": "m.json"}))
+    parser, subs = build_parser()
+    argv = ["evaluate", "--corpus", "c", "--config", str(config)]
+    args = _apply_config(parser, subs, parser.parse_args(argv), argv)
+    assert (args.finetune_per_participant, args.epochs, args.model) == (True, 2, "m.json")
+    assert args.learning_rate == 1.0 and isinstance(args.learning_rate, float)
+
+
 def test_fps_must_be_timestep_multiple(cli_env, capsys):
     stream = cli_env["corpus"] / "frames" / "p00_t00.jsonl"
     rc = main(["detect", "--model", str(cli_env["model"]),
@@ -660,6 +703,10 @@ def test_detect_over_corpus_stamps_the_manifest_trial_start(two_trial_corpus, tm
     assert first["detected_t_seconds"] == 2.5 + first["detected_at"] / 3.0
 
 
+# A schedule whose one trial reacts, so generation uses every profile field.
+_REACTING = '[{"error_type": "physical", "perceived_error_start_s": 5.0}]'
+
+
 def _spec_text(**raw) -> bytes:
     """A one-trial scenario spec whose fields are the given raw JSON texts."""
     fields = {"participants": "1", "trials_per_participant": "1", "seed": "1",
@@ -667,18 +714,32 @@ def _spec_text(**raw) -> bytes:
     return ("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}").encode()
 
 
-@pytest.mark.parametrize("flag, content", [
-    ("--spec", b'{"seed": 1, \xff}'),
-    ("--config", b"{\xff}"),
-    ("--spec", b"5"),
-    ("--spec", _spec_text(participants="1e400")),
-    ("--spec", _spec_text(trial_len_s="1e400")),
-    ("--spec", _spec_text(baseline_noise="1e400")),
+@pytest.mark.parametrize("flag, content, named", [
+    ("--spec", b'{"seed": 1, \xff}', ""),
+    ("--config", b"{\xff}", ""),
+    ("--spec", b"5", ""),
+    ("--spec", _spec_text(participants="1e400"), ""),
+    ("--spec", _spec_text(trial_len_s="1e400"), "trial_len_s"),
+    ("--spec", _spec_text(baseline_noise="1e400"), "baseline_noise"),
     ("--spec", _spec_text(errors='[{"error_type": "physical", '
-                                 '"perceived_error_start_s": 1e400}]')),
+                                 '"perceived_error_start_s": 1e400}]'),
+     "perceived_error_start_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"attack_s": 1e400}'), "attack_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"decay_frac": 1e400}'), "decay_frac"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"onset_latency_mean_s": "x"}'),
+     "onset_latency_mean_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"duration_sd_s": -1.0}'),
+     "duration_sd_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"amplitudes": [1]}'), "amplitudes"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"amplitudes": {"AU01": 1e400}}'),
+     "amplitudes AU01"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"predictable": "yes"}'),
+     "predictable"),
 ], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
-        "noise-inf", "error-start-inf"])
-def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content):
+        "noise-inf", "error-start-inf", "profile-attack-inf", "profile-decay-inf",
+        "profile-latency-text", "profile-sd-negative", "profile-amplitudes-list",
+        "profile-amplitude-inf", "profile-predictable-text"])
+def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content, named):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     spec = tmp_path / "spec.json"
@@ -689,3 +750,4 @@ def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, con
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ")
+    assert named in err  # the field at fault, where the spec has one
