@@ -19,9 +19,8 @@ Live streams (`detect`) go frame by frame: `read_stream` validates each
 record into an `AuFrame` whose AU values stay a list of floats, and
 `TimestepBuilder` arbitrates each tick when its timestep closes and hands
 the winners, as one array, to `aggregate`. That pair is the specification.
-A CSV line with no quote or inner line break is split on commas directly
-and any other record is left to `csv.reader`, with the fields one
-`csv.reader` over the whole stream would give. Text is decoded as UTF-8
+A format only splits its lines into records; the record rules, stated in
+`read_stream`, run in one loop for both formats. Text is decoded as UTF-8
 with undecodable bytes replaced, so a garbage byte costs at most its
 record.
 
@@ -182,6 +181,12 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     not rejected, and counted as `values_clamped`. Counters accumulate on
     `stats` when provided, so one `StreamStats` may span many streams; each
     stream's budget counts only its own skips.
+
+    A format only splits its lines into records and checks their shape
+    (`_jsonl_records`, `_csv_records`). One loop here then checks every
+    record of either format for its source id, time, AU vector, confidence
+    and time order, in that order; the first check a record fails is the
+    one logged.
     """
     if stats is None:
         stats = StreamStats()
@@ -252,13 +257,17 @@ _JSONL_KEYS = ("source_id", "t", "au", "confidence")
 _CSV_KEYS = (0, 1, slice(3, 3 + N_AUS), 2)  # the occurrence cells follow
 
 
-def _after_catalog_header(lines):
-    """A JSONL stream's (line number, line) pairs, less its catalog header.
+def _jsonl_records(lines):
+    """(line number, record) per JSONL record: its decoded object, or the
+    exception of a line that is not one object with "au" and a 17-entry
+    "occ". Lines count physically, blank lines and the header included.
 
-    The first non-blank line is the header when it decodes to an object with
-    a "catalog" key, which must list the canonical AU ordering; otherwise it
-    is the first record. A first line that does not decode is fatal.
+    The first non-blank line is the catalog header when it decodes to an
+    object with a "catalog" key, which must list the canonical AU ordering;
+    otherwise it is the first record. A first line that does not decode is
+    fatal. The corpus decoder reads its lines through here too.
     """
+    lines = enumerate(lines, start=1)
     for line_no, line in lines:
         text = line.strip()
         if text:
@@ -267,21 +276,14 @@ def _after_catalog_header(lines):
             except _DECODE_ERRORS as exc:
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
             if not (isinstance(obj, dict) and "catalog" in obj):
-                return itertools.chain([(line_no, line)], lines)  # no header: a frame
-            if list(obj["catalog"]) != list(AU_IDS):
+                lines = itertools.chain([(line_no, line)], lines)  # no header: a frame
+            elif list(obj["catalog"]) != list(AU_IDS):
                 raise StreamFormatError(
                     "stream catalog does not match the canonical AU ordering",
                     line_no=line_no,
                 )
             break
-    return lines
-
-
-def _jsonl_records(lines):
-    """(line number, record) per JSONL record: its decoded object, or the
-    exception of a line that is not one object with "au" and a 17-entry
-    "occ". Lines count physically, blank lines and the header included."""
-    for line_no, line in _after_catalog_header(enumerate(lines, start=1)):
+    for line_no, line in lines:
         line = line.strip()
         if not line:
             continue
