@@ -277,7 +277,7 @@ def _jsonl_records(lines):
                 raise StreamFormatError(f"unreadable first record: {exc}", line_no=line_no)
             if not (isinstance(obj, dict) and "catalog" in obj):
                 lines = itertools.chain([(line_no, line)], lines)  # no header: a frame
-            elif list(obj["catalog"]) != list(AU_IDS):
+            elif obj["catalog"] != list(AU_IDS):
                 raise StreamFormatError(
                     "stream catalog does not match the canonical AU ordering",
                     line_no=line_no,

@@ -598,9 +598,11 @@ def test_jsonl_and_csv_streams_read_back_alike(tmp_path_factory, frames):
 
 
 def test_read_stream_rejects_wrong_catalog():
-    bad = json.dumps({"catalog": list(AU_IDS[::-1])}) + "\n"
-    with pytest.raises(StreamFormatError):
-        list(read_stream(io.StringIO(bad)))
+    # Not the canonical list, or not a list at all (once a TypeError).
+    for catalog in (list(AU_IDS[::-1]), 5, None):
+        bad = json.dumps({"catalog": catalog}) + "\n"
+        with pytest.raises(StreamFormatError):
+            list(read_stream(io.StringIO(bad)))
 
 
 def test_read_stream_rejects_unreadable_first_line():
