@@ -1,5 +1,6 @@
 """Synthetic corpus generator: envelopes, determinism, and ingest parity."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import frames_to_timesteps
 
+from ausentinel.cli import main
 from ausentinel.core import AU_IDS, ContractError, timestep_of
 from ausentinel.ingest import read_corpus
 from ausentinel.simgen import (
@@ -120,6 +122,51 @@ def test_load_scenario(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_obj(spec)))
     assert load_scenario(path) == spec
+
+
+# A spec that sets every field. Integers stand in for the float fields
+# trial_len_s, baseline_noise and one occlusion bound, and for the profile's
+# attack_s, so the pinned manifest also pins how each number is written.
+PINNED_SPEC = {
+    "participants": 2,
+    "trials_per_participant": 2,
+    "seed": 11,
+    "trial_len_s": 40,
+    "baseline_noise": 1,
+    "novelty_effect": True,
+    "occlusion_windows": [[12, 15.5]],
+    "errors": [
+        {"error_type": "physical", "perceived_error_start_s": 8.0, "predictable": True},
+        {"error_type": "none"},
+    ],
+    "profile": {"attack_s": 2, "amplitudes": {"AU01": 2.0, "AU12": 1.5}},
+}
+
+# SHA-256 of manifest.json and annotations.csv, which no perturbation
+# changes, and of frames/p01_t00.jsonl, a reacting trial, per perturbation.
+PINNED_MANIFEST = "7d9023ae8a40182a39708584fe5e4c47126a964191a865defc82da93d563c9fc"
+PINNED_ANNOTATIONS = "84830a700424aee802fa53f84fe5c7b2207b9f92172cb2dc7fc262ee63ed90e1"
+PINNED_FRAMES = {
+    None: "382790e9737ca47707ca4f4ccafa84cf1af8275150a5ff5c7a9ef780be92d682",
+    "novelty": "bfe86c7129efed1e6f48201937c13adc238afcbd9e2c057ba0ed8d9f3dfa0be6",
+    "occlusion": "f4f1283b2481cb3692c8fb0dba8e30744564c75d55526b64605b978f93fbbe52",
+    "amplitude-scale": "f6df8dd238e649fbb2276ead597c4b6f4ff290fa8e89fc86cc0d911575f474df",
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_FRAMES))
+def test_simulate_writes_pinned_bytes(tmp_path, kind):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(PINNED_SPEC))
+    out = tmp_path / "corpus"
+    argv = ["simulate", "--spec", str(spec), "--out", str(out)]
+    if kind is not None:
+        argv += ["--perturb", kind, "--magnitude", "1.5"]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("manifest.json", "annotations.csv",
+                                 "frames/p01_t00.jsonl"))
+    assert digests == (PINNED_MANIFEST, PINNED_ANNOTATIONS, PINNED_FRAMES[kind])
 
 
 # ---------------------------------------------------------------------------
