@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -128,6 +128,14 @@ def _is_finite_number(value) -> bool:
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
+def _steps(count: float, name: str) -> int:
+    """`count` rounded to an int; a count beyond any float, which a huge but
+    finite spec field gives, is a ContractError naming that field."""
+    if not math.isfinite(count):
+        raise ContractError(f"{name} is too large to count in timesteps")
+    return int(round(count))
+
+
 @dataclass(frozen=True)
 class ErrorPlan:
     """One trial's scripted error: what kind and when it manifests."""
@@ -139,10 +147,15 @@ class ErrorPlan:
     def __post_init__(self) -> None:
         if self.error_type not in ERROR_TYPES:
             raise ContractError(f"unknown error type {self.error_type!r}")
-        if self.error_type != "none" and self.perceived_error_start_s is None:
+        start = self.perceived_error_start_s
+        if start is None and self.error_type != "none":
+            raise ContractError(f"{self.error_type} plan needs perceived_error_start_s")
+        if start is not None and not _is_finite_number(start):
             raise ContractError(
-                f"{self.error_type} plan needs perceived_error_start_s"
-            )
+                f"plan perceived_error_start_s must be a finite number, got {start!r}")
+        if self.predictable is not None and not isinstance(self.predictable, bool):
+            raise ContractError(
+                f"plan predictable must be true or false, got {self.predictable!r}")
 
 
 @dataclass(frozen=True)
@@ -160,32 +173,49 @@ class ScenarioSpec:
     profile: ReactionProfile = field(default_factory=ReactionProfile)
 
     def __post_init__(self) -> None:
-        if self.participants < 1 or self.trials_per_participant < 1:
-            raise ContractError("participants and trials_per_participant must be >= 1")
+        for name, least in (("participants", 1), ("trials_per_participant", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.novelty_effect, bool):
+            raise ContractError(
+                f"novelty_effect must be true or false, got {self.novelty_effect!r}")
+        # The float fields take a JSON integer too, stored as a float.
+        for name in ("trial_len_s", "baseline_noise"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ContractError(
+                    f"{name} must be a finite number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        windows = self.occlusion_windows
+        if not isinstance(windows, (list, tuple)) or not all(
+                isinstance(w, (list, tuple)) and len(w) == 2
+                and all(map(_is_finite_number, w)) for w in windows):
+            raise ContractError("occlusion_windows must be [start_s, end_s] pairs of "
+                                f"finite numbers, got {windows!r}")
+        object.__setattr__(self, "occlusion_windows",
+                           tuple((float(lo), float(hi)) for lo, hi in windows))
         if len(self.errors) != self.trials_per_participant:
             raise ContractError(
                 f"errors schedule has {len(self.errors)} entries for "
                 f"{self.trials_per_participant} trials per participant"
             )
-        if not 0 < self.trial_len_s < math.inf:
-            raise ContractError("trial_len_s must be > 0 and finite")
-        if not 0 <= self.baseline_noise < math.inf:
-            raise ContractError("baseline_noise must be >= 0 and finite")
+        if self.trial_len_s <= 0:
+            raise ContractError("trial_len_s must be > 0")
+        if self.baseline_noise < 0:
+            raise ContractError("baseline_noise must be >= 0")
         n = self.n_timesteps
         for plan in self.errors:
-            if plan.perceived_error_start_s is not None:
-                ts = plan.perceived_error_start_s
-                if not 0 <= ts < math.inf or timestep_of(ts) >= n:
-                    raise ContractError(
-                        f"perceived_error_start_s {ts} outside the trial"
-                    )
+            ts = plan.perceived_error_start_s
+            # ts * RATE_HZ >= n is timestep_of(ts) >= n, without its overflow.
+            if ts is not None and not (0 <= ts and ts * RATE_HZ < n):
+                raise ContractError(f"perceived_error_start_s {ts} outside the trial")
         for lo, hi in self.occlusion_windows:
             if not 0 <= lo < hi <= self.trial_len_s:
                 raise ContractError(f"bad occlusion window ({lo}, {hi})")
 
     @property
     def n_timesteps(self) -> int:
-        return int(round(self.trial_len_s * RATE_HZ))
+        return _steps(self.trial_len_s * RATE_HZ, "trial_len_s")
 
 
 def reaction_envelope(m: int, attack_steps: int, decay_frac: float) -> np.ndarray:
@@ -325,9 +355,16 @@ def _burst(delta: np.ndarray, start_ts: int, m: int, amps: dict,
         delta[start : start + m, i] += gain * env
 
 
-def _novelty_onsets(trial_len_s: float) -> list[float]:
+def _add_novelty(trial: SimTrial, spec: ScenarioSpec, traits: _Traits,
+                 factor: float) -> SimTrial:
+    """Add reaction-like bursts, scaled by `factor`, at the robot's start of motion."""
+    artifact = trial.artifact_delta.copy()
     # Robot start-of-motion moments; fixed layout, clear of trial edges.
-    return [t for t in (6.0, 21.0, 36.0, 51.0) if t + 5.0 < trial_len_s]
+    for onset_s in (6.0, 21.0, 36.0, 51.0):
+        if onset_s + 5.0 < spec.trial_len_s:
+            _burst(artifact, timestep_of(onset_s), 12, spec.profile.amplitudes,
+                   traits.emphasis, traits.scale * 0.85 * factor, spec.profile)
+    return replace(trial, artifact_delta=artifact)
 
 
 def _apply_occlusion(trial: SimTrial, lo_s: float, hi_s: float,
@@ -403,11 +440,7 @@ def _generate_trial(spec: ScenarioSpec, p_idx: int, t_idx: int,
         conf_b=conf_b,
     )
     if spec.novelty_effect:
-        artifact = trial.artifact_delta.copy()
-        for onset_s in _novelty_onsets(spec.trial_len_s):
-            _burst(artifact, timestep_of(onset_s), 12, profile.amplitudes,
-                   traits.emphasis, traits.scale * 0.85, profile)
-        trial = replace(trial, artifact_delta=artifact)
+        trial = _add_novelty(trial, spec, traits, 1.0)
     for lo_s, hi_s in spec.occlusion_windows:
         trial = _apply_occlusion(trial, lo_s, hi_s, 1.3, profile)
     return trial
@@ -440,16 +473,11 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
     spec = corpus.spec
     out = []
     for trial in corpus.trials:
-        p_idx = int(trial.participant_id[1:])
-        traits = _participant_traits(spec, p_idx)
         if kind == "amplitude-scale":
             out.append(replace(trial, reaction_delta=trial.reaction_delta * magnitude))
         elif kind == "novelty":
-            artifact = trial.artifact_delta.copy()
-            for onset_s in _novelty_onsets(spec.trial_len_s):
-                _burst(artifact, timestep_of(onset_s), 12, spec.profile.amplitudes,
-                       traits.emphasis, traits.scale * 0.85 * magnitude, spec.profile)
-            out.append(replace(trial, artifact_delta=artifact))
+            traits = _participant_traits(spec, int(trial.participant_id[1:]))
+            out.append(_add_novelty(trial, spec, traits, magnitude))
         else:  # occlusion
             width = max(2.0, magnitude)
             mid = spec.trial_len_s / 2.0
@@ -460,72 +488,22 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
 # ---------------------------------------------------------------------------
 # Scenario and corpus serialization.
 
-def profile_to_obj(profile: ReactionProfile) -> dict:
-    return {
-        "onset_latency_mean_s": profile.onset_latency_mean_s,
-        "onset_latency_sd_s": profile.onset_latency_sd_s,
-        "duration_mean_s": profile.duration_mean_s,
-        "duration_sd_s": profile.duration_sd_s,
-        "duration_min_s": profile.duration_min_s,
-        "duration_max_s": profile.duration_max_s,
-        "attack_s": profile.attack_s,
-        "decay_frac": profile.decay_frac,
-        "predictable": profile.predictable,
-        "amplitudes": dict(sorted(profile.amplitudes.items())),
-    }
-
-
-def profile_from_obj(obj: dict) -> ReactionProfile:
-    try:
-        return ReactionProfile(**obj)
-    except TypeError as exc:
-        raise ContractError(f"bad reaction profile: {exc}")
-
-
 def scenario_to_obj(spec: ScenarioSpec) -> dict:
-    return {
-        "participants": spec.participants,
-        "trials_per_participant": spec.trials_per_participant,
-        "seed": spec.seed,
-        "trial_len_s": spec.trial_len_s,
-        "baseline_noise": spec.baseline_noise,
-        "novelty_effect": spec.novelty_effect,
-        "occlusion_windows": [list(w) for w in spec.occlusion_windows],
-        "errors": [
-            {k: v for k, v in (
-                ("error_type", plan.error_type),
-                ("perceived_error_start_s", plan.perceived_error_start_s),
-                ("predictable", plan.predictable),
-            ) if v is not None}
-            for plan in spec.errors
-        ],
-        "profile": profile_to_obj(spec.profile),
-    }
+    obj = asdict(spec)
+    obj["errors"] = [{k: v for k, v in plan.items() if v is not None}
+                     for plan in obj["errors"]]
+    return obj
 
 
 def scenario_from_obj(obj: dict) -> ScenarioSpec:
+    """A spec from its decoded JSON; each dataclass checks its own fields."""
     if not isinstance(obj, dict):
         raise ContractError("scenario spec must be a JSON object")
-    if "seed" not in obj:
-        raise ContractError("scenario spec must pin a seed")
     try:
-        errors = tuple(ErrorPlan(**e) for e in obj.get("errors", []))
-        profile = (profile_from_obj(obj["profile"]) if "profile" in obj
-                   else ReactionProfile())
-        return ScenarioSpec(
-            participants=int(obj["participants"]),
-            trials_per_participant=int(obj["trials_per_participant"]),
-            seed=int(obj["seed"]),
-            errors=errors,
-            trial_len_s=float(obj.get("trial_len_s", 60.0)),
-            baseline_noise=float(obj.get("baseline_noise", 0.12)),
-            novelty_effect=bool(obj.get("novelty_effect", False)),
-            occlusion_windows=tuple(
-                (float(lo), float(hi)) for lo, hi in obj.get("occlusion_windows", ())
-            ),
-            profile=profile,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        errors = tuple(ErrorPlan(**plan) for plan in obj.get("errors", ()))
+        profile = ReactionProfile(**obj.get("profile", {}))
+        return ScenarioSpec(**{**obj, "errors": errors, "profile": profile})
+    except TypeError as exc:  # an unknown or missing key, or a plan not an object
         raise ContractError(f"bad scenario spec: {exc}")
 
 

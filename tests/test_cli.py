@@ -735,10 +735,23 @@ def _spec_text(**raw) -> bytes:
      "amplitudes AU01"),
     ("--spec", _spec_text(errors=_REACTING, profile='{"predictable": "yes"}'),
      "predictable"),
+    ("--spec", _spec_text(novelty_effect='"false"'), "novelty_effect"),
+    ("--spec", _spec_text(errors='[{"error_type": "none", "predictable": "no"}]'),
+     "predictable"),
+    ("--spec", _spec_text(novelty_efect="true"), "novelty_efect"),
+    ("--spec", _spec_text(seed="7.9"), "seed"),
+    ("--spec", _spec_text(seed="-1"), "seed"),
+    ("--spec", _spec_text(participants='"2"'), "participants"),
+    ("--spec", _spec_text(participants="true"), "participants"),
+    ("--spec", _spec_text(occlusion_windows="[[1]]"), "occlusion_windows"),
+    ("--spec", _spec_text(trial_len_s="1e308"), "trial_len_s"),
 ], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
         "noise-inf", "error-start-inf", "profile-attack-inf", "profile-decay-inf",
         "profile-latency-text", "profile-sd-negative", "profile-amplitudes-list",
-        "profile-amplitude-inf", "profile-predictable-text"])
+        "profile-amplitude-inf", "profile-predictable-text", "novelty-text",
+        "plan-predictable-text", "unknown-key", "seed-float", "seed-negative",
+        "participants-text", "participants-bool", "occlusion-window-short",
+        "trial-len-huge"])
 def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content, named):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
