@@ -223,7 +223,7 @@ def reaction_envelope(m: int, attack_steps: int, decay_frac: float) -> np.ndarra
     if m < 1:
         raise ContractError("envelope needs at least one timestep")
     a = max(1, attack_steps)
-    d = max(1, int(round(decay_frac * m)))
+    d = max(1, _steps(decay_frac * m, "profile decay_frac"))
     env = np.minimum((np.arange(m) + 1) / a, 1.0)
     tail_start = m - d
     for j in range(max(tail_start, 0), m):
@@ -345,7 +345,7 @@ def _burst(delta: np.ndarray, start_ts: int, m: int, amps: dict,
     m = min(m, n - start)
     if m < 1:
         return
-    env = reaction_envelope(m, int(round(profile.attack_s * RATE_HZ)),
+    env = reaction_envelope(m, _steps(profile.attack_s * RATE_HZ, "profile attack_s"),
                             profile.decay_frac)
     for pos, au_id in enumerate(sorted(amps)):
         i = AU_IDS.index(au_id)
@@ -415,7 +415,8 @@ def _generate_trial(spec: ScenarioSpec, p_idx: int, t_idx: int,
         jitter = float(rng.uniform(0.9, 1.1))
         start_ts = pe_ts + int(round(latency_s * RATE_HZ))
         start_ts = min(max(start_ts, 0), n - 1)
-        m = max(1, int(round(duration_s * RATE_HZ)))
+        # The drawn duration is at most duration_max_s, so that field is named.
+        m = max(1, _steps(duration_s * RATE_HZ, "profile duration_max_s"))
         m = min(m, n - start_ts)
         if profile.amplitudes:
             _burst(reaction, start_ts, m, profile.amplitudes, traits.emphasis,

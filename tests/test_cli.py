@@ -745,13 +745,20 @@ def _spec_text(**raw) -> bytes:
     ("--spec", _spec_text(participants="true"), "participants"),
     ("--spec", _spec_text(occlusion_windows="[[1]]"), "occlusion_windows"),
     ("--spec", _spec_text(trial_len_s="1e308"), "trial_len_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"attack_s": 1e308}'), "attack_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"decay_frac": 1e308}'), "decay_frac"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"duration_min_s": 1e308, '
+                                                    '"duration_max_s": 1e308, '
+                                                    '"duration_mean_s": 1e308}'),
+     "duration_max_s"),
 ], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
         "noise-inf", "error-start-inf", "profile-attack-inf", "profile-decay-inf",
         "profile-latency-text", "profile-sd-negative", "profile-amplitudes-list",
         "profile-amplitude-inf", "profile-predictable-text", "novelty-text",
         "plan-predictable-text", "unknown-key", "seed-float", "seed-negative",
         "participants-text", "participants-bool", "occlusion-window-short",
-        "trial-len-huge"])
+        "trial-len-huge", "profile-attack-huge", "profile-decay-huge",
+        "profile-durations-huge"])
 def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content, named):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
