@@ -469,8 +469,8 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
     """
     if kind not in PERTURB_KINDS:
         raise ContractError(f"unknown perturbation {kind!r}; use {PERTURB_KINDS}")
-    if magnitude < 0:
-        raise ContractError("magnitude must be >= 0")
+    if not 0 <= magnitude < math.inf:
+        raise ContractError(f"magnitude must be a finite number >= 0, got {magnitude!r}")
     spec = corpus.spec
     out = []
     for trial in corpus.trials:
@@ -480,7 +480,9 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
             traits = _participant_traits(spec, int(trial.participant_id[1:]))
             out.append(_add_novelty(trial, spec, traits, magnitude))
         else:  # occlusion
-            width = max(2.0, magnitude)
+            # A window past the trial's end ends with the trial, so a width
+            # beyond the trial's length occludes the same timesteps.
+            width = max(2.0, min(magnitude, spec.trial_len_s))
             mid = spec.trial_len_s / 2.0
             out.append(_apply_occlusion(trial, mid, mid + width, 1.3, spec.profile))
     return SimCorpus(spec=spec, trials=tuple(out))

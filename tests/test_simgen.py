@@ -333,6 +333,24 @@ def test_perturb_rejects_bad_arguments():
         perturb(corpus, "novelty", -1.0)
 
 
+@pytest.mark.parametrize("kind", ["novelty", "occlusion", "amplitude-scale"])
+def test_perturb_refuses_a_non_finite_magnitude(kind):
+    corpus = generate(small_spec())
+    for magnitude in (math.nan, math.inf):
+        with pytest.raises(ContractError, match="magnitude must be a finite number"):
+            perturb(corpus, kind, magnitude)
+
+
+def test_occlusion_wider_than_the_trial_ends_with_it():
+    corpus = generate(small_spec())
+    whole = perturb(corpus, "occlusion", 40.0)
+    huge = perturb(corpus, "occlusion", 1e308)
+    for a, b in zip(whole.trials, huge.trials):
+        assert np.array_equal(a.occluded, b.occluded)
+        assert a.occluded[timestep_of(20.0):].all()
+        assert np.array_equal(a.conf_a, b.conf_a)
+
+
 def test_default_amplitudes_leave_brow_lowerer_flat():
     assert "AU04" not in DEFAULT_AMPLITUDES
     assert set(DEFAULT_AMPLITUDES) <= set(AU_IDS)
