@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import socket
 import sys
@@ -64,10 +65,22 @@ def _setup_logging() -> None:
     )
 
 
+def _finite(text) -> float:
+    """The type of every float flag, on the command line or in --config: a
+    finite number (float() alone would take "nan" and "inf")."""
+    try:
+        value = float(text)
+    except (ValueError, OverflowError):  # not a number, or an int beyond any float
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--min-confidence", type=float, default=0.5,
+    sub.add_argument("--min-confidence", type=_finite, default=0.5,
                      help="face-detection confidence floor (default 0.5)")
-    sub.add_argument("--fps", type=float, default=30.0,
+    sub.add_argument("--fps", type=_finite, default=30.0,
                      help="camera frame rate; must be a multiple of 3 (default 30)")
     sub.add_argument("--aggregator", choices=AGGREGATORS, default="mean",
                      help="frame-to-timestep reducer (default mean)")
@@ -76,7 +89,7 @@ def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
 def _add_window_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--window-len", type=int, default=11,
                      help="sliding window length in timesteps (default 11)")
-    sub.add_argument("--threshold", type=float, default=6.0,
+    sub.add_argument("--threshold", type=_finite, default=6.0,
                      help="window sum needed to declare an error (default 6.0)")
     sub.add_argument("--merge-gap", type=int, default=1,
                      help="merge detections within this many timesteps (default 1)")
@@ -86,7 +99,7 @@ def _add_window_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    sub.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    sub.add_argument("--learning-rate", type=_finite, default=TrainConfig.learning_rate)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -118,7 +131,7 @@ def build_parser():
                      help="stream format for --input/stdin/--listen")
     sub.add_argument("--trial-id", default="stream",
                      help="trial id stamped on events in stream mode")
-    sub.add_argument("--trial-start", type=float, default=0.0,
+    sub.add_argument("--trial-start", type=_finite, default=0.0,
                      help="stream time of timestep 0 (default 0.0)")
     sub.add_argument("--out", help="events JSONL path (default stdout)")
     sub.add_argument("--error-budget", type=int, default=10,
@@ -136,7 +149,7 @@ def build_parser():
     sub.add_argument("--finetune-per-participant", action="store_true",
                      help="also fine-tune on each participant's first trial")
     sub.add_argument("--finetune-epochs", type=int, default=100)
-    sub.add_argument("--finetune-learning-rate", type=float, default=0.1)
+    sub.add_argument("--finetune-learning-rate", type=_finite, default=0.1)
     sub.add_argument("--report-json", help="write the full report here")
     sub.add_argument("--report-csv", help="write the flat metric table here")
     _add_train_flags(sub)
@@ -150,7 +163,7 @@ def build_parser():
     sub.add_argument("--out", required=True, help="corpus directory to write")
     sub.add_argument("--perturb", choices=("novelty", "occlusion", "amplitude-scale"),
                      help="contaminate the corpus after generation")
-    sub.add_argument("--magnitude", type=float, default=1.0,
+    sub.add_argument("--magnitude", type=_finite, default=1.0,
                      help="perturbation strength (see simulate docs)")
     sub.add_argument("--config", help="JSON file of flag defaults")
     subs["simulate"] = sub
@@ -190,25 +203,26 @@ def _apply_config(parser, subs, args, argv):
 
 def _config_value(key: str, value, action):
     """A config value for the flag of `action`, if its JSON type is the
-    flag's: true or false for a switch, an integer for an int flag, a number
-    (an integer or a float, not a boolean) for a float flag, and a string
-    for any other; anything else is a `ContractError`."""
+    flag's: true or false for a switch, an integer for an int flag, a finite
+    number (an integer or a float, not a boolean; `json` reads NaN and
+    Infinity) for a float flag, and a string for any other; anything else is
+    a `ContractError`."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if action.nargs == 0:  # store_true
         fits, kind = isinstance(value, bool), "true or false"
     elif action.type is int:
         fits, kind = number and isinstance(value, int), "an integer"
-    elif action.type is float:
+    elif action.type is _finite:
         fits, kind = number, "a number"
     else:
         fits, kind = isinstance(value, str), "a string"
     if not fits:
         raise ContractError(f"config key {key!r} must be {kind}, got {value!r}")
-    if action.type is float:
+    if action.type is _finite:
         try:
-            return float(value)
-        except OverflowError as exc:  # an integer beyond any float
-            raise ContractError(f"config key {key!r}: {exc}")
+            return _finite(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ContractError(f"config key {key!r} {exc}")
     return value
 
 

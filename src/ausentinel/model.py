@@ -81,8 +81,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise UnusableCorpusError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise UnusableCorpusError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise UnusableCorpusError("learning_rate must be > 0 and finite")
 
 
 def init_params(seed: int = 0) -> ModelParams:

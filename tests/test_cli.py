@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import os
 import shutil
 import socket
@@ -434,7 +435,11 @@ def test_config_rejects_unknown_key(cli_env, tmp_path, capsys):
     ({"learning_rate": True}, "a number"),
     ({"learning_rate": "0.1"}, "a number"),
     ({"model": 5}, "a string"),
-], ids=["switch-text", "int-float", "int-bool", "float-bool", "float-text", "string-number"])
+    ({"learning_rate": math.nan}, "a finite number"),
+    ({"threshold": math.inf}, "a finite number"),
+    ({"min_confidence": 10 ** 400}, "a finite number"),
+], ids=["switch-text", "int-float", "int-bool", "float-bool", "float-text", "string-number",
+        "float-nan", "float-inf", "float-int-huge"])
 def test_config_refuses_a_value_of_the_wrong_json_type(tmp_path, capsys, override, kind):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(override))
@@ -442,6 +447,29 @@ def test_config_refuses_a_value_of_the_wrong_json_type(tmp_path, capsys, overrid
     assert rc == 2
     (key,) = override
     assert f"config key {key!r} must be {kind}" in capsys.readouterr().err
+
+
+# Every float flag of every command, and the flags each command requires.
+_FLOAT_FLAGS = [(command, action.option_strings[0], action.dest)
+                for command, sub in build_parser()[1].items()
+                for action in sub._actions if isinstance(action.default, float)]
+_REQUIRED = {"train": ["--corpus", "c", "--out", "m"], "detect": ["--model", "m"],
+             "evaluate": ["--corpus", "c"], "simulate": ["--spec", "s", "--out", "o"],
+             "analyze": ["--corpus", "c"]}
+
+
+@pytest.mark.parametrize("command, flag, dest", _FLOAT_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in _FLOAT_FLAGS])
+def test_float_flags_refuse_a_non_finite_value(tmp_path, capsys, command, flag, dest):
+    config = tmp_path / "config.json"
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_REQUIRED[command], f"{flag}={text}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a finite number, got {text!r}" in capsys.readouterr().err
+        config.write_text(json.dumps({dest: float(text)}))  # NaN, Infinity, -Infinity
+        assert main([command, *_REQUIRED[command], "--config", str(config)]) == 2
+        assert f"config key {dest!r} must be a finite number" in capsys.readouterr().err
 
 
 def test_config_takes_each_kind_of_flag(tmp_path):

@@ -175,6 +175,14 @@ def test_training_needs_error_labels():
         train(corpus, TrainConfig(epochs=1, learning_rate=0.1, seed=0))
 
 
+@pytest.mark.parametrize("epochs, learning_rate", [
+    (-1, 0.1), (1, 0.0), (1, math.nan), (1, math.inf),
+], ids=["epochs-negative", "rate-zero", "rate-nan", "rate-inf"])
+def test_train_config_refuses_bad_hyperparameters(epochs, learning_rate):
+    with pytest.raises(UnusableCorpusError):
+        TrainConfig(epochs=epochs, learning_rate=learning_rate)
+
+
 def test_finetune_continues_from_base():
     corpus = separable_corpus()
     base = train(corpus, TrainConfig(epochs=30, learning_rate=0.2, seed=0))
