@@ -182,10 +182,10 @@ class ScenarioSpec:
                 f"novelty_effect must be true or false, got {self.novelty_effect!r}")
         # The float fields take a JSON integer too, stored as a float.
         for name in ("trial_len_s", "baseline_noise"):
-            if not _is_finite_number(getattr(self, name)):
-                raise ContractError(
-                    f"{name} must be a finite number, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ContractError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         windows = self.occlusion_windows
         if not isinstance(windows, (list, tuple)) or not all(
                 isinstance(w, (list, tuple)) and len(w) == 2
@@ -492,6 +492,7 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
 # Scenario and corpus serialization.
 
 def scenario_to_obj(spec: ScenarioSpec) -> dict:
+    """The spec as JSON-ready data, leaving out a plan's unset fields."""
     obj = asdict(spec)
     obj["errors"] = [{k: v for k, v in plan.items() if v is not None}
                      for plan in obj["errors"]]
@@ -506,7 +507,7 @@ def scenario_from_obj(obj: dict) -> ScenarioSpec:
         errors = tuple(ErrorPlan(**plan) for plan in obj.get("errors", ()))
         profile = ReactionProfile(**obj.get("profile", {}))
         return ScenarioSpec(**{**obj, "errors": errors, "profile": profile})
-    except TypeError as exc:  # an unknown or missing key, or a plan not an object
+    except TypeError as exc:  # an unknown or missing key; a plan or profile not an object
         raise ContractError(f"bad scenario spec: {exc}")
 
 
