@@ -1,6 +1,7 @@
 """Command-line surface: parsing, config merge, and the full pipeline."""
 
 import gc
+import hashlib
 import io
 import json
 import math
@@ -399,6 +400,57 @@ def test_analyze_report(cli_env, tmp_path, capsys):
     report = json.loads(rj.read_text())
     assert len(report["aus"]) == 17
     assert report["reactions"]["n_annotated"] == 8
+
+
+# The written bytes of every report, the model file and the event log, for a
+# corpus with false positives, misses and merged events, and (second spec) a
+# one-participant corpus whose flat AUs give the analyze report NaN statistics.
+_PIN_SPEC = {
+    "participants": 3, "trials_per_participant": 3, "seed": 5, "trial_len_s": 30.0,
+    "novelty_effect": True, "occlusion_windows": [[12.0, 13.5]],
+    "errors": [{"error_type": "physical", "perceived_error_start_s": 9.0},
+               {"error_type": "concept", "perceived_error_start_s": 16.0},
+               {"error_type": "none"}],
+}
+_PIN_FLAT_SPEC = {
+    "participants": 1, "trials_per_participant": 2, "seed": 3, "trial_len_s": 12.0,
+    "baseline_noise": 0,
+    "errors": [{"error_type": "physical", "perceived_error_start_s": 3.0},
+               {"error_type": "none"}],
+}
+_PINNED_OUTPUTS = {
+    "model.json": "c66d5984b6e02807326db65a449180745b71c5336bc5640084a547fffaf037d1",
+    "train.json": "36554c09bd9be475b2ef6cc9170e25727f666f81a6e0e86e7584e52b7c3e8e9e",
+    "model_report.json": "b8a3977ad619dc838737371286a31610976904b8892b59698763aab1a1535f35",
+    "model_report.csv": "fbe572711de0e40fef92f085806e3b32b9a6e28a589c559d0d3032999004f440",
+    "loocv_report.json": "f28a733449f183315941118e337be17cd930747fbb2990b9b9b83f8c82b42c3e",
+    "loocv_report.csv": "f25cfa75c2c96c0b73e484396709b8e7b307c46e11e1e7934fc1aa0c52d125a2",
+    "analyze.json": "efca237d3417ac5abb9e7544c75b7adc1c9bffb39f3c4636d1fb6cc8471f4b62",
+    "events.jsonl": "a82b5555d0378e6105827367fed222149792e1e2ede5f747942ac6463f3f91b7",
+}
+
+
+def test_cli_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths, so train.json's path fields are fixed
+    (tmp_path / "spec.json").write_text(json.dumps(_PIN_SPEC))
+    (tmp_path / "flat.json").write_text(json.dumps(_PIN_FLAT_SPEC))
+    for argv in (
+        ["simulate", "--spec", "spec.json", "--out", "corpus"],
+        ["train", "--corpus", "corpus", "--out", "model.json", "--report", "train.json",
+         "--epochs", "40"],
+        ["evaluate", "--corpus", "corpus", "--model", "model.json",
+         "--report-json", "model_report.json", "--report-csv", "model_report.csv"],
+        ["evaluate", "--corpus", "corpus", "--finetune-per-participant", "--epochs", "40",
+         "--finetune-epochs", "20", "--report-json", "loocv_report.json",
+         "--report-csv", "loocv_report.csv"],
+        ["simulate", "--spec", "flat.json", "--out", "flat"],
+        ["analyze", "--corpus", "flat", "--report", "analyze.json"],
+        ["detect", "--model", "model.json", "--corpus", "corpus", "--out", "events.jsonl"],
+    ):
+        assert main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _PINNED_OUTPUTS}
+    assert digests == _PINNED_OUTPUTS
 
 
 def test_config_file_sets_defaults(cli_env, tmp_path, capsys):
