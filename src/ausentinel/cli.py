@@ -424,23 +424,10 @@ def cmd_analyze(args) -> int:
               f" sd {stats['reaction_duration_sd_s'] or 0:.3f}s"
               f" over {stats['n_annotated']} annotated trials")
     if args.report:
-        report = {
-            "aus": {
-                au_id: {
-                    "t": None if r.t != r.t else r.t,
-                    "dof": None if r.dof != r.dof else r.dof,
-                    "p": None if r.p != r.p else r.p,
-                    "significant": r.significant,
-                    "n_error": r.n_a,
-                    "n_no_error": r.n_b,
-                    "mean_error": r.mean_a,
-                    "mean_no_error": r.mean_b,
-                }
-                for au_id, r in results.items()
-            },
-            "reactions": stats,
-        }
-        write_report_json(args.report, report)
+        aus = {au_id: {k: None if isinstance(v, float) and math.isnan(v) else v
+                       for k, v in vars(r).items()}
+               for au_id, r in results.items()}
+        write_report_json(args.report, {"aus": aus, "reactions": stats})
     return 0
 
 

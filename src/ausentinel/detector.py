@@ -134,10 +134,7 @@ def event_to_obj(trial_id: str, event: ErrorEvent, trial_start: float = 0.0) -> 
     """JSONL record shape for emitted events."""
     return {
         "trial_id": trial_id,
-        "detected_at": event.detected_at,
-        "estimated_start": event.estimated_start,
+        **vars(event),
         "detected_t_seconds": event.detected_t(trial_start),
         "estimated_t_seconds": event.estimated_t(trial_start),
-        "score": event.score,
-        "merged": event.merged,
     }

@@ -139,39 +139,20 @@ class CorpusScore:
     per_type: dict
 
     def to_obj(self) -> dict:
-        obj = {
-            "n_trials": self.n_trials,
-            "n_matched": self.n_matched,
-            "rmse_detection_delay_s": self.rmse_detection_delay_s,
-            "rmse_reaction_diff_s": self.rmse_reaction_diff_s,
-            "mean_internal_delay_s": self.mean_internal_delay_s,
-            "sd_internal_delay_s": self.sd_internal_delay_s,
-            "fp_rate_per_trial": self.fp_rate_per_trial,
-            "sd_fp_per_trial": self.sd_fp_per_trial,
-            "fn_rate_per_trial": self.fn_rate_per_trial,
-            "sd_fn_per_trial": self.sd_fn_per_trial,
-        }
+        obj = {k: v for k, v in vars(self).items() if not isinstance(v, dict)}
         if self.per_type:
-            obj["per_type"] = {k: v.to_obj() for k, v in self.per_type.items()}
+            obj.update(per_type={k: v.to_obj() for k, v in self.per_type.items()})
         return obj
 
 
-def _aggregate(scored: list[ScoredTrial], split_types: bool) -> CorpusScore:
-    if not scored:
-        raise ContractError("cannot score an empty trial collection")
-    trial_scores = [match(events, trial.annotations) for trial, events in scored]
+def _aggregate(trial_scores: list[TrialScore], per_type: dict) -> CorpusScore:
     delays = [s.detection_delay_s for s in trial_scores if s.detection_delay_s is not None]
     diffs = [s.reaction_diff_s for s in trial_scores if s.reaction_diff_s is not None]
     internals = [s.internal_delay_s for s in trial_scores if s.internal_delay_s is not None]
     fps = [float(s.false_positives) for s in trial_scores]
     fns = [float(s.false_negatives) for s in trial_scores]
-    per_type: dict[str, CorpusScore] = {}
-    if split_types:
-        for etype in sorted({trial.error_type for trial, _ in scored}):
-            subset = [(t, ev) for t, ev in scored if t.error_type == etype]
-            per_type[etype] = _aggregate(subset, split_types=False)
     return CorpusScore(
-        n_trials=len(scored),
+        n_trials=len(trial_scores),
         n_matched=len(delays),
         rmse_detection_delay_s=_rmse(delays),
         rmse_reaction_diff_s=_rmse(diffs),
@@ -188,7 +169,13 @@ def _aggregate(scored: list[ScoredTrial], split_types: bool) -> CorpusScore:
 def score_corpus(scored: list[ScoredTrial]) -> CorpusScore:
     """Aggregate trial scores: RMSE delays, mean/SD internal delay, FP/FN rates,
     plus a per-error-type breakdown."""
-    return _aggregate(scored, split_types=True)
+    if not scored:
+        raise ContractError("cannot score an empty trial collection")
+    trial_scores = [match(events, trial.annotations) for trial, events in scored]
+    types = [trial.error_type for trial, _ in scored]
+    per_type = {etype: _aggregate([s for s, t in zip(trial_scores, types) if t == etype], {})
+                for etype in sorted(set(types))}
+    return _aggregate(trial_scores, per_type)
 
 
 @dataclass(frozen=True)
@@ -285,15 +272,13 @@ def finetune_comparison(corpus: list[TrialRecord],
         raise ContractError(
             "fine-tuning comparison needs a participant with at least 2 trials"
         )
-    base_delays = [match(ev, t.annotations).detection_delay_s
-                   for t, ev in base_scored]
-    tuned_delays = [match(ev, t.annotations).detection_delay_s
-                    for t, ev in tuned_scored]
     return FinetuneComparison(
         base_score=score_corpus(base_scored),
         tuned_score=score_corpus(tuned_scored),
-        base_mean_delay_s=_mean([d for d in base_delays if d is not None]),
-        tuned_mean_delay_s=_mean([d for d in tuned_delays if d is not None]),
+        base_mean_delay_s=_mean([d for row in rows for d in row["base_delays_s"]
+                                 if d is not None]),
+        tuned_mean_delay_s=_mean([d for row in rows for d in row["tuned_delays_s"]
+                                  if d is not None]),
         per_participant=tuple(rows),
     )
 
@@ -364,14 +349,15 @@ class WelchResult:
     dof: float
     p: float
     significant: bool
-    n_a: int
-    n_b: int
-    mean_a: float
-    mean_b: float
+    n_error: int
+    n_no_error: int
+    mean_error: float
+    mean_no_error: float
 
 
 def welch_from_samples(a, b) -> WelchResult:
-    """Welch's unequal-variance t-test between two samples (two-sided).
+    """Welch's unequal-variance t-test between two samples (two-sided):
+    `a` is the error sample and `b` the no-error sample.
 
     Undefined cases — fewer than two observations on either side, or zero
     variance in both samples — report NaN statistics and are never
@@ -439,11 +425,7 @@ def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
             "trial_id": trial.trial_id,
             "participant_id": trial.participant_id,
             "error_type": trial.error_type,
-            "false_positives": s.false_positives,
-            "false_negatives": s.false_negatives,
-            "detection_delay_s": s.detection_delay_s,
-            "reaction_diff_s": s.reaction_diff_s,
-            "internal_delay_s": s.internal_delay_s,
+            **{k: v for k, v in vars(s).items() if not isinstance(v, tuple)},
         })
     return {"score": score.to_obj(), "trials": rows}
 
@@ -463,9 +445,7 @@ _CSV_COLUMNS = [
 def write_report_csv(path, score: CorpusScore) -> None:
     """Flat per-scope rows (overall + one per error type) for plotting."""
     def row(scope: str, s: CorpusScore) -> list:
-        return [scope, s.n_trials, s.n_matched, s.rmse_detection_delay_s,
-                s.rmse_reaction_diff_s, s.mean_internal_delay_s,
-                s.sd_internal_delay_s, s.fp_rate_per_trial, s.fn_rate_per_trial]
+        return [scope] + [getattr(s, name) for name in _CSV_COLUMNS[1:]]
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

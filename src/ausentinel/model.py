@@ -43,6 +43,14 @@ N_CLASSES = 2
 MODEL_FILE_VERSION = 1
 HIDDEN_ACTIVATION = "relu"  # model files name it; nothing else is built
 
+# The weight arrays of a model, by field name, with their shapes.
+_SHAPES = {
+    "w1": (N_AUS, N_HIDDEN),
+    "b1": (N_HIDDEN,),
+    "w2": (N_HIDDEN, N_CLASSES),
+    "b2": (N_CLASSES,),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
@@ -57,13 +65,8 @@ class ModelParams:
     learning_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        shapes = {
-            "w1": (self.w1, (N_AUS, N_HIDDEN)),
-            "b1": (self.b1, (N_HIDDEN,)),
-            "w2": (self.w2, (N_HIDDEN, N_CLASSES)),
-            "b2": (self.b2, (N_CLASSES,)),
-        }
-        for name, (arr, want) in shapes.items():
+        for name, want in _SHAPES.items():
+            arr = getattr(self, name)
             if not isinstance(arr, np.ndarray) or arr.shape != want:
                 raise ModelIntegrityError(f"{name} must have shape {want}")
             if arr.dtype != np.float64:
@@ -299,10 +302,7 @@ def save(params: ModelParams, path) -> None:
         "seed": params.seed,
         "epochs": params.epochs,
         "learning_rate": params.learning_rate,
-        "w1": [float(v) for v in params.w1.ravel(order="C")],
-        "b1": [float(v) for v in params.b1],
-        "w2": [float(v) for v in params.w2.ravel(order="C")],
-        "b2": [float(v) for v in params.b2],
+        **{name: getattr(params, name).ravel().tolist() for name in _SHAPES},
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -326,12 +326,9 @@ def load(path) -> ModelParams:
     try:
         if doc["activation"] != HIDDEN_ACTIVATION:
             raise ModelIntegrityError(f"unsupported activation {doc['activation']!r}")
-        w1 = np.asarray(doc["w1"], dtype=np.float64).reshape(N_AUS, N_HIDDEN)
-        b1 = np.asarray(doc["b1"], dtype=np.float64).reshape(N_HIDDEN)
-        w2 = np.asarray(doc["w2"], dtype=np.float64).reshape(N_HIDDEN, N_CLASSES)
-        b2 = np.asarray(doc["b2"], dtype=np.float64).reshape(N_CLASSES)
         return ModelParams(
-            w1=w1, b1=b1, w2=w2, b2=b2,
+            **{name: np.asarray(doc[name], dtype=np.float64).reshape(shape)
+               for name, shape in _SHAPES.items()},
             seed=int(doc["seed"]),
             epochs=int(doc.get("epochs", 0)),
             learning_rate=float(doc.get("learning_rate", 0.0)),
