@@ -43,6 +43,7 @@ from ausentinel.evaluation import (
 )
 from ausentinel.ingest import (
     AGGREGATORS,
+    MAX_FRAMES_PER_TIMESTEP,
     ArbitrationPolicy,
     TimestepBuilder,
     read_corpus,
@@ -228,8 +229,9 @@ def _config_value(key: str, value, action):
 
 def _policy(args) -> ArbitrationPolicy:
     fpt = int(round(args.fps / RATE_HZ))
-    if fpt < 1 or abs(fpt * RATE_HZ - args.fps) > 1e-9:
-        raise ContractError(f"--fps {args.fps} is not a positive multiple of {RATE_HZ}")
+    if not 1 <= fpt <= MAX_FRAMES_PER_TIMESTEP or abs(fpt * RATE_HZ - args.fps) > 1e-9:
+        raise ContractError(f"--fps {args.fps:g} is not a multiple of {RATE_HZ:g} "
+                            f"from {RATE_HZ:g} to {MAX_FRAMES_PER_TIMESTEP * RATE_HZ:g}")
     return ArbitrationPolicy(
         min_confidence=args.min_confidence,
         frames_per_timestep=fpt,

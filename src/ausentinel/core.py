@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,12 @@ class StreamStats:
     timesteps: int = 0
     events: int = 0
     unmerged_events: int = 0
+
+
+def is_finite_number(value) -> bool:
+    """Whether `value` is an int or float (not a bool) that a float holds finitely."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def as_au_vector(values, stats: StreamStats | None = None) -> list[float]:

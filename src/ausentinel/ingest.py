@@ -104,6 +104,10 @@ MAX_SKEW_S = 1.0
 # refused for the same reason.
 MAX_GAP_S = 600.0
 
+# Frames per timestep a policy may ask for: 1 200 fps, above any real camera.
+# It bounds outside input (--fps), whose slots and buffers scale with it.
+MAX_FRAMES_PER_TIMESTEP = 400
+
 
 @dataclass(frozen=True)
 class ArbitrationPolicy:
@@ -116,8 +120,9 @@ class ArbitrationPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ContractError(f"min_confidence {self.min_confidence} outside [0, 1]")
-        if self.frames_per_timestep < 1:
-            raise ContractError("frames_per_timestep must be >= 1")
+        if not 1 <= self.frames_per_timestep <= MAX_FRAMES_PER_TIMESTEP:
+            raise ContractError(
+                f"frames_per_timestep must be in [1, {MAX_FRAMES_PER_TIMESTEP}]")
         if self.aggregator not in AGGREGATORS:
             raise ContractError(f"aggregator must be one of {AGGREGATORS}")
 

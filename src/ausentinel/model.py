@@ -34,6 +34,7 @@ from ausentinel.core import (
     TrialRecord,
     UnusableCorpusError,
     catalog_hash,
+    is_finite_number,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,6 +87,8 @@ class TrainConfig:
             raise UnusableCorpusError("epochs must be >= 0")
         if not 0 < self.learning_rate < math.inf:
             raise UnusableCorpusError("learning_rate must be > 0 and finite")
+        if self.seed < 0:
+            raise UnusableCorpusError("seed must be >= 0")
 
 
 def init_params(seed: int = 0) -> ModelParams:
@@ -309,29 +312,40 @@ def save(params: ModelParams, path) -> None:
 
 
 def load(path) -> ModelParams:
-    """Load a model file, refusing version or AU-ordering mismatches."""
+    """Load a model file, refusing version or AU-ordering mismatches and any
+    field of the wrong JSON type (see README, "Model file")."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer
         raise ModelIntegrityError(f"unreadable model file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ModelIntegrityError("model file is not a JSON object")
-    if doc.get("version") != MODEL_FILE_VERSION:
-        raise ModelIntegrityError(
-            f"unsupported model file version {doc.get('version')!r}"
-        )
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_FILE_VERSION:  # not true or 1.0
+        raise ModelIntegrityError(f"unsupported model file version {version!r}")
     if doc.get("catalog_hash") != catalog_hash():
         raise ModelIntegrityError("model file AU catalog does not match this build")
     try:
         if doc["activation"] != HIDDEN_ACTIVATION:
             raise ModelIntegrityError(f"unsupported activation {doc['activation']!r}")
-        return ModelParams(
-            **{name: np.asarray(doc[name], dtype=np.float64).reshape(shape)
-               for name, shape in _SHAPES.items()},
-            seed=int(doc["seed"]),
-            epochs=int(doc.get("epochs", 0)),
-            learning_rate=float(doc.get("learning_rate", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelIntegrityError(f"malformed model file {path}: {exc}")
+        for name in ("seed", "epochs"):
+            if type(doc[name]) is not int or doc[name] < 0:  # a bool is not an int here
+                raise ModelIntegrityError(
+                    f"model file {name} must be an integer >= 0, got {doc[name]!r}")
+        rate = doc["learning_rate"]
+        if not is_finite_number(rate):
+            raise ModelIntegrityError(
+                f"model file learning_rate must be a finite number, got {rate!r}")
+        weights = {}
+        for name, shape in _SHAPES.items():
+            values, size = doc[name], math.prod(shape)
+            if not (isinstance(values, list) and len(values) == size
+                    and all(map(is_finite_number, values))):
+                raise ModelIntegrityError(
+                    f"model file {name} must be a list of {size} finite numbers")
+            weights[name] = np.array(values, dtype=np.float64).reshape(shape)
+    except KeyError as exc:
+        raise ModelIntegrityError(f"malformed model file {path}: missing {exc}")
+    return ModelParams(**weights, seed=doc["seed"], epochs=doc["epochs"],
+                       learning_rate=float(rate))

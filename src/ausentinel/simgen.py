@@ -24,7 +24,6 @@ import json
 import logging
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -38,6 +37,7 @@ from ausentinel.core import (
     ContractError,
     GroundTruth,
     TrialRecord,
+    is_finite_number,
     timestep_of,
 )
 from ausentinel.ingest import (
@@ -94,7 +94,7 @@ class ReactionProfile:
     def __post_init__(self) -> None:
         for name in _PROFILE_NUMBERS:
             value = getattr(self, name)
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ContractError(f"profile {name} must be a finite number, got {value!r}")
             if name in _PROFILE_NON_NEGATIVE and value < 0:
                 raise ContractError(f"profile {name} must be >= 0, got {value!r}")
@@ -109,7 +109,7 @@ class ReactionProfile:
         for au_id, amp in self.amplitudes.items():
             if au_id not in AU_IDS:
                 raise ContractError(f"unknown AU id {au_id!r} in profile")
-            if not _is_finite_number(amp) or amp < 0:
+            if not is_finite_number(amp) or amp < 0:
                 raise ContractError(
                     f"profile amplitudes {au_id} must be a finite number >= 0, got {amp!r}")
 
@@ -120,12 +120,6 @@ _PROFILE_NUMBERS = ("onset_latency_mean_s", "onset_latency_sd_s", "duration_mean
                     "duration_sd_s", "duration_min_s", "duration_max_s", "attack_s",
                     "decay_frac")
 _PROFILE_NON_NEGATIVE = ("onset_latency_sd_s", "duration_sd_s", "attack_s")
-
-
-def _is_finite_number(value) -> bool:
-    """Whether `value` is an int or float (not a bool) that a float holds finitely."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _steps(count: float, name: str) -> int:
@@ -150,7 +144,7 @@ class ErrorPlan:
         start = self.perceived_error_start_s
         if start is None and self.error_type != "none":
             raise ContractError(f"{self.error_type} plan needs perceived_error_start_s")
-        if start is not None and not _is_finite_number(start):
+        if start is not None and not is_finite_number(start):
             raise ContractError(
                 f"plan perceived_error_start_s must be a finite number, got {start!r}")
         if self.predictable is not None and not isinstance(self.predictable, bool):
@@ -183,13 +177,13 @@ class ScenarioSpec:
         # The float fields take a JSON integer too, stored as a float.
         for name in ("trial_len_s", "baseline_noise"):
             value = getattr(self, name)
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ContractError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         windows = self.occlusion_windows
         if not isinstance(windows, (list, tuple)) or not all(
                 isinstance(w, (list, tuple)) and len(w) == 2
-                and all(map(_is_finite_number, w)) for w in windows):
+                and all(map(is_finite_number, w)) for w in windows):
             raise ContractError("occlusion_windows must be [start_s, end_s] pairs of "
                                 f"finite numbers, got {windows!r}")
         object.__setattr__(self, "occlusion_windows",
@@ -347,12 +341,16 @@ def _burst(delta: np.ndarray, start_ts: int, m: int, amps: dict,
         return
     env = reaction_envelope(m, _steps(profile.attack_s * RATE_HZ, "profile attack_s"),
                             profile.decay_frac)
-    for pos, au_id in enumerate(sorted(amps)):
-        i = AU_IDS.index(au_id)
-        gain = amps[au_id] * factor
-        if emphasis is not None:
-            gain *= emphasis[pos]
-        delta[start : start + m, i] += gain * env
+    # A huge factor (a perturb magnitude) overflows to an infinite delta,
+    # which the trace clips to the top of the scale; an invalid product
+    # (infinity times a zero emphasis) still warns.
+    with np.errstate(over="ignore"):
+        for pos, au_id in enumerate(sorted(amps)):
+            i = AU_IDS.index(au_id)
+            gain = amps[au_id] * factor
+            if emphasis is not None:
+                gain *= emphasis[pos]
+            delta[start : start + m, i] += gain * env
 
 
 def _add_novelty(trial: SimTrial, spec: ScenarioSpec, traits: _Traits,
@@ -475,7 +473,9 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
     out = []
     for trial in corpus.trials:
         if kind == "amplitude-scale":
-            out.append(replace(trial, reaction_delta=trial.reaction_delta * magnitude))
+            with np.errstate(over="ignore"):  # as in _burst: the trace clips it
+                scaled = trial.reaction_delta * magnitude
+            out.append(replace(trial, reaction_delta=scaled))
         elif kind == "novelty":
             traits = _participant_traits(spec, int(trial.participant_id[1:]))
             out.append(_add_novelty(trial, spec, traits, magnitude))

@@ -545,6 +545,25 @@ def test_fps_must_be_timestep_multiple(cli_env, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+@pytest.mark.parametrize("fps, via_config", [("1203", False), ("1e308", False), ("1e308", True)],
+                         ids=["flag-past-the-bound", "flag-huge", "config-huge"])
+def test_fps_beyond_any_camera_is_exit_2(two_trial_corpus, tmp_path, capsys, command, fps,
+                                         via_config):
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    detect = ["detect", "--model", str(model), "--input", os.devnull]
+    argv = detect if command == "detect" else ["evaluate", "--corpus", str(two_trial_corpus)]
+    if via_config:
+        (tmp_path / "config.json").write_text(json.dumps({"fps": float(fps)}))
+        argv = argv + ["--config", str(tmp_path / "config.json")]
+    else:
+        argv = argv + ["--fps", fps]
+    assert main(argv) == 2
+    assert "--fps" in capsys.readouterr().err
+    assert main(detect + ["--fps", "1200"]) == 0  # the bound itself is a camera rate
+
+
 def test_missing_files_fail_cleanly(tmp_path, capsys):
     rc = main(["detect", "--model", str(tmp_path / "missing.json"),
                "--input", str(tmp_path / "missing.jsonl")])
@@ -781,6 +800,46 @@ def test_detect_over_corpus_stamps_the_manifest_trial_start(two_trial_corpus, tm
     assert batch == (tmp_path / "live.jsonl").read_bytes()
     first = json.loads(batch.splitlines()[0])
     assert first["detected_t_seconds"] == 2.5 + first["detected_at"] / 3.0
+
+
+def _model_edit(**change):
+    return lambda text: json.dumps(dict(json.loads(text), **change))
+
+
+def _model_seed(raw: str):
+    return lambda text: text.replace('"seed":0', '"seed":' + raw)
+
+
+@pytest.mark.parametrize("command, corrupt, named", [
+    ("detect", lambda text: "[" * 100_000, "unreadable model file"),
+    ("detect", _model_seed("9" * 5000), "unreadable model file"),
+    ("detect", _model_seed("1e400"), "seed"),
+    ("detect", _model_seed("true"), "seed"),
+    ("detect", _model_edit(version=True), "version"),
+    ("detect", _model_edit(version=1.0), "version"),
+    ("detect", _model_edit(epochs=1.5), "epochs"),
+    ("detect", _model_edit(learning_rate="0.3"), "learning_rate"),
+    ("detect", _model_edit(b2=["1", "2"]), "b2"),
+    ("detect", _model_edit(b2=[True, False]), "b2"),
+    ("detect", _model_edit(b2=[1e308, 10 ** 400]), "b2"),
+    ("train", None, "seed must be >= 0"),
+    ("evaluate", None, "seed must be >= 0"),
+], ids=["nesting", "integer-digits", "seed-huge", "seed-bool", "version-bool",
+        "version-float", "epochs-float", "learning-rate-text", "weights-text",
+        "weights-bool", "weights-huge", "train-seed-negative", "evaluate-seed-negative"])
+def test_a_model_file_or_seed_of_the_wrong_type_is_exit_2(two_trial_corpus, tmp_path, capsys,
+                                                         command, corrupt, named):
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    if command == "detect":
+        model.write_text(corrupt(model.read_text()))
+        argv = ["detect", "--model", str(model), "--input", os.devnull]
+    else:
+        argv = [command, "--corpus", str(two_trial_corpus), "--seed", "-1"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 # A schedule whose one trial reacts, so generation uses every profile field.

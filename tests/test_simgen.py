@@ -351,6 +351,21 @@ def test_occlusion_wider_than_the_trial_ends_with_it():
         assert np.array_equal(a.conf_a, b.conf_a)
 
 
+@pytest.mark.parametrize("kind", ["novelty", "amplitude-scale"])
+def test_a_huge_magnitude_writes_clipped_values_quietly(tmp_path, capsys, kind):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scenario_to_obj(small_spec(participants=1))))
+    out = tmp_path / "corpus"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out),
+                 "--perturb", kind, "--magnitude", "1e308"]) == 0
+    assert capsys.readouterr().err == ""
+    values = [v for path in sorted((out / "frames").iterdir())
+              for line in path.read_text().splitlines()[1:]  # after the catalog header
+              for v in json.loads(line)["au"]]
+    assert all(0.0 <= v <= 5.0 for v in values)  # finite, and on the intensity scale
+    assert max(values) == 5.0  # the overflowed deltas reached the clip
+
+
 def test_default_amplitudes_leave_brow_lowerer_flat():
     assert "AU04" not in DEFAULT_AMPLITUDES
     assert set(DEFAULT_AMPLITUDES) <= set(AU_IDS)
