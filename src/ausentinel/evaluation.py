@@ -139,6 +139,7 @@ class CorpusScore:
     per_type: dict
 
     def to_obj(self) -> dict:
+        # Every field but the per-type mapping, which holds scores of its own.
         obj = {k: v for k, v in vars(self).items() if not isinstance(v, dict)}
         if self.per_type:
             obj.update(per_type={k: v.to_obj() for k, v in self.per_type.items()})
@@ -425,6 +426,7 @@ def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
             "trial_id": trial.trial_id,
             "participant_id": trial.participant_id,
             "error_type": trial.error_type,
+            # The score's fields, less its matched (event, annotation) pairs.
             **{k: v for k, v in vars(s).items() if not isinstance(v, tuple)},
         })
     return {"score": score.to_obj(), "trials": rows}
