@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import os
-import socket
 import sys
 
 from ausentinel.core import (
@@ -50,7 +49,6 @@ from ausentinel.ingest import (
     read_stream,
 )
 from ausentinel.model import TrainConfig, classify_timestep, load, save, train
-from ausentinel.simgen import generate, load_scenario, perturb, write_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -333,6 +331,8 @@ def cmd_detect(args) -> int:
             host, _, port = args.listen.rpartition(":")
             if not port.isdigit():
                 raise ContractError(f"--listen wants host:port, got {args.listen!r}")
+            import socket  # only --listen needs it; `detect` starts leaner without
+
             with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
                 server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 server.bind((host or "127.0.0.1", int(port)))
@@ -398,6 +398,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here so that the other commands never load the simulator.
+    from ausentinel.simgen import generate, load_scenario, perturb, write_corpus
+
     spec = load_scenario(args.spec)
     corpus = generate(spec)
     if args.perturb:

@@ -19,7 +19,6 @@ them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -65,9 +64,15 @@ AU_NAMES: dict[str, str] = {
 ERROR_TYPES = ("physical", "concept", "generalization", "none")
 
 
+# SHA-256 hex digest of ",".join(AU_IDS). Kept as a literal so that loading
+# the package does not load hashlib (and with it OpenSSL's libcrypto); a test
+# recomputes it from AU_IDS, so a change to the catalog cannot leave it stale.
+_CATALOG_SHA256 = "8e1e4e373ca9af2e277b56f8beccf93e84546a81be77a161289edf2fd2ddbf9c"
+
+
 def catalog_hash() -> str:
     """Hex digest pinning the AU ordering; embedded in serialized artifacts."""
-    return hashlib.sha256(",".join(AU_IDS).encode("ascii")).hexdigest()
+    return _CATALOG_SHA256
 
 
 class AusentinelError(Exception):

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -137,10 +138,12 @@ class CorpusScore:
     fn_rate_per_trial: float
     sd_fn_per_trial: float | None
     per_type: dict
+    trial_scores: tuple  # one TrialScore per scored trial, in the order given
 
     def to_obj(self) -> dict:
-        # Every field but the per-type mapping, which holds scores of its own.
-        obj = {k: v for k, v in vars(self).items() if not isinstance(v, dict)}
+        # Every field but the per-type mapping and the per-trial scores,
+        # which hold scores of their own.
+        obj = {k: v for k, v in vars(self).items() if not isinstance(v, (dict, tuple))}
         if self.per_type:
             obj.update(per_type={k: v.to_obj() for k, v in self.per_type.items()})
         return obj
@@ -164,12 +167,14 @@ def _aggregate(trial_scores: list[TrialScore], per_type: dict) -> CorpusScore:
         fn_rate_per_trial=sum(fns) / len(fns),
         sd_fn_per_trial=_sd(fns),
         per_type=per_type,
+        trial_scores=tuple(trial_scores),
     )
 
 
 def score_corpus(scored: list[ScoredTrial]) -> CorpusScore:
     """Aggregate trial scores: RMSE delays, mean/SD internal delay, FP/FN rates,
-    plus a per-error-type breakdown."""
+    plus a per-error-type breakdown. Each trial is matched once; its
+    `TrialScore` is kept in `trial_scores` for callers that report per trial."""
     if not scored:
         raise ContractError("cannot score an empty trial collection")
     trial_scores = [match(events, trial.annotations) for trial, events in scored]
@@ -251,36 +256,38 @@ def finetune_comparison(corpus: list[TrialRecord],
         folds = loocv_folds(corpus, hyper, cfg)
     base_scored: list[ScoredTrial] = []
     tuned_scored: list[ScoredTrial] = []
-    rows = []
+    held_out = []  # (participant id, adapt trial id, number of trials scored)
     for fold in folds:
         scored = sorted(fold.scored, key=lambda pair: pair[0].trial_id)
         if len(scored) < 2:
             continue  # nothing left to evaluate after holding out one trial
         adapt, base_pairs = scored[0][0], scored[1:]
         tuned = finetune(fold.params, [adapt], finetune_hyper)
-        tuned_pairs = [(t, run_trial(t, tuned, cfg)) for t, _ in base_pairs]
         base_scored.extend(base_pairs)
-        tuned_scored.extend(tuned_pairs)
-        b = [match(ev, t.annotations).detection_delay_s for t, ev in base_pairs]
-        u = [match(ev, t.annotations).detection_delay_s for t, ev in tuned_pairs]
-        rows.append({
-            "participant_id": fold.participant_id,
-            "adapt_trial_id": adapt.trial_id,
-            "base_delays_s": b,
-            "tuned_delays_s": u,
-        })
+        tuned_scored.extend((t, run_trial(t, tuned, cfg)) for t, _ in base_pairs)
+        held_out.append((fold.participant_id, adapt.trial_id, len(base_pairs)))
     if not base_scored:
         raise ContractError(
             "fine-tuning comparison needs a participant with at least 2 trials"
         )
+    base_score = score_corpus(base_scored)
+    tuned_score = score_corpus(tuned_scored)
+    # Both scores list their trials participant by participant, as scored.
+    base, tuned = iter(base_score.trial_scores), iter(tuned_score.trial_scores)
+    rows = tuple({
+        "participant_id": participant_id,
+        "adapt_trial_id": adapt_id,
+        "base_delays_s": [s.detection_delay_s for s in islice(base, n)],
+        "tuned_delays_s": [s.detection_delay_s for s in islice(tuned, n)],
+    } for participant_id, adapt_id, n in held_out)
     return FinetuneComparison(
-        base_score=score_corpus(base_scored),
-        tuned_score=score_corpus(tuned_scored),
+        base_score=base_score,
+        tuned_score=tuned_score,
         base_mean_delay_s=_mean([d for row in rows for d in row["base_delays_s"]
                                  if d is not None]),
         tuned_mean_delay_s=_mean([d for row in rows for d in row["tuned_delays_s"]
                                   if d is not None]),
-        per_participant=tuple(rows),
+        per_participant=rows,
     )
 
 
@@ -417,11 +424,11 @@ def reaction_stats(corpus: list[TrialRecord]) -> dict:
 def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
     """Full evaluation report: corpus score plus per-trial rows.
 
-    `score` is `score_corpus(scored)`, which the caller also prints.
+    `score` is `score_corpus(scored)`, which the caller also prints; its
+    per-trial scores fill the rows, so no trial is matched again.
     """
     rows = []
-    for trial, events in scored:
-        s = match(events, trial.annotations)
+    for (trial, _), s in zip(scored, score.trial_scores):
         rows.append({
             "trial_id": trial.trial_id,
             "participant_id": trial.participant_id,

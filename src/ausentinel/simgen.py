@@ -49,8 +49,6 @@ from ausentinel.ingest import (
 
 logger = logging.getLogger(__name__)
 
-# Reacting-AU peak deltas (brow raisers, upper lid, lips part, jaw drop).
-# AU04 is deliberately absent.
 # Peak intensity deltas for the AUs that carry error reactions: brow raisers
 # and eye widening (surprise), cheek/lip movements (amusement, smiles at the
 # robot), nose wrinkling, and mouth opening. AU04 (brow lowerer) is left out
@@ -70,6 +68,10 @@ DEFAULT_AMPLITUDES: dict[str, float] = {
 }
 
 PERTURB_KINDS = ("novelty", "occlusion", "amplitude-scale")
+
+# The longest trial a spec may ask for: one hour, 10 800 timesteps. A trial is
+# built whole in memory, so an unbounded length asks for any amount of it.
+MAX_TRIAL_S = 3600.0
 
 _VALID_CONF = (0.75, 0.98)   # per-timestep confidence ranges, source A
 _VALID_CONF_B = (0.55, 0.97)  # source B: usually loses, sometimes wins
@@ -193,8 +195,9 @@ class ScenarioSpec:
                 f"errors schedule has {len(self.errors)} entries for "
                 f"{self.trials_per_participant} trials per participant"
             )
-        if self.trial_len_s <= 0:
-            raise ContractError("trial_len_s must be > 0")
+        if not 0 < self.trial_len_s <= MAX_TRIAL_S:
+            raise ContractError(
+                f"trial_len_s must be > 0 and <= {MAX_TRIAL_S:g}, got {self.trial_len_s!r}")
         if self.baseline_noise < 0:
             raise ContractError("baseline_noise must be >= 0")
         n = self.n_timesteps

@@ -178,25 +178,46 @@ def test_detect_listen_closes_its_socket_when_the_stream_fails(tmp_path, capsys)
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_evaluate_with_model(cli_env, tmp_path, capsys):
+def _count_matches(monkeypatch) -> list:
+    """Count calls to `evaluation.match`, one list item per call."""
+    from ausentinel import evaluation
+
+    calls = []
+    real = evaluation.match
+
+    def counted(events, gt):
+        calls.append(1)
+        return real(events, gt)
+
+    monkeypatch.setattr(evaluation, "match", counted)
+    return calls
+
+
+def test_evaluate_with_model(cli_env, tmp_path, capsys, monkeypatch):
     rj = tmp_path / "report.json"
     rc_csv = tmp_path / "report.csv"
+    matches = _count_matches(monkeypatch)
     rc = main(["evaluate", "--corpus", str(cli_env["corpus"]),
                "--model", str(cli_env["model"]),
                "--report-json", str(rj), "--report-csv", str(rc_csv)])
     assert rc == 0
+    assert len(matches) == 12  # the score and the report's rows share one match per trial
     report = json.loads(rj.read_text())
     assert report["mode"] == "model"
     assert report["score"]["n_trials"] == 12
     assert rc_csv.read_text().startswith("scope,")
 
 
-def test_evaluate_loocv_with_finetune(cli_env, tmp_path, capsys):
+def test_evaluate_loocv_with_finetune(cli_env, tmp_path, capsys, monkeypatch):
     rj = tmp_path / "report.json"
+    matches = _count_matches(monkeypatch)
     rc = main(["evaluate", "--corpus", str(cli_env["corpus"]),
                "--epochs", "60", "--finetune-per-participant",
                "--finetune-epochs", "20", "--report-json", str(rj)])
     assert rc == 0
+    # LOOCV scores all 12 trials; the base and the fine-tuned models each score
+    # the 8 trials left after every participant's adapt trial.
+    assert len(matches) == 12 + 8 + 8
     report = json.loads(rj.read_text())
     assert report["mode"] == "loocv"
     assert "finetune" in report
@@ -884,6 +905,10 @@ def _spec_text(**raw) -> bytes:
     ("--spec", _spec_text(participants="true"), "participants"),
     ("--spec", _spec_text(occlusion_windows="[[1]]"), "occlusion_windows"),
     ("--spec", _spec_text(trial_len_s="1e308"), "trial_len_s"),
+    # Longer than simgen.MAX_TRIAL_S: a length no array can hold, and one that
+    # would ask for 3.8 GiB. Both are refused before anything is allocated.
+    ("--spec", _spec_text(trial_len_s="1e300"), "trial_len_s"),
+    ("--spec", _spec_text(trial_len_s="1e7"), "trial_len_s"),
     ("--spec", _spec_text(errors=_REACTING, profile='{"attack_s": 1e308}'), "attack_s"),
     ("--spec", _spec_text(errors=_REACTING, profile='{"decay_frac": 1e308}'), "decay_frac"),
     ("--spec", _spec_text(errors=_REACTING, profile='{"duration_min_s": 1e308, '
@@ -896,7 +921,8 @@ def _spec_text(**raw) -> bytes:
         "profile-amplitude-inf", "profile-predictable-text", "novelty-text",
         "plan-predictable-text", "unknown-key", "seed-float", "seed-negative",
         "participants-text", "participants-bool", "occlusion-window-short",
-        "trial-len-huge", "profile-attack-huge", "profile-decay-huge",
+        "trial-len-huge", "trial-len-past-any-array", "trial-len-past-an-hour",
+        "profile-attack-huge", "profile-decay-huge",
         "profile-durations-huge"])
 def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content, named):
     bad = tmp_path / "bad.json"

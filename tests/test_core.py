@@ -1,5 +1,6 @@
 """Core vocabulary: catalog, time mapping, frames, trials, events."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -41,6 +42,8 @@ def test_catalog_hash_is_stable_hex():
     assert h == catalog_hash()
     assert len(h) == 64
     int(h, 16)  # hex digest
+    # The package keeps the digest as a literal; it must be the catalog's own.
+    assert h == hashlib.sha256(",".join(AU_IDS).encode("ascii")).hexdigest()
 
 
 def test_timestep_of_examples():

@@ -1,7 +1,10 @@
 """The runtime dependency rule: the package imports the standard library,
-numpy and itself, nothing else."""
+numpy and itself, nothing else; and `detect` loads only what it runs."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +28,30 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+# Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
+# (about 3.6 MB of RSS), socket serves only --listen, the simulator only
+# `simulate`, and numpy.random only training.
+_NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "numpy.random")
+
+
+def test_detect_loads_only_what_it_runs(tmp_path):
+    fixtures = Path(__file__).parent / "fixtures" / "live_lock"
+    stream = tmp_path / "stream.jsonl"
+    lines = (fixtures / "stream.jsonl").read_text(encoding="utf-8").splitlines(True)
+    stream.write_text("".join(lines[:41]), encoding="utf-8")  # header and 2 timesteps
+    code = (
+        "import json, sys\n"
+        "from ausentinel.cli import main\n"
+        f"rc = main(['detect', '--model', {str(fixtures / 'model.json')!r}, "
+        f"'--input', {str(stream)!r}, '--out', {str(tmp_path / 'events.jsonl')!r}])\n"
+        f"print(json.dumps([rc, [m for m in {_NOT_ON_THE_LIVE_PATH!r} if m in sys.modules]]))\n"
+    )
+    src = Path(ausentinel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    rc, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert rc == 0, out.stderr
+    assert loaded == []

@@ -13,6 +13,7 @@ from ausentinel.core import AU_IDS, ContractError, timestep_of
 from ausentinel.ingest import read_corpus
 from ausentinel.simgen import (
     DEFAULT_AMPLITUDES,
+    MAX_TRIAL_S,
     ErrorPlan,
     ReactionProfile,
     ScenarioSpec,
@@ -84,6 +85,12 @@ def test_error_plan_needs_onset():
 def test_error_onset_must_fit_trial():
     with pytest.raises(ContractError):
         small_spec(errors=(ErrorPlan("physical", 45.0), ErrorPlan("none")))
+
+
+def test_trial_length_is_at_most_an_hour():
+    assert small_spec(trial_len_s=MAX_TRIAL_S).n_timesteps == 10_800
+    with pytest.raises(ContractError, match="trial_len_s"):
+        small_spec(trial_len_s=math.nextafter(MAX_TRIAL_S, math.inf))
 
 
 def test_occlusion_window_validation():
