@@ -27,6 +27,7 @@ from ausentinel.core import (
     AusentinelError,
     ContractError,
     StreamStats,
+    check_field,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
 from ausentinel.evaluation import (
@@ -65,8 +66,8 @@ def _setup_logging() -> None:
 
 
 def _finite(text) -> float:
-    """The type of every float flag, on the command line or in --config: a
-    finite number (float() alone would take "nan" and "inf")."""
+    """The type of every float flag on the command line: a finite number
+    (float() alone would take "nan" and "inf"). In --config it is a float."""
     try:
         value = float(text)
     except (ValueError, OverflowError):  # not a number, or an int beyond any float
@@ -187,42 +188,21 @@ def _apply_config(parser, subs, args, argv):
             overrides = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise ContractError(f"unreadable config file {path}: {exc}")
-    if not isinstance(overrides, dict):
-        raise ContractError("config file must hold a JSON object")
+    check_field(f"config file {path}", overrides, dict)
     sub = subs[args.command]
     actions = {a.dest: a for a in sub._actions}
     coerced = {}
     for key, value in overrides.items():
         if key not in actions or key in ("help", "config"):
             raise ContractError(f"config key {key!r} is not a {args.command} flag")
-        coerced[key] = _config_value(key, value, actions[key])
+        # A config value has its flag's kind: a switch's bool, an int flag's
+        # int, a float flag's finite number, or else a string.
+        action = actions[key]
+        kind = (bool if action.nargs == 0 else float if action.type is _finite
+                else action.type or str)
+        coerced[key] = check_field(f"config key {key!r}", value, kind)
     sub.set_defaults(**coerced)
     return parser.parse_args(argv)
-
-
-def _config_value(key: str, value, action):
-    """A config value for the flag of `action`, if its JSON type is the
-    flag's: true or false for a switch, an integer for an int flag, a finite
-    number (an integer or a float, not a boolean; `json` reads NaN and
-    Infinity) for a float flag, and a string for any other; anything else is
-    a `ContractError`."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if action.nargs == 0:  # store_true
-        fits, kind = isinstance(value, bool), "true or false"
-    elif action.type is int:
-        fits, kind = number and isinstance(value, int), "an integer"
-    elif action.type is _finite:
-        fits, kind = number, "a number"
-    else:
-        fits, kind = isinstance(value, str), "a string"
-    if not fits:
-        raise ContractError(f"config key {key!r} must be {kind}, got {value!r}")
-    if action.type is _finite:
-        try:
-            return _finite(value)
-        except argparse.ArgumentTypeError as exc:
-            raise ContractError(f"config key {key!r} {exc}")
-    return value
 
 
 def _policy(args) -> ArbitrationPolicy:

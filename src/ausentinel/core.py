@@ -20,6 +20,7 @@ them.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -133,6 +134,40 @@ def is_finite_number(value) -> bool:
     """Whether `value` is an int or float (not a bool) that a float holds finitely."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+# The kinds of a decoded JSON value, by the Python type `json` gives them, as
+# a refusal words them; `numbers(n)` is the kind of a list of n finite numbers.
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def numbers(n: int) -> str:
+    return f"a list of {n} finite numbers"
+
+
+def check_field(where: str, value, kind, lo=None, hi=None):
+    """`value`, a decoded JSON value, if it is of `kind` (int, float, bool,
+    str, list, dict or `numbers(n)`) and within the inclusive bounds `lo` and
+    `hi`; a float comes back as a float. Otherwise a ContractError names the
+    value as `where`. An int is never a bool nor a float, not even 1.0; a
+    float is any finite number but a bool. No other module decides a kind.
+    """
+    if kind is float:
+        fits = is_finite_number(value)
+    elif kind is list:  # a tuple too, for the dataclasses built in Python
+        fits = isinstance(value, (list, tuple))
+    elif kind in _KIND_NAMES:
+        fits = type(value) is kind
+    else:
+        fits = (isinstance(value, (list, tuple)) and kind == numbers(len(value))
+                and all(map(is_finite_number, value)))
+    if fits and (lo is None or value >= lo) and (hi is None or value <= hi):
+        return float(value) if kind is float else value
+    bounds = " and ".join(f"{op} {bound:g}" for op, bound in ((">=", lo), ("<=", hi))
+                          if bound is not None)
+    raise ContractError(f"{where} must be {_KIND_NAMES.get(kind, kind)} {bounds}".rstrip()
+                        + f", got {reprlib.repr(value)}")
 
 
 def as_au_vector(values, stats: StreamStats | None = None) -> list[float]:

@@ -41,7 +41,6 @@ import csv
 import itertools
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass
 
@@ -62,6 +61,7 @@ from ausentinel.core import (
     Timestep,
     TrialRecord,
     as_au_vector,
+    check_field,
     zero_au_vector,
 )
 
@@ -449,20 +449,17 @@ class TimestepBuilder:
 
     def add(self, frame: AuFrame) -> list[Timestep]:
         """Absorb one frame; return any timesteps that became final."""
-        slot = round((frame.t - self.trial_start) * self._fps)
-        if slot < 0:
-            raise ContractError(f"frame at t={frame.t} precedes trial start")
         src = frame.source_id
         if self._finished:
             raise StreamIntegrityError(f"frame from {src!r} after the trial finished")
         last_slot = self._last_slot
-        prev = last_slot.get(src)
-        if prev is None:
+        prev = last_slot.get(src, -1)
+        if prev < 0:  # the source's first frame; its slot is then >= 0
+            _check_first_frame(frame.t, self.trial_start, self._fps, not last_slot)
             if not last_slot:
-                if frame.t - self.trial_start > MAX_GAP_S:
-                    raise ContractError(_far_first_frame(frame.t, self.trial_start))
                 self._behind = src
-        elif slot < prev:
+        slot = round((frame.t - self.trial_start) * self._fps)
+        if slot < prev:
             raise StreamIntegrityError(f"slot ran backward for source {src!r}")
         end = self._end
         if slot < end - self._fpt:  # its timestep was emitted
@@ -548,9 +545,16 @@ class TimestepBuilder:
         return aggregate(rows, self.policy, index, self.trial_start)
 
 
-def _far_first_frame(t: float, trial_start: float) -> str:
-    return (f"first frame at t={t} lies more than {MAX_GAP_S:g} s "
-            f"past trial start {trial_start}")
+def _check_first_frame(t: float, trial_start: float, fps: float, opens_trial: bool) -> None:
+    """Refuse a source's first frame, the one frame no reader bounds, before its
+    slot is rounded: if that would be negative, or, for the frame opening the
+    trial, if it lies more than `MAX_GAP_S` past `trial_start`."""
+    elapsed = t - trial_start  # +-inf at worst, never an error
+    if elapsed * fps < -0.5:  # round() of it would be negative
+        raise ContractError(f"frame at t={t} precedes trial start")
+    if opens_trial and elapsed > MAX_GAP_S:
+        raise ContractError(f"first frame at t={t} lies more than {MAX_GAP_S:g} s "
+                            f"past trial start {trial_start}")
 
 
 def _source_ranks(sources: list[str]) -> np.ndarray:
@@ -576,14 +580,10 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     if not t.size:
         return []
     order = np.argsort(t, kind="stable")
-    x = (t[order] - trial_start) * policy.fps
-    first = float(t[order[0]])
-    if round(float(x[0])) < 0:
-        raise ContractError(f"frame at t={first} precedes trial start")
-    if first - trial_start > MAX_GAP_S:
-        raise ContractError(_far_first_frame(first, trial_start))
+    _check_first_frame(float(t[order[0]]), trial_start, policy.fps, True)
     # Both readers hold every later frame within MAX_GAP_S of the ones
     # before it, so each slot fits an int64 by many orders of magnitude.
+    x = (t[order] - trial_start) * policy.fps
     slot = np.rint(x).astype(np.int64)  # rounds half to even, as round() does
     src = src[order]
     # First frame per (slot, source) in time order; lexsort is stable.
@@ -671,8 +671,9 @@ def _decode_trial(path, stats: StreamStats):
     same, ts = src[by_source], t[by_source]
     if ((same[1:] == same[:-1]) & (ts[1:] < ts[:-1])).any():
         return None  # time runs backward within a source
-    if (t[1:] - np.maximum.accumulate(t)[:-1] > MAX_GAP_S).any():
-        return None  # time jumps past MAX_GAP_S, as read_stream checks it
+    with np.errstate(over="ignore"):  # a jump past any float is past MAX_GAP_S too
+        if (t[1:] - np.maximum.accumulate(t)[:-1] > MAX_GAP_S).any():
+            return None  # time jumps past MAX_GAP_S, as read_stream checks it
     low, high = au < AU_INTENSITY_MIN, au > AU_INTENSITY_MAX
     clamped = int(np.count_nonzero(low)) + int(np.count_nonzero(high))
     if clamped:
@@ -764,36 +765,27 @@ def write_annotations(path, rows: dict[str, dict]) -> None:
             ])
 
 
-# The string fields of a manifest trial entry, in the order `_manifest_trials`
-# returns them; `trial_start` (a number, default 0) follows.
-_TRIAL_KEYS = ("trial_id", "participant_id", "error_type", "frames")
+# The fields of a manifest trial entry and their kinds (see `core.check_field`),
+# in the order `_manifest_trials` returns them; `trial_start` defaults to 0.
+_TRIAL_FIELDS = {"trial_id": (str,), "participant_id": (str,), "error_type": (str,),
+                 "frames": (str,), "trial_start": (float,)}
 
 
 def _manifest_trials(manifest) -> list[tuple]:
     """The trial entries of a decoded manifest, each as (trial_id,
     participant_id, error_type, frames, trial_start); any other shape is a
     `ContractError` naming the entry and the field."""
-    entries = manifest.get("trials", []) if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise ContractError("manifest.json must be an object whose trials are a list")
+    check_field("manifest.json", manifest, dict)
     trials = []
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(check_field("manifest.json trials",
+                                            manifest.get("trials", []), list)):
         where = f"manifest.json trial {pos}"
-        if not isinstance(entry, dict):
-            raise ContractError(f"{where} is not an object")
-        for key in _TRIAL_KEYS:
-            if key not in entry:
-                raise ContractError(f"{where} lacks {key}")
-            if not isinstance(entry[key], str):
-                raise ContractError(f"{where}: {key} must be a string, got {entry[key]!r}")
+        entry = {"trial_start": 0.0, **check_field(where, entry, dict)}
         try:
-            trial_start = float(entry.get("trial_start", 0.0))
-        except (TypeError, ValueError):
-            trial_start = math.nan
-        if not math.isfinite(trial_start):
-            raise ContractError(f"{where}: trial_start must be a finite number, "
-                                f"got {entry['trial_start']!r}")
-        trials.append((*(entry[key] for key in _TRIAL_KEYS), trial_start))
+            trials.append(tuple(check_field(f"{where} {key}", entry[key], *rule)
+                                for key, rule in _TRIAL_FIELDS.items()))
+        except KeyError as exc:
+            raise ContractError(f"{where} lacks {exc.args[0]}") from None
     return trials
 
 

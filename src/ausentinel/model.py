@@ -34,7 +34,8 @@ from ausentinel.core import (
     TrialRecord,
     UnusableCorpusError,
     catalog_hash,
-    is_finite_number,
+    check_field,
+    numbers,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,6 +44,11 @@ N_HIDDEN = 4
 N_CLASSES = 2
 MODEL_FILE_VERSION = 1
 HIDDEN_ACTIVATION = "relu"  # model files name it; nothing else is built
+
+# The scalar fields of a model file and their kinds (see `core.check_field`).
+# `catalog_hash` and `activation` must equal this build's; the weights follow.
+_FIELDS = {"version": (int, MODEL_FILE_VERSION, MODEL_FILE_VERSION), "seed": (int, 0),
+           "epochs": (int, 0), "learning_rate": (float,)}
 
 # The weight arrays of a model, by field name, with their shapes.
 _SHAPES = {
@@ -214,6 +220,9 @@ def loss_and_gradients(params: ModelParams, X: np.ndarray, y: np.ndarray):
     return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
 
 
+# A learning rate that diverges overflows the weights, which is refused at the
+# end; numpy's warnings on the way would only add noise ahead of that error.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(start: ModelParams, X: np.ndarray, y_labels: np.ndarray,
          hyper: TrainConfig, epoch_log: list | None = None) -> ModelParams:
     err_idx = np.flatnonzero(y_labels)
@@ -261,10 +270,13 @@ def _fit(start: ModelParams, X: np.ndarray, y_labels: np.ndarray,
                 "n_error": int(n_err),
                 "n_no_error": int(n_ok),
             })
-    return ModelParams(
-        w1=w1, b1=b1, w2=w2, b2=b2,
-        seed=hyper.seed, epochs=hyper.epochs, learning_rate=hyper.learning_rate,
-    )
+    try:
+        return ModelParams(
+            w1=w1, b1=b1, w2=w2, b2=b2,
+            seed=hyper.seed, epochs=hyper.epochs, learning_rate=hyper.learning_rate,
+        )
+    except ModelIntegrityError as exc:
+        raise ModelIntegrityError(f"training diverged at learning rate {lr:g}: {exc}") from None
 
 
 def train(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
@@ -319,33 +331,20 @@ def load(path) -> ModelParams:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer
         raise ModelIntegrityError(f"unreadable model file {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ModelIntegrityError("model file is not a JSON object")
-    version = doc.get("version")
-    if type(version) is not int or version != MODEL_FILE_VERSION:  # not true or 1.0
-        raise ModelIntegrityError(f"unsupported model file version {version!r}")
-    if doc.get("catalog_hash") != catalog_hash():
-        raise ModelIntegrityError("model file AU catalog does not match this build")
     try:
+        check_field("model file", doc, dict)
+        fields = {name: check_field(f"model file {name}", doc[name], *rule)
+                  for name, rule in _FIELDS.items()}
+        if doc["catalog_hash"] != catalog_hash():
+            raise ModelIntegrityError("model file AU catalog does not match this build")
         if doc["activation"] != HIDDEN_ACTIVATION:
             raise ModelIntegrityError(f"unsupported activation {doc['activation']!r}")
-        for name in ("seed", "epochs"):
-            if type(doc[name]) is not int or doc[name] < 0:  # a bool is not an int here
-                raise ModelIntegrityError(
-                    f"model file {name} must be an integer >= 0, got {doc[name]!r}")
-        rate = doc["learning_rate"]
-        if not is_finite_number(rate):
-            raise ModelIntegrityError(
-                f"model file learning_rate must be a finite number, got {rate!r}")
-        weights = {}
         for name, shape in _SHAPES.items():
-            values, size = doc[name], math.prod(shape)
-            if not (isinstance(values, list) and len(values) == size
-                    and all(map(is_finite_number, values))):
-                raise ModelIntegrityError(
-                    f"model file {name} must be a list of {size} finite numbers")
-            weights[name] = np.array(values, dtype=np.float64).reshape(shape)
+            values = check_field(f"model file {name}", doc[name], numbers(math.prod(shape)))
+            fields[name] = np.array(values, dtype=np.float64).reshape(shape)
     except KeyError as exc:
         raise ModelIntegrityError(f"malformed model file {path}: missing {exc}")
-    return ModelParams(**weights, seed=doc["seed"], epochs=doc["epochs"],
-                       learning_rate=float(rate))
+    except ContractError as exc:  # a fault of a model file is an integrity error
+        raise ModelIntegrityError(str(exc)) from None
+    del fields["version"]
+    return ModelParams(**fields)

@@ -30,6 +30,7 @@ import numpy as np
 
 from ausentinel.core import (
     AU_IDS,
+    AU_INTENSITY_MAX,
     ERROR_TYPES,
     N_AUS,
     RATE_HZ,
@@ -37,7 +38,8 @@ from ausentinel.core import (
     ContractError,
     GroundTruth,
     TrialRecord,
-    is_finite_number,
+    check_field,
+    numbers,
     timestep_of,
 )
 from ausentinel.ingest import (
@@ -78,6 +80,22 @@ _VALID_CONF_B = (0.55, 0.97)  # source B: usually loses, sometimes wins
 _OCCLUDED_CONF = (0.05, 0.45)
 
 
+# The kinds of a ReactionProfile's fields (see `core.check_field`): spreads are
+# >= 0, the attack and the longest reaction fit in the longest trial, and the
+# decay is a fraction of the reaction. `amplitudes` is checked entry by entry.
+_PROFILE_FIELDS = {
+    "onset_latency_mean_s": (float,),
+    "onset_latency_sd_s": (float, 0),
+    "duration_mean_s": (float,),
+    "duration_sd_s": (float, 0),
+    "duration_min_s": (float,),
+    "duration_max_s": (float, None, MAX_TRIAL_S),
+    "attack_s": (float, 0, MAX_TRIAL_S),
+    "decay_frac": (float, 0, 1),
+    "predictable": (bool,),
+}
+
+
 @dataclass(frozen=True)
 class ReactionProfile:
     """Shape and timing statistics of an injected facial reaction."""
@@ -94,42 +112,20 @@ class ReactionProfile:
     amplitudes: dict = field(default_factory=lambda: dict(DEFAULT_AMPLITUDES))
 
     def __post_init__(self) -> None:
-        for name in _PROFILE_NUMBERS:
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ContractError(f"profile {name} must be a finite number, got {value!r}")
-            if name in _PROFILE_NON_NEGATIVE and value < 0:
-                raise ContractError(f"profile {name} must be >= 0, got {value!r}")
-        if not isinstance(self.predictable, bool):
-            raise ContractError(
-                f"profile predictable must be true or false, got {self.predictable!r}")
+        # Checked, not converted: the spec writes back as it was given.
+        for name, rule in _PROFILE_FIELDS.items():
+            check_field(f"profile {name}", getattr(self, name), *rule)
         if self.duration_min_s <= 0 or self.duration_max_s < self.duration_min_s:
             raise ContractError("duration bounds must satisfy 0 < min <= max")
-        if not isinstance(self.amplitudes, dict):
-            raise ContractError(
-                f"profile amplitudes must be an object, got {self.amplitudes!r}")
-        for au_id, amp in self.amplitudes.items():
+        for au_id, amp in check_field("profile amplitudes", self.amplitudes, dict).items():
             if au_id not in AU_IDS:
                 raise ContractError(f"unknown AU id {au_id!r} in profile")
-            if not is_finite_number(amp) or amp < 0:
-                raise ContractError(
-                    f"profile amplitudes {au_id} must be a finite number >= 0, got {amp!r}")
+            check_field(f"profile amplitudes {au_id}", amp, float, 0)
 
 
-# The numeric fields of a ReactionProfile, and those of them that may not be
-# negative (spreads and the attack time).
-_PROFILE_NUMBERS = ("onset_latency_mean_s", "onset_latency_sd_s", "duration_mean_s",
-                    "duration_sd_s", "duration_min_s", "duration_max_s", "attack_s",
-                    "decay_frac")
-_PROFILE_NON_NEGATIVE = ("onset_latency_sd_s", "duration_sd_s", "attack_s")
-
-
-def _steps(count: float, name: str) -> int:
-    """`count` rounded to an int; a count beyond any float, which a huge but
-    finite spec field gives, is a ContractError naming that field."""
-    if not math.isfinite(count):
-        raise ContractError(f"{name} is too large to count in timesteps")
-    return int(round(count))
+# The kinds of an ErrorPlan's fields other than `error_type`, one of
+# ERROR_TYPES; each may be unset (None).
+_PLAN_FIELDS = {"perceived_error_start_s": (float,), "predictable": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,23 @@ class ErrorPlan:
     def __post_init__(self) -> None:
         if self.error_type not in ERROR_TYPES:
             raise ContractError(f"unknown error type {self.error_type!r}")
-        start = self.perceived_error_start_s
-        if start is None and self.error_type != "none":
+        for name, rule in _PLAN_FIELDS.items():
+            if getattr(self, name) is not None:
+                check_field(f"plan {name}", getattr(self, name), *rule)
+        if self.perceived_error_start_s is None and self.error_type != "none":
             raise ContractError(f"{self.error_type} plan needs perceived_error_start_s")
-        if start is not None and not is_finite_number(start):
-            raise ContractError(
-                f"plan perceived_error_start_s must be a finite number, got {start!r}")
-        if self.predictable is not None and not isinstance(self.predictable, bool):
-            raise ContractError(
-                f"plan predictable must be true or false, got {self.predictable!r}")
+
+
+# The kinds of a ScenarioSpec's scalar fields. Jitter wider than the intensity
+# scale would only saturate every value; `trial_len_s` must also be > 0.
+_SPEC_FIELDS = {
+    "participants": (int, 1),
+    "trials_per_participant": (int, 1),
+    "seed": (int, 0),
+    "trial_len_s": (float, None, MAX_TRIAL_S),
+    "baseline_noise": (float, 0, AU_INTENSITY_MAX),
+    "novelty_effect": (bool,),
+}
 
 
 @dataclass(frozen=True)
@@ -169,37 +173,20 @@ class ScenarioSpec:
     profile: ReactionProfile = field(default_factory=ReactionProfile)
 
     def __post_init__(self) -> None:
-        for name, least in (("participants", 1), ("trials_per_participant", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.novelty_effect, bool):
-            raise ContractError(
-                f"novelty_effect must be true or false, got {self.novelty_effect!r}")
-        # The float fields take a JSON integer too, stored as a float.
-        for name in ("trial_len_s", "baseline_noise"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ContractError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        windows = self.occlusion_windows
-        if not isinstance(windows, (list, tuple)) or not all(
-                isinstance(w, (list, tuple)) and len(w) == 2
-                and all(map(is_finite_number, w)) for w in windows):
-            raise ContractError("occlusion_windows must be [start_s, end_s] pairs of "
-                                f"finite numbers, got {windows!r}")
-        object.__setattr__(self, "occlusion_windows",
-                           tuple((float(lo), float(hi)) for lo, hi in windows))
+        # Numbers are stored as floats, so they write back as floats.
+        for name, rule in _SPEC_FIELDS.items():
+            object.__setattr__(self, name, check_field(name, getattr(self, name), *rule))
+        windows = check_field("occlusion_windows", self.occlusion_windows, list)
+        object.__setattr__(self, "occlusion_windows", tuple(
+            tuple(map(float, check_field("occlusion_windows entry", w, numbers(2))))
+            for w in windows))
         if len(self.errors) != self.trials_per_participant:
             raise ContractError(
                 f"errors schedule has {len(self.errors)} entries for "
                 f"{self.trials_per_participant} trials per participant"
             )
-        if not 0 < self.trial_len_s <= MAX_TRIAL_S:
-            raise ContractError(
-                f"trial_len_s must be > 0 and <= {MAX_TRIAL_S:g}, got {self.trial_len_s!r}")
-        if self.baseline_noise < 0:
-            raise ContractError("baseline_noise must be >= 0")
+        if self.trial_len_s <= 0:
+            raise ContractError(f"trial_len_s must be > 0, got {self.trial_len_s!r}")
         n = self.n_timesteps
         for plan in self.errors:
             ts = plan.perceived_error_start_s
@@ -212,7 +199,7 @@ class ScenarioSpec:
 
     @property
     def n_timesteps(self) -> int:
-        return _steps(self.trial_len_s * RATE_HZ, "trial_len_s")
+        return round(self.trial_len_s * RATE_HZ)
 
 
 def reaction_envelope(m: int, attack_steps: int, decay_frac: float) -> np.ndarray:
@@ -220,7 +207,7 @@ def reaction_envelope(m: int, attack_steps: int, decay_frac: float) -> np.ndarra
     if m < 1:
         raise ContractError("envelope needs at least one timestep")
     a = max(1, attack_steps)
-    d = max(1, _steps(decay_frac * m, "profile decay_frac"))
+    d = max(1, round(decay_frac * m))
     env = np.minimum((np.arange(m) + 1) / a, 1.0)
     tail_start = m - d
     for j in range(max(tail_start, 0), m):
@@ -342,8 +329,7 @@ def _burst(delta: np.ndarray, start_ts: int, m: int, amps: dict,
     m = min(m, n - start)
     if m < 1:
         return
-    env = reaction_envelope(m, _steps(profile.attack_s * RATE_HZ, "profile attack_s"),
-                            profile.decay_frac)
+    env = reaction_envelope(m, round(profile.attack_s * RATE_HZ), profile.decay_frac)
     # A huge factor (a perturb magnitude) overflows to an infinite delta,
     # which the trace clips to the top of the scale; an invalid product
     # (infinity times a zero emphasis) still warns.
@@ -416,8 +402,7 @@ def _generate_trial(spec: ScenarioSpec, p_idx: int, t_idx: int,
         jitter = float(rng.uniform(0.9, 1.1))
         start_ts = pe_ts + int(round(latency_s * RATE_HZ))
         start_ts = min(max(start_ts, 0), n - 1)
-        # The drawn duration is at most duration_max_s, so that field is named.
-        m = max(1, _steps(duration_s * RATE_HZ, "profile duration_max_s"))
+        m = max(1, round(duration_s * RATE_HZ))
         m = min(m, n - start_ts)
         if profile.amplitudes:
             _burst(reaction, start_ts, m, profile.amplitudes, traits.emphasis,
@@ -470,8 +455,7 @@ def perturb(corpus: SimCorpus, kind: str, magnitude: float = 1.0) -> SimCorpus:
     """
     if kind not in PERTURB_KINDS:
         raise ContractError(f"unknown perturbation {kind!r}; use {PERTURB_KINDS}")
-    if not 0 <= magnitude < math.inf:
-        raise ContractError(f"magnitude must be a finite number >= 0, got {magnitude!r}")
+    check_field("magnitude", magnitude, float, 0)
     spec = corpus.spec
     out = []
     for trial in corpus.trials:
@@ -504,13 +488,13 @@ def scenario_to_obj(spec: ScenarioSpec) -> dict:
 
 def scenario_from_obj(obj: dict) -> ScenarioSpec:
     """A spec from its decoded JSON; each dataclass checks its own fields."""
-    if not isinstance(obj, dict):
-        raise ContractError("scenario spec must be a JSON object")
+    check_field("scenario spec", obj, dict)
     try:
-        errors = tuple(ErrorPlan(**plan) for plan in obj.get("errors", ()))
-        profile = ReactionProfile(**obj.get("profile", {}))
+        errors = tuple(ErrorPlan(**check_field("errors entry", plan, dict))
+                       for plan in check_field("errors", obj.get("errors", []), list))
+        profile = ReactionProfile(**check_field("profile", obj.get("profile", {}), dict))
         return ScenarioSpec(**{**obj, "errors": errors, "profile": profile})
-    except TypeError as exc:  # an unknown or missing key; a plan or profile not an object
+    except TypeError as exc:  # an unknown or missing key
         raise ContractError(f"bad scenario spec: {exc}")
 
 

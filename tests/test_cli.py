@@ -308,6 +308,39 @@ def test_detect_refuses_a_first_frame_far_past_trial_start(tmp_path, capsys):
     assert events.read_text() == ""
 
 
+def _frames_at(*times, src="cam_a"):
+    return [json.dumps(dict(json.loads(_frame_line(src, 0)), t=t)) for t in times]
+
+
+# Huge but finite times each overflowed the rounding of a frame's slot: an
+# OverflowError traceback, exit 1.
+@pytest.mark.parametrize("lines, start, message", [
+    (_frames_at(0.0), ["--trial-start", "1e308"], "frame at t=0.0 precedes trial start"),
+    (_frames_at(0.0), ["--trial-start=-1e308"],
+     "first frame at t=0.0 lies more than 600 s past trial start -1e+308"),
+    (_frames_at(0.0), {"trial_start": 1e308}, "frame at t=0.0 precedes trial start"),
+    (_frames_at(0.0), {"trial_start": -1e308}, "past trial start -1e+308"),
+    (_frames_at(1e308), [], "first frame at t=1e+308 lies more than 600 s past trial start 0.0"),
+    # A new source mid-stream: the readers bound no source's first frame.
+    (_frames_at(*(k / 30 for k in range(20))) + _frames_at(-1e308, src="cam_b"), [],
+     "frame at t=-1e+308 precedes trial start"),
+], ids=["start-huge", "start-huge-negative", "config-start-huge",
+        "config-start-huge-negative", "first-frame-huge", "new-source-huge-negative"])
+def test_detect_refuses_a_huge_but_finite_time(tmp_path, capsys, lines, start, message):
+    model, events = tmp_path / "model.json", tmp_path / "events.jsonl"
+    _always_firing_model(model)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    if isinstance(start, dict):
+        (tmp_path / "config.json").write_text(json.dumps(start))
+        start = ["--config", str(tmp_path / "config.json")]
+    rc = main(["detect", "--model", str(model), "--input", str(stream),
+               "--out", str(events), *start])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert events.read_text() == ""
+
+
 def test_detect_keeps_going_while_a_camera_is_silent(tmp_path, capsys, monkeypatch):
     # Both cameras for 2 s; cam_b goes silent while cam_a runs 3 s more;
     # then cam_b's held-back frames arrive and both run 1 s more.
@@ -505,8 +538,8 @@ def test_config_rejects_unknown_key(cli_env, tmp_path, capsys):
     ({"finetune_per_participant": "false"}, "true or false"),
     ({"epochs": 1.5}, "an integer"),
     ({"seed": True}, "an integer"),
-    ({"learning_rate": True}, "a number"),
-    ({"learning_rate": "0.1"}, "a number"),
+    ({"learning_rate": True}, "a finite number"),
+    ({"learning_rate": "0.1"}, "a finite number"),
     ({"model": 5}, "a string"),
     ({"learning_rate": math.nan}, "a finite number"),
     ({"threshold": math.inf}, "a finite number"),
@@ -583,6 +616,18 @@ def test_fps_beyond_any_camera_is_exit_2(two_trial_corpus, tmp_path, capsys, com
     assert main(argv) == 2
     assert "--fps" in capsys.readouterr().err
     assert main(detect + ["--fps", "1200"]) == 0  # the bound itself is a camera rate
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", os.devnull, "--learning-rate", "1e308"],
+    ["evaluate", "--learning-rate", "1e308"],
+    ["evaluate", "--finetune-per-participant", "--finetune-epochs", "3",
+     "--finetune-learning-rate", "1e308"],
+], ids=["train", "evaluate", "evaluate-finetune"])
+def test_a_diverging_learning_rate_is_exit_2(cli_env, capsys, argv):
+    # numpy's overflow warning once came first: under -W error a traceback, exit 1.
+    assert main(argv + ["--corpus", str(cli_env["corpus"]), "--epochs", "3"]) == 2
+    assert "training diverged at learning rate 1e+308" in capsys.readouterr().err
 
 
 def test_missing_files_fail_cleanly(tmp_path, capsys):
@@ -739,12 +784,16 @@ def _annotation_cell(at, value):
     (_edit_manifest(lambda manifest: dict(manifest, trials=5)), "trials"),
     (_edit_trial("participant_id"), "participant_id"),
     (_edit_trial("trial_start", "x"), "trial_start"),
+    (_edit_trial("trial_start", "0.5"), "trial_start"),
+    (_edit_trial("trial_start", True), "trial_start"),
+    (_edit_trial("trial_start", 10 ** 400), "trial_start"),
     (_edit_trial("frames", 3), "frames"),
     (_insert_byte("manifest.json", b'"trials"'), "manifest.json"),
     (_insert_byte("annotations.csv", b"\np00"), "annotations.csv"),
     (_annotation_cell(3, "x"), "reaction_start"),
     (_annotation_cell(1, "p" * 200_000), "field larger than field limit"),
 ], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
+        "trial-start-number-text", "trial-start-bool", "trial-start-400-digits",
         "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text",
         "annotations-field-past-the-size-limit"])
 def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
@@ -756,6 +805,25 @@ def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["detect", "train", "evaluate", "analyze"])
+@pytest.mark.parametrize("start, message", [
+    (1e308, "frame at t=0.0 precedes trial start"),
+    (-1e308, "first frame at t=0.0 lies more than 600 s past trial start -1e+308"),
+], ids=["huge", "huge-negative"])
+def test_a_huge_manifest_trial_start_is_exit_2(two_trial_corpus, tmp_path, capsys, command,
+                                               start, message):
+    # Each was an OverflowError traceback, exit 1, after numpy's overflow warning.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    _edit_trial("trial_start", start)(corpus)
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    argv = {"detect": ["--model", str(model), "--out", str(tmp_path / "ev.jsonl")],
+            "train": ["--out", str(model)]}.get(command, [])
+    assert main([command, "--corpus", str(corpus), *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_detect_over_corpus_prints_the_stream_summary(cli_env, two_trial_corpus,
@@ -881,6 +949,9 @@ def _spec_text(**raw) -> bytes:
     ("--spec", _spec_text(participants="1e400"), ""),
     ("--spec", _spec_text(trial_len_s="1e400"), "trial_len_s"),
     ("--spec", _spec_text(baseline_noise="1e400"), "baseline_noise"),
+    # Jitter wider than the intensity scale: rng.uniform overflowed, exit 1.
+    ("--spec", _spec_text(baseline_noise="1e308"),
+     "baseline_noise must be a finite number >= 0 and <= 5"),
     ("--spec", _spec_text(errors='[{"error_type": "physical", '
                                  '"perceived_error_start_s": 1e400}]'),
      "perceived_error_start_s"),
@@ -915,15 +986,16 @@ def _spec_text(**raw) -> bytes:
                                                     '"duration_max_s": 1e308, '
                                                     '"duration_mean_s": 1e308}'),
      "duration_max_s"),
+    ("--spec", _spec_text(errors=_REACTING, profile='{"decay_frac": 1.5}'), "decay_frac"),
 ], ids=["spec-byte", "config-byte", "spec-number", "participants-inf", "trial-len-inf",
-        "noise-inf", "error-start-inf", "profile-attack-inf", "profile-decay-inf",
+        "noise-inf", "noise-huge", "error-start-inf", "profile-attack-inf", "profile-decay-inf",
         "profile-latency-text", "profile-sd-negative", "profile-amplitudes-list",
         "profile-amplitude-inf", "profile-predictable-text", "novelty-text",
         "plan-predictable-text", "unknown-key", "seed-float", "seed-negative",
         "participants-text", "participants-bool", "occlusion-window-short",
         "trial-len-huge", "trial-len-past-any-array", "trial-len-past-an-hour",
         "profile-attack-huge", "profile-decay-huge",
-        "profile-durations-huge"])
+        "profile-durations-huge", "profile-decay-past-one"])
 def test_simulate_refuses_a_malformed_spec_or_config(tmp_path, capsys, flag, content, named):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

@@ -30,6 +30,33 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
+def _kind_tests(tree) -> int:
+    """Uses of `is_finite_number`, `isinstance(x, bool)` (bool alone or in a
+    tuple) and `type(x) is ...` comparisons in a module's syntax tree."""
+    count = 0
+    for node in ast.walk(tree):
+        if getattr(node, "id", getattr(node, "attr", None)) == "is_finite_number":
+            count += 1
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            count += any(getattr(k, "id", None) == "bool" for k in kinds)
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "type"
+              and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+            count += 1
+    return count
+
+
+def test_only_core_decides_the_kind_of_a_json_field():
+    # core.check_field is the one checker of a decoded JSON field's kind; a
+    # module that tests a kind by hand would let the inputs drift apart again.
+    modules = sorted(Path(ausentinel.__file__).parent.rglob("*.py"))
+    found = {path.name: _kind_tests(ast.parse(path.read_text(encoding="utf-8")))
+             for path in modules if path.name != "core.py"}
+    assert {name: n for name, n in found.items() if n} == {}
+
+
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
 # `simulate`, and numpy.random only training.

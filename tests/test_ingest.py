@@ -371,7 +371,7 @@ def test_builder_refuses_a_first_frame_far_past_trial_start():
     # Further is refused before anything is held (a first frame at t=1e9
     # once meant ~3e9 gap timesteps; the test stays at sizes that fail
     # cheaply if the rule goes). A later source may still join past the bound.
-    for t in (2.5 + gap + 0.5, 1e4):
+    for t in (2.5 + gap + 0.5, 1e4, 1e308):  # 1e308 overflowed round(): OverflowError
         builder = TimestepBuilder(trial_start=2.5)
         with pytest.raises(ContractError, match="first frame"):
             builder.add(frame(t=t))
@@ -1082,7 +1082,27 @@ def test_corpus_reader_frame_before_trial_start(tmp_path):
     assert_same_reads(want, got)
 
 
-@pytest.mark.parametrize("past", [ingest.MAX_GAP_S, ingest.MAX_GAP_S + 0.5, 1e4])
+@pytest.mark.parametrize("times", [
+    # A new source at -1e308: its slot overflowed round(), and a numpy overflow
+    # warning came first on the corpus path.
+    [k / 30.0 for k in range(20)] + [("cam_b", -1e308)] + [k / 30.0 for k in range(20, 40)],
+    # A jump from -1e308 to 1e308 overflowed the corpus reader's gap check.
+    [-1e308, 1e308] + [k / 30.0 for k in range(40)],
+], ids=["new-source-huge-negative", "jump-past-any-float"])
+def test_a_first_frame_far_before_trial_start_is_refused(tmp_path, times):
+    frames = [frame(*t) if isinstance(t, tuple) else frame(t=t) for t in times]
+    path = tmp_path / "frames.jsonl"
+    write_frames_jsonl(path, frames)
+    want, got = read_trial_both(path)
+    assert isinstance(got[0], ContractError)
+    assert_same_reads(want, got)
+    builder = TimestepBuilder()  # live, unsorted
+    with pytest.raises(ContractError, match=r"frame at t=-1e\+308 precedes trial start"):
+        for f in frames:
+            builder.add(f)
+
+
+@pytest.mark.parametrize("past", [ingest.MAX_GAP_S, ingest.MAX_GAP_S + 0.5, 1e4, 1e308])
 def test_corpus_reader_first_frame_far_past_trial_start(tmp_path, past):
     # A frame before the far one, but of a later line, sets the bound.
     frames = [frame(t=10.0 + past + k / 30.0) for k in range(1, 40)]
