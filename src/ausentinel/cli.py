@@ -53,6 +53,10 @@ from ausentinel.model import TrainConfig, classify_timestep, load, save, train
 
 logger = logging.getLogger(__name__)
 
+# `detect --listen` ends a stream whose peer sends nothing for this long, as
+# if the peer had closed it.
+LISTEN_IDLE_S = 30.0
+
 
 def _setup_logging() -> None:
     level = os.environ.get("AUSENTINEL_LOG", "WARNING").upper()
@@ -201,8 +205,17 @@ def _apply_config(parser, subs, args, argv):
         kind = (bool if action.nargs == 0 else float if action.type is _finite
                 else action.type or str)
         coerced[key] = check_field(f"config key {key!r}", value, kind)
+    defaults = {a.dest: a.default for a in sub._actions}
     sub.set_defaults(**coerced)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # argparse checks its exclusive groups against the command line alone.
+    for group in sub._mutually_exclusive_groups:
+        given = [a.option_strings[0] for a in group._group_actions
+                 if getattr(args, a.dest) != defaults[a.dest]]
+        if len(given) > 1:
+            raise ContractError(f"{' and '.join(given)} are mutually exclusive, "
+                                "on the command line and in --config together")
+    return args
 
 
 def _policy(args) -> ArbitrationPolicy:
@@ -294,6 +307,15 @@ def _detect_stream(source, args, params, writer, stats: StreamStats) -> None:
     process(builder.finish())
 
 
+def _until_idle(lines):
+    """The lines of a socket stream, until the peer closes it or sends
+    nothing for `LISTEN_IDLE_S`; an idle stream ends as a closed one does."""
+    try:
+        yield from lines
+    except TimeoutError:
+        logger.warning("stream ended idle: nothing received for %g s", LISTEN_IDLE_S)
+
+
 def cmd_detect(args) -> int:
     params = load(args.model)
     stats = StreamStats()
@@ -319,9 +341,10 @@ def cmd_detect(args) -> int:
                 server.listen(1)
                 logger.info("listening on %s", args.listen)
                 conn, peer = server.accept()
+                conn.settimeout(LISTEN_IDLE_S)
                 logger.info("stream from %s", peer)
                 with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
-                    _detect_stream(fh, args, params, writer, stats)
+                    _detect_stream(_until_idle(fh), args, params, writer, stats)
         elif args.input:
             _detect_stream(args.input, args, params, writer, stats)
         else:

@@ -19,7 +19,9 @@ them.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -128,6 +130,11 @@ class StreamStats:
     timesteps: int = 0
     events: int = 0
     unmerged_events: int = 0
+
+    def add(self, other: StreamStats) -> None:
+        """Add every counter of `other` to this instance's."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 def is_finite_number(value) -> bool:
@@ -371,3 +378,92 @@ class ErrorEvent:
 
     def estimated_t(self, trial_start: float = 0.0) -> float:
         return trial_start + self.estimated_start / RATE_HZ
+
+
+# ---------------------------------------------------------------------------
+# Independent offline tasks, one process per CPU.
+
+def usable_cpus() -> int:
+    """The number of CPUs in this process's affinity mask (1 on a platform
+    that has none to read)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity is not None else 1
+
+
+class _HeldRecords(logging.Handler):
+    """Keeps the records it is handed, reduced to their final message, so a
+    record holds nothing that cannot be pickled."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+
+
+def _held_back(task, shared, i: int) -> tuple:
+    """Run `task(shared, i)` holding back what the package logs meanwhile:
+    (log records, whether it raised, its result or its exception)."""
+    package = logging.getLogger(__name__.partition(".")[0])
+    held, propagate = _HeldRecords(), package.propagate
+    package.addHandler(held)
+    package.propagate = False
+    try:
+        return held.records, False, task(shared, i)
+    except Exception as exc:
+        return held.records, True, exc
+    finally:
+        package.removeHandler(held)
+        package.propagate = propagate
+
+
+_worker_task = None  # (task, shared), in a pool worker
+
+
+def _start_worker(task, shared) -> None:
+    global _worker_task
+    _worker_task = task, shared
+
+
+def _run_in_worker(i: int) -> tuple:
+    return _held_back(*_worker_task, i)
+
+
+def map_in_order(task, shared, n: int):
+    """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
+
+    With more than one CPU in the affinity mask (`usable_cpus`) and more
+    than one task, the tasks run in a pool of min(n, CPUs) fork-started
+    processes, and the pool has ended before the first result is yielded.
+    Otherwise they run here, one at a time, as the results are consumed.
+    A worker gets `shared` by fork inheritance, as its initializer's
+    argument, so `shared` is never pickled: a task gets only its index, and
+    only its result travels back, so each task should return little. Fork
+    rather than spawn, because a spawned worker would import the package
+    and unpickle `shared` again; the commands that start a pool run no
+    thread of their own when it forks.
+
+    Either way, whatever the package logs during a task is held back and
+    handed to its loggers just before that task's result is yielded; a task
+    that raised has its exception raised there instead. So records, results
+    and the first failure come in task order, as a serial loop makes them.
+    """
+    workers = min(n, usable_cpus())
+    if workers > 1:
+        # Imported here: only the offline commands ever start a pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _start_worker, (task, shared)) as pool:
+            outcomes = list(pool.map(_run_in_worker, range(n)))
+    else:
+        outcomes = (_held_back(task, shared, i) for i in range(n))
+    for records, failed, value in outcomes:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if failed:
+            raise value
+        yield value

@@ -35,10 +35,14 @@ from ausentinel.core import (
     ErrorEvent,
     GroundTruth,
     TrialRecord,
+    map_in_order,
     timesteps_to_seconds,
 )
 from ausentinel.detector import WindowConfig, run_trial
-from ausentinel.model import ModelParams, TrainConfig, corpus_matrices, finetune, train
+
+# `train` is not called here, but bench/worker.py traces it under this name.
+from ausentinel.model import (ModelParams, TrainConfig, _fit, corpus_matrices, finetune,
+                              init_params, train)
 
 logger = logging.getLogger(__name__)
 
@@ -193,21 +197,37 @@ class Fold:
 
 def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
                 cfg: WindowConfig | None = None) -> list[Fold]:
-    """Leave-one-participant-out folds: train on the rest, detect on the one."""
+    """Leave-one-participant-out folds: train on the rest, detect on the one.
+
+    The folds' models are trained one per process (`core.map_in_order`),
+    each worker taking the rows of the corpus matrix that its held-out
+    participant does not own; models, log records and the first failure
+    come back in fold order, as training the folds one by one gives them.
+    Detection on the held-out trials runs here.
+    """
     hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
     participants = sorted({t.participant_id for t in corpus})
     if len(participants) < 2:
         raise ContractError("cross validation needs at least 2 participants")
+    X, y = corpus_matrices(corpus)
+    rank = {p: k for k, p in enumerate(participants)}
+    owner = np.repeat([rank[t.participant_id] for t in corpus], [len(t) for t in corpus])
+    models = map_in_order(_fold_model, (X, y, owner, hyper), len(participants))
     folds = []
-    for held_out in participants:
-        train_set = [t for t in corpus if t.participant_id != held_out]
-        test_set = [t for t in corpus if t.participant_id == held_out]
-        assert not any(t.participant_id == held_out for t in train_set)  # leakage
-        params = train(train_set, hyper)
-        scored = tuple((t, run_trial(t, params, cfg)) for t in test_set)
+    for held_out, params in zip(participants, models):
+        scored = tuple((t, run_trial(t, params, cfg))
+                       for t in corpus if t.participant_id == held_out)
         folds.append(Fold(held_out, params, scored))
     return folds
+
+
+def _fold_model(shared, k: int) -> ModelParams:
+    """Fold k's model: trained on every row of `shared` = (X, y, owner,
+    hyper) that participant k does not own, as `train` on those trials."""
+    X, y, owner, hyper = shared
+    keep = owner != k
+    return _fit(init_params(hyper.seed), X[keep], y[keep], hyper)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ from ausentinel.core import (
     TrialRecord,
     as_au_vector,
     check_field,
+    map_in_order,
     zero_au_vector,
 )
 
@@ -789,6 +790,22 @@ def _manifest_trials(manifest) -> list[tuple]:
     return trials
 
 
+def _decode_timesteps(shared, i: int):
+    """Trial file i of `shared` = ([(path, trial_start)], policy) as
+    (timesteps, its counters), or None when it is not clean or anything
+    fails; `read_corpus` then reads it itself. Never raises."""
+    paths, policy = shared
+    path, trial_start = paths[i]
+    stats = StreamStats()
+    try:
+        columns = _decode_trial(path, stats)
+        if columns is None:
+            return None
+        return _columns_to_timesteps(*columns, policy, trial_start, stats), stats
+    except Exception:
+        return None
+
+
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
                 stats: StreamStats | None = None, *,
                 error_budget: int = 10) -> list[TrialRecord]:
@@ -797,11 +814,15 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     Each trial's timesteps are those of a `TimestepBuilder` fed the file's
     frames sorted by time (stably), then finished. A clean frame file is
     decoded into columns and arbitrated in one numpy pass, with no
-    per-frame object; a file with any record `read_stream` would skip, or
-    any value the column checks cannot vouch for, is read by `read_stream`
-    instead (same warnings, skip counts and errors, and its own
-    `error_budget`) and its frames then take the same pass. Every trial adds
-    its ingest counters to `stats` when provided.
+    per-frame object. The clean files are decoded one per process
+    (`core.map_in_order`), each worker returning only the trial's timesteps
+    and counters. A file with any record `read_stream` would skip, or any
+    value the column checks cannot vouch for, is then read here, in
+    manifest order, by `read_stream` (same warnings, skip counts and
+    errors, and its own `error_budget`), and its frames take the same pass.
+    Every trial adds its ingest counters to `stats` when provided, in
+    manifest order, so counters, warnings and errors are those of reading
+    the files one by one.
 
     The manifest and the annotations are checked before any frame file is
     read: a manifest that does not decode as UTF-8 JSON, or whose shape is
@@ -821,10 +842,18 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     entries = _manifest_trials(manifest)
     ann_path = os.path.join(corpus_dir, "annotations.csv")
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
+    paths = [(os.path.join(corpus_dir, frames), trial_start)
+             for _, _, _, frames, trial_start in entries]
+    decoded = map_in_order(_decode_timesteps, (paths, policy), len(paths))
     trials = []
-    for trial_id, participant_id, error_type, frames, trial_start in entries:
-        columns = _read_trial(os.path.join(corpus_dir, frames), stats, error_budget)
-        timesteps = _columns_to_timesteps(*columns, policy, trial_start, stats)
+    for (trial_id, participant_id, error_type, frames, trial_start), done in zip(
+            entries, decoded):
+        if done is None:
+            columns = _read_trial(os.path.join(corpus_dir, frames), stats, error_budget)
+            timesteps = _columns_to_timesteps(*columns, policy, trial_start, stats)
+        else:
+            timesteps, counts = done
+            stats.add(counts)
         ann = annotations.get(trial_id)
         if ann is not None:
             for key, value in (("participant_id", participant_id),

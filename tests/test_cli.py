@@ -128,8 +128,10 @@ def test_detect_from_stdin(cli_env, capsys, monkeypatch):
             json.loads(line)
 
 
-def _detect_over_tcp(model, payload: bytes, events_path):
-    """Run `detect --listen` in a thread, send it `payload`; returns its exit code."""
+def _detect_over_tcp(model, payload: bytes, events_path, *, flags=(), hold_open=False):
+    """Run `detect --listen` in a thread, send it `payload`; returns its exit code.
+
+    With `hold_open` the peer keeps its end open until `detect` returns."""
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
@@ -140,7 +142,7 @@ def _detect_over_tcp(model, payload: bytes, events_path):
     def serve():
         result["rc"] = main(["detect", "--model", str(model),
                              "--listen", f"127.0.0.1:{port}",
-                             "--out", str(events_path)])
+                             "--out", str(events_path), *flags])
 
     server = threading.Thread(target=serve)
     server.start()
@@ -153,8 +155,10 @@ def _detect_over_tcp(model, payload: bytes, events_path):
             time.sleep(0.05)
     assert client is not None, "detector never started listening"
     client.sendall(payload)
-    client.close()
+    if not hold_open:
+        client.close()
     server.join(timeout=20)
+    client.close()
     assert not server.is_alive()
     return result["rc"]
 
@@ -164,6 +168,30 @@ def test_detect_listen_tcp(cli_env, tmp_path):
     payload = (cli_env["corpus"] / "frames" / "p00_t00.jsonl").read_bytes()
     assert _detect_over_tcp(cli_env["model"], payload, events_path) == 0
     assert events_path.exists()
+
+
+def test_detect_listen_ends_the_stream_of_an_idle_peer(tmp_path, capsys, caplog, monkeypatch):
+    # The peer sends two timesteps of frames, then nothing, and keeps its end
+    # open: detect ends the stream as at EOF once LISTEN_IDLE_S has passed.
+    from ausentinel import cli
+    from ausentinel.core import StreamStats
+
+    monkeypatch.setattr(cli, "LISTEN_IDLE_S", 0.3)
+    model, events = tmp_path / "model.json", tmp_path / "events.jsonl"
+    _always_firing_model(model)
+    payload = "".join(_frame_line("cam_a", k) + "\n" for k in range(20)).encode()
+    with caplog.at_level("WARNING"):
+        rc = _detect_over_tcp(model, payload, events, hold_open=True,
+                              flags=["--window-len", "1", "--threshold", "0.5"])
+    assert rc == 0
+    # Timestep 1 closes only when the builder finishes.
+    assert [json.loads(line)["detected_at"] for line in events.read_text().splitlines()] \
+        == [0, 1]
+    summary = _summary(capsys.readouterr().err)
+    assert set(summary) == set(vars(StreamStats()))
+    assert (summary["frames_read"], summary["timesteps"]) == (20, 2)
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "stream ended idle: nothing received for 0.3 s"]
 
 
 def test_detect_listen_closes_its_socket_when_the_stream_fails(tmp_path, capsys):
@@ -523,6 +551,27 @@ def test_config_file_sets_defaults(cli_env, tmp_path, capsys):
                "--report", str(report)])
     assert rc == 0
     assert len(json.loads(report.read_text())["epochs"]) == 2
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--input", "INPUT"], {"corpus": "CORPUS"}, "--input and --corpus"),
+    ([], {"input": "INPUT", "listen": "127.0.0.1:1"}, "--input and --listen"),
+], ids=["flag-and-config", "config-alone"])
+def test_config_cannot_open_a_second_detect_source(cli_env, tmp_path, capsys,
+                                                   flags, config, named):
+    # The config once filled a second source as a default, and `detect` ran
+    # the corpus, ignoring --input.
+    values = {"INPUT": str(cli_env["corpus"] / "frames" / "p00_t00.jsonl"),
+              "CORPUS": str(cli_env["corpus"])}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: values.get(v, v) for k, v in config.items()}))
+    events = tmp_path / "events.jsonl"
+    rc = main(["detect", "--model", str(cli_env["model"]), "--out", str(events),
+               *[values.get(f, f) for f in flags], "--config", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {named} are mutually exclusive, "
+                                       "on the command line and in --config together\n")
+    assert not events.exists()
 
 
 def test_config_rejects_unknown_key(cli_env, tmp_path, capsys):

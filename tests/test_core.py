@@ -1,13 +1,17 @@
 """Core vocabulary: catalog, time mapping, frames, trials, events."""
 
 import hashlib
+import logging
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ausentinel import core
 from ausentinel.core import (
     AU_IDS,
     AU_NAMES,
@@ -22,6 +26,7 @@ from ausentinel.core import (
     TrialRecord,
     as_au_vector,
     catalog_hash,
+    map_in_order,
     timestep_of,
     timesteps_to_seconds,
     zero_au_vector,
@@ -230,3 +235,39 @@ def test_error_event_ordering_and_seconds():
     assert ev.estimated_t() == 11.0
     with pytest.raises(ContractError):
         ErrorEvent(detected_at=10, estimated_start=11, score=6.0)
+
+
+# ---------------------------------------------------------------------------
+# map_in_order: independent tasks, in a pool or in-process
+
+
+def _logged_task(shared, i):
+    logging.getLogger("ausentinel.test").warning("task %d", i)
+    if i == 2:
+        raise ContractError(f"task {i} failed")
+    return i * i, os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog, cpus):
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    # A lock cannot be pickled, so it reaches the workers by fork alone.
+    with caplog.at_level("WARNING"):
+        results = list(map_in_order(_logged_task, threading.Lock(), 2))
+    assert [square for square, _ in results] == [0, 1]
+    assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1"]
+    in_process = [pid == os.getpid() for _, pid in results]
+    assert in_process == [cpus == 1] * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_in_order_raises_the_first_failure_after_the_records_before_it(
+        monkeypatch, caplog, cpus):
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    results = map_in_order(_logged_task, None, 5)
+    with caplog.at_level("WARNING"):
+        assert [square for square, _ in (next(results), next(results))] == [0, 1]
+        with pytest.raises(ContractError, match="task 2 failed"):
+            next(results)
+    assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1", "task 2"]
+    assert logging.getLogger("ausentinel").propagate

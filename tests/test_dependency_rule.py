@@ -59,21 +59,21 @@ def test_only_core_decides_the_kind_of_a_json_field():
 
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
-# `simulate`, and numpy.random only training.
-_NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "numpy.random")
+# `simulate`, numpy.random only training, and the process pool only the
+# commands that read a corpus.
+_POOL = ("multiprocessing", "concurrent.futures")
+_NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "numpy.random",
+                         *_POOL)
 
 
-def test_detect_loads_only_what_it_runs(tmp_path):
-    fixtures = Path(__file__).parent / "fixtures" / "live_lock"
-    stream = tmp_path / "stream.jsonl"
-    lines = (fixtures / "stream.jsonl").read_text(encoding="utf-8").splitlines(True)
-    stream.write_text("".join(lines[:41]), encoding="utf-8")  # header and 2 timesteps
+def _loaded_after(argv: list[str], modules) -> list[str]:
+    """Run the CLI on `argv` in a fresh interpreter, which must exit 0, and
+    return which of `modules` it loaded."""
     code = (
         "import json, sys\n"
         "from ausentinel.cli import main\n"
-        f"rc = main(['detect', '--model', {str(fixtures / 'model.json')!r}, "
-        f"'--input', {str(stream)!r}, '--out', {str(tmp_path / 'events.jsonl')!r}])\n"
-        f"print(json.dumps([rc, [m for m in {_NOT_ON_THE_LIVE_PATH!r} if m in sys.modules]]))\n"
+        f"rc = main({argv!r})\n"
+        f"print(json.dumps([rc, [m for m in {tuple(modules)!r} if m in sys.modules]]))\n"
     )
     src = Path(ausentinel.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -81,4 +81,22 @@ def test_detect_loads_only_what_it_runs(tmp_path):
                          text=True, timeout=60, check=True)
     rc, loaded = json.loads(out.stdout.strip().splitlines()[-1])
     assert rc == 0, out.stderr
-    assert loaded == []
+    return loaded
+
+
+def test_detect_loads_only_what_it_runs(tmp_path):
+    fixtures = Path(__file__).parent / "fixtures" / "live_lock"
+    stream = tmp_path / "stream.jsonl"
+    lines = (fixtures / "stream.jsonl").read_text(encoding="utf-8").splitlines(True)
+    stream.write_text("".join(lines[:41]), encoding="utf-8")  # header and 2 timesteps
+    argv = ["detect", "--model", str(fixtures / "model.json"), "--input", str(stream),
+            "--out", str(tmp_path / "events.jsonl")]
+    assert _loaded_after(argv, _NOT_ON_THE_LIVE_PATH) == []
+
+
+def test_simulate_never_loads_the_pool(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"participants": 2, "trials_per_participant": 1, "seed": 1,
+                                "trial_len_s": 3.0, "errors": [{"error_type": "none"}]}))
+    argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "corpus")]
+    assert _loaded_after(argv, _POOL) == []
