@@ -16,6 +16,7 @@ record that holds it (see `ingest.read_stream`).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -307,13 +308,26 @@ def _detect_stream(source, args, params, writer, stats: StreamStats) -> None:
     process(builder.finish())
 
 
-def _until_idle(lines):
-    """The lines of a socket stream, until the peer closes it or sends
-    nothing for `LISTEN_IDLE_S`; an idle stream ends as a closed one does."""
-    try:
-        yield from lines
-    except TimeoutError:
-        logger.warning("stream ended idle: nothing received for %g s", LISTEN_IDLE_S)
+class _UntilIdle(io.RawIOBase):
+    """The bytes of a socket stream, until the peer closes it or sends
+    nothing for `LISTEN_IDLE_S`: an idle stream ends as a closed one does,
+    so a last line without its newline is still read as a last line."""
+
+    def __init__(self, conn):
+        self._conn, self._idle = conn, False
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self._idle:
+            return 0
+        try:
+            return self._conn.recv_into(buffer)
+        except TimeoutError:
+            self._idle = True
+            logger.warning("stream ended idle: nothing received for %g s", LISTEN_IDLE_S)
+            return 0
 
 
 def cmd_detect(args) -> int:
@@ -343,8 +357,9 @@ def cmd_detect(args) -> int:
                 conn, peer = server.accept()
                 conn.settimeout(LISTEN_IDLE_S)
                 logger.info("stream from %s", peer)
-                with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
-                    _detect_stream(_until_idle(fh), args, params, writer, stats)
+                with conn, io.TextIOWrapper(io.BufferedReader(_UntilIdle(conn)),
+                                            encoding="utf-8", errors="replace") as fh:
+                    _detect_stream(fh, args, params, writer, stats)
         elif args.input:
             _detect_stream(args.input, args, params, writer, stats)
         else:

@@ -431,26 +431,31 @@ def _run_in_worker(i: int) -> tuple:
     return _held_back(*_worker_task, i)
 
 
-def map_in_order(task, shared, n: int):
+def map_in_order(task, shared, n: int, *, pool: bool = True):
     """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
 
-    With more than one CPU in the affinity mask (`usable_cpus`) and more
-    than one task, the tasks run in a pool of min(n, CPUs) fork-started
-    processes, and the pool has ended before the first result is yielded.
+    With `pool` (the caller's judgement that the tasks take long enough to
+    pay for starting one: 30-50 ms on a 2-vCPU VM), more than one CPU in
+    the affinity mask (`usable_cpus`) and more than one task, the tasks run
+    in a pool of min(n, CPUs) fork-started processes, and the pool has
+    ended before the first result is yielded.
     Otherwise they run here, one at a time, as the results are consumed.
     A worker gets `shared` by fork inheritance, as its initializer's
     argument, so `shared` is never pickled: a task gets only its index, and
     only its result travels back, so each task should return little. Fork
     rather than spawn, because a spawned worker would import the package
-    and unpickle `shared` again; the commands that start a pool run no
-    thread of their own when it forks.
+    and unpickle `shared` again. The process that forks must hold one
+    thread then, or Python 3.12 and later warn that the child may deadlock:
+    the commands that start a pool run no thread of their own, and numpy's
+    OpenBLAS stops its threads before a fork (its own fork handler) and
+    starts them again on its next call.
 
     Either way, whatever the package logs during a task is held back and
     handed to its loggers just before that task's result is yielded; a task
     that raised has its exception raised there instead. So records, results
     and the first failure come in task order, as a serial loop makes them.
     """
-    workers = min(n, usable_cpus())
+    workers = min(n, usable_cpus()) if pool else 1
     if workers > 1:
         # Imported here: only the offline commands ever start a pool.
         import multiprocessing

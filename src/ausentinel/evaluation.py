@@ -39,14 +39,17 @@ from ausentinel.core import (
     timesteps_to_seconds,
 )
 from ausentinel.detector import WindowConfig, run_trial
-
-# `train` is not called here, but bench/worker.py traces it under this name.
-from ausentinel.model import (ModelParams, TrainConfig, _fit, corpus_matrices, finetune,
-                              init_params, train)
+from ausentinel.model import ModelParams, TrainConfig, corpus_matrices, finetune, train
 
 logger = logging.getLogger(__name__)
 
 P_SIGNIFICANT = 0.05
+
+# `loocv_folds` trains in-process when its folds together train on fewer rows
+# than this, counting each training timestep once per epoch: on a 2-vCPU VM
+# such folds gain less from a process pool (`core.map_in_order`) than it
+# costs to start.
+POOL_MIN_ROW_EPOCHS = 500_000
 
 # One trial's detector events, ready for scoring.
 ScoredTrial = tuple[TrialRecord, list[ErrorEvent]]
@@ -200,34 +203,35 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     """Leave-one-participant-out folds: train on the rest, detect on the one.
 
     The folds' models are trained one per process (`core.map_in_order`),
-    each worker taking the rows of the corpus matrix that its held-out
-    participant does not own; models, log records and the first failure
-    come back in fold order, as training the folds one by one gives them.
-    Detection on the held-out trials runs here.
+    unless they train on fewer than `POOL_MIN_ROW_EPOCHS` rows together;
+    models, log records and the first failure come back in fold order, as
+    training the folds one by one gives them. Detection on the held-out
+    trials runs here.
     """
     hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
     participants = sorted({t.participant_id for t in corpus})
     if len(participants) < 2:
         raise ContractError("cross validation needs at least 2 participants")
-    X, y = corpus_matrices(corpus)
-    rank = {p: k for k, p in enumerate(participants)}
-    owner = np.repeat([rank[t.participant_id] for t in corpus], [len(t) for t in corpus])
-    models = map_in_order(_fold_model, (X, y, owner, hyper), len(participants))
+    row_epochs = sum(len(t) for t in corpus) * (len(participants) - 1) * hyper.epochs
+    models = map_in_order(_fold_model, (corpus, participants, hyper), len(participants),
+                          pool=row_epochs >= POOL_MIN_ROW_EPOCHS)
     folds = []
     for held_out, params in zip(participants, models):
-        scored = tuple((t, run_trial(t, params, cfg))
-                       for t in corpus if t.participant_id == held_out)
+        test_set = [t for t in corpus if t.participant_id == held_out]
+        scored = tuple((t, run_trial(t, params, cfg)) for t in test_set)
         folds.append(Fold(held_out, params, scored))
     return folds
 
 
 def _fold_model(shared, k: int) -> ModelParams:
-    """Fold k's model: trained on every row of `shared` = (X, y, owner,
-    hyper) that participant k does not own, as `train` on those trials."""
-    X, y, owner, hyper = shared
-    keep = owner != k
-    return _fit(init_params(hyper.seed), X[keep], y[keep], hyper)
+    """Fold k's model, of `shared` = (corpus, participants, hyper): trained
+    on every trial but participant k's."""
+    corpus, participants, hyper = shared
+    held_out = participants[k]
+    train_set = [t for t in corpus if t.participant_id != held_out]
+    assert not any(t.participant_id == held_out for t in train_set)  # leakage
+    return train(train_set, hyper)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,11 @@ MAX_GAP_S = 600.0
 # It bounds outside input (--fps), whose slots and buffers scale with it.
 MAX_FRAMES_PER_TIMESTEP = 400
 
+# `read_corpus` reads frame files that total fewer bytes than this in-process:
+# on one CPU of a 2-vCPU VM they decode in under ~0.1 s, too little to pay for
+# a process pool (`core.map_in_order`).
+POOL_MIN_BYTES = 4 * 2**20
+
 
 @dataclass(frozen=True)
 class ArbitrationPolicy:
@@ -790,20 +795,14 @@ def _manifest_trials(manifest) -> list[tuple]:
     return trials
 
 
-def _decode_timesteps(shared, i: int):
-    """Trial file i of `shared` = ([(path, trial_start)], policy) as
-    (timesteps, its counters), or None when it is not clean or anything
-    fails; `read_corpus` then reads it itself. Never raises."""
-    paths, policy = shared
+def _trial_timesteps(shared, i: int):
+    """Trial file i of `shared` = ([(path, trial_start)], policy,
+    error_budget) as (timesteps, the file's own counters)."""
+    paths, policy, error_budget = shared
     path, trial_start = paths[i]
     stats = StreamStats()
-    try:
-        columns = _decode_trial(path, stats)
-        if columns is None:
-            return None
-        return _columns_to_timesteps(*columns, policy, trial_start, stats), stats
-    except Exception:
-        return None
+    columns = _read_trial(path, stats, error_budget)
+    return _columns_to_timesteps(*columns, policy, trial_start, stats), stats
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
@@ -814,15 +813,16 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     Each trial's timesteps are those of a `TimestepBuilder` fed the file's
     frames sorted by time (stably), then finished. A clean frame file is
     decoded into columns and arbitrated in one numpy pass, with no
-    per-frame object. The clean files are decoded one per process
-    (`core.map_in_order`), each worker returning only the trial's timesteps
-    and counters. A file with any record `read_stream` would skip, or any
-    value the column checks cannot vouch for, is then read here, in
-    manifest order, by `read_stream` (same warnings, skip counts and
-    errors, and its own `error_budget`), and its frames take the same pass.
-    Every trial adds its ingest counters to `stats` when provided, in
-    manifest order, so counters, warnings and errors are those of reading
-    the files one by one.
+    per-frame object; a file with any record `read_stream` would skip, or
+    any value the column checks cannot vouch for, is read by `read_stream`
+    instead (same warnings, skip counts and errors, and its own
+    `error_budget`) and its frames then take the same pass. The files are
+    read one per process (`core.map_in_order`), each worker returning only
+    the trial's timesteps and its counters; every trial adds its counters
+    to `stats` when provided, and its log records are handed on, in
+    manifest order, so counters, warnings and the first error are those of
+    reading the files one by one. Files that total fewer than
+    `POOL_MIN_BYTES` are read here.
 
     The manifest and the annotations are checked before any frame file is
     read: a manifest that does not decode as UTF-8 JSON, or whose shape is
@@ -844,16 +844,16 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
     paths = [(os.path.join(corpus_dir, frames), trial_start)
              for _, _, _, frames, trial_start in entries]
-    decoded = map_in_order(_decode_timesteps, (paths, policy), len(paths))
+    try:
+        size = sum(os.path.getsize(path) for path, _ in paths)
+    except OSError:  # reading the file reports it
+        size = 0
+    decoded = map_in_order(_trial_timesteps, (paths, policy, error_budget), len(paths),
+                           pool=size >= POOL_MIN_BYTES)
     trials = []
-    for (trial_id, participant_id, error_type, frames, trial_start), done in zip(
+    for (trial_id, participant_id, error_type, _, _), (timesteps, counts) in zip(
             entries, decoded):
-        if done is None:
-            columns = _read_trial(os.path.join(corpus_dir, frames), stats, error_budget)
-            timesteps = _columns_to_timesteps(*columns, policy, trial_start, stats)
-        else:
-            timesteps, counts = done
-            stats.add(counts)
+        stats.add(counts)
         ann = annotations.get(trial_id)
         if ann is not None:
             for key, value in (("participant_id", participant_id),

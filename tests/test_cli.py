@@ -170,18 +170,23 @@ def test_detect_listen_tcp(cli_env, tmp_path):
     assert events_path.exists()
 
 
-def test_detect_listen_ends_the_stream_of_an_idle_peer(tmp_path, capsys, caplog, monkeypatch):
-    # The peer sends two timesteps of frames, then nothing, and keeps its end
-    # open: detect ends the stream as at EOF once LISTEN_IDLE_S has passed.
+@pytest.mark.parametrize("idle", [True, False], ids=["idle-peer", "closing-peer"])
+def test_detect_listen_ends_the_stream_of_an_idle_peer_as_at_a_close(
+        tmp_path, capsys, caplog, monkeypatch, idle):
+    # The peer sends two timesteps of frames and a last line without its
+    # newline, then either goes quiet with its end open or closes it. Once
+    # LISTEN_IDLE_S has passed, the quiet peer's stream ends as the closed
+    # one does: the same events, summary and skipped last line.
     from ausentinel import cli
     from ausentinel.core import StreamStats
 
     monkeypatch.setattr(cli, "LISTEN_IDLE_S", 0.3)
     model, events = tmp_path / "model.json", tmp_path / "events.jsonl"
     _always_firing_model(model)
-    payload = "".join(_frame_line("cam_a", k) + "\n" for k in range(20)).encode()
+    lines = "".join(_frame_line("cam_a", k) + "\n" for k in range(20))
+    payload = (lines + _frame_line("cam_a", 20)[:30]).encode()
     with caplog.at_level("WARNING"):
-        rc = _detect_over_tcp(model, payload, events, hold_open=True,
+        rc = _detect_over_tcp(model, payload, events, hold_open=idle,
                               flags=["--window-len", "1", "--threshold", "0.5"])
     assert rc == 0
     # Timestep 1 closes only when the builder finishes.
@@ -189,9 +194,14 @@ def test_detect_listen_ends_the_stream_of_an_idle_peer(tmp_path, capsys, caplog,
         == [0, 1]
     summary = _summary(capsys.readouterr().err)
     assert set(summary) == set(vars(StreamStats()))
-    assert (summary["frames_read"], summary["timesteps"]) == (20, 2)
-    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
-        "stream ended idle: nothing received for 0.3 s"]
+    assert (summary["frames_read"], summary["timesteps"], summary["records_skipped"]) \
+        == (20, 2, 1)
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert [m.split(":")[0] for m in warned] == [
+        *(["stream ended idle"] if idle else []),
+        "skipping malformed record at line 21", "skipped 1 malformed records"]
+    if idle:
+        assert warned[0] == "stream ended idle: nothing received for 0.3 s"
 
 
 def test_detect_listen_closes_its_socket_when_the_stream_fails(tmp_path, capsys):

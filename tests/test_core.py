@@ -248,16 +248,17 @@ def _logged_task(shared, i):
     return i * i, os.getpid()
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog, cpus):
+@pytest.mark.parametrize("cpus, pool", [(1, True), (2, True), (3, True), (2, False)])
+def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog,
+                                                               cpus, pool):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     # A lock cannot be pickled, so it reaches the workers by fork alone.
     with caplog.at_level("WARNING"):
-        results = list(map_in_order(_logged_task, threading.Lock(), 2))
+        results = list(map_in_order(_logged_task, threading.Lock(), 2, pool=pool))
     assert [square for square, _ in results] == [0, 1]
     assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1"]
     in_process = [pid == os.getpid() for _, pid in results]
-    assert in_process == [cpus == 1] * 2
+    assert in_process == [cpus == 1 or not pool] * 2
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

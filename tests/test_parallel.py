@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ausentinel
-from ausentinel import core
+from ausentinel import core, evaluation, ingest
 from ausentinel.cli import main
 from ausentinel.core import GroundTruth, StreamFormatError, StreamStats
 from ausentinel.evaluation import loocv_folds
@@ -38,8 +38,24 @@ _SPEC = {
 }
 
 
+# This process's thread count just after each of its forks (Linux only).
+_threads_at_fork: list[int] = []
+
+
+def _count_threads() -> None:
+    with open("/proc/self/stat") as fh:  # field 20 is the thread count
+        _threads_at_fork.append(int(fh.read().rpartition(")")[2].split()[17]))
+
+
+if os.path.exists("/proc/self/stat"):
+    os.register_at_fork(after_in_parent=_count_threads)
+
+
 def use_cpus(monkeypatch, cpus: int) -> None:
+    """Run on `cpus` CPUs, with a pool for work of any size when there are 2."""
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ingest, "POOL_MIN_BYTES", 0)
+    monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", 0)
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +151,10 @@ def test_an_unreadable_first_line_keeps_its_error(corpus, tmp_path, monkeypatch)
                                   "line 1 column 2 (char 1)")
 
 
-def test_files_read_again_here_keep_their_warnings_and_counters(corpus, tmp_path,
-                                                                monkeypatch, caplog):
-    # Two files hold garbage lines, so read_corpus reads them with
-    # read_stream, between the files the workers decoded.
+def test_files_with_skipped_lines_keep_their_warnings_and_counters(corpus, tmp_path,
+                                                                   monkeypatch, caplog):
+    # Two files hold garbage lines, so their workers read them with
+    # read_stream, between files that decode clean.
     corpus = _copy(corpus, tmp_path)
     for name, line_no in (("p00_t01.jsonl", 5), ("p02_t00.jsonl", 9)):
         path = corpus / "frames" / name
@@ -163,6 +179,44 @@ def test_files_read_again_here_keep_their_warnings_and_counters(corpus, tmp_path
     assert (counters["records_skipped"], counters["frames_read"]) == (2, frame_lines - 2)
 
 
+def test_only_work_past_its_threshold_starts_a_pool(corpus, monkeypatch):
+    # Decoding is sized by the frame files' bytes, training by its rows
+    # times epochs; anything smaller runs in-process even with 2 CPUs.
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    pools = []
+
+    def spy(task, shared, n, *, pool):
+        pools.append(pool)
+        return core.map_in_order(task, shared, n, pool=pool)
+
+    monkeypatch.setattr(ingest, "map_in_order", spy)
+    monkeypatch.setattr(evaluation, "map_in_order", spy)
+    size = sum(path.stat().st_size for path in (corpus / "frames").iterdir())
+    for threshold in (size + 1, size):
+        monkeypatch.setattr(ingest, "POOL_MIN_BYTES", threshold)
+        trials = read_corpus(corpus)
+    row_epochs = sum(len(t) for t in trials) * 2 * 5  # 3 participants, 5 epochs
+    for threshold in (row_epochs + 1, row_epochs):
+        monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", threshold)
+        loocv_folds(trials, TrainConfig(epochs=5))
+    assert pools == [False, True, False, True]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="Linux /proc only")
+def test_workers_fork_from_a_process_of_one_thread(corpus, monkeypatch, capsys):
+    # Python 3.12 and later warn (an error in this suite) when os.fork runs
+    # in a process of more than one thread, as the pool's fork would with
+    # OpenBLAS's threads running. OpenBLAS stops them before a fork, so the
+    # parent is down to its one thread then, as Python counts it.
+    use_cpus(monkeypatch, 2)
+    blas = np.ones((200, 200))
+    blas @ blas  # OpenBLAS's threads run from here
+    _threads_at_fork.clear()
+    assert main(["evaluate", "--corpus", str(corpus), "--epochs", "5"]) == 0
+    capsys.readouterr()
+    assert _threads_at_fork == [1] * 4  # 2 decoding workers, 2 training workers
+
+
 def test_no_worker_outlives_a_command(corpus, tmp_path):
     # `evaluate` once to success and once to exit 2, in a fresh interpreter
     # with two workers; after each, the process must have no child left.
@@ -173,7 +227,9 @@ def test_no_worker_outlives_a_command(corpus, tmp_path):
         "import json, os, resource, sys\n"
         "from ausentinel import core\n"
         "from ausentinel.cli import main\n"
+        "from ausentinel import evaluation, ingest\n"
         "core.usable_cpus = lambda: 2\n"
+        "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n"
         "seen = []\n"
         "for corpus in sys.argv[1:]:\n"
         "    rc = main(['evaluate', '--corpus', corpus, '--epochs', '5'])\n"
