@@ -28,6 +28,7 @@ from ausentinel.core import (
     AusentinelError,
     ContractError,
     StreamStats,
+    canonical_json,
     check_field,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
@@ -245,10 +246,6 @@ def _hyper(args) -> TrainConfig:
                        seed=args.seed)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def cmd_train(args) -> int:
     trials = read_corpus(args.corpus, _policy(args))
     epoch_log: list = []
@@ -275,7 +272,7 @@ class _EventWriter:
         self._stats = stats
 
     def write(self, trial_id: str, event, trial_start: float) -> None:
-        self._fh.write(_dump(event_to_obj(trial_id, event, trial_start)) + "\n")
+        self._fh.write(canonical_json(event_to_obj(trial_id, event, trial_start)) + "\n")
         self._fh.flush()  # live consumers see events as they fire
         self._stats.events += 1
         if not event.merged:
@@ -339,14 +336,15 @@ def cmd_detect(args) -> int:
             cfg = _window(args)
             for trial in read_corpus(args.corpus, _policy(args), stats,
                                      error_budget=args.error_budget):
-                start = trial.timesteps[0].t_start if trial.timesteps else 0.0
                 for event in run_trial(trial, params, cfg):
-                    writer.write(trial.trial_id, event, start)
+                    writer.write(trial.trial_id, event, trial.trial_start)
                 stats.timesteps += len(trial)
         elif args.listen:
             host, _, port = args.listen.rpartition(":")
-            if not port.isdigit():
-                raise ContractError(f"--listen wants host:port, got {args.listen!r}")
+            # ASCII digits only, and few: int() of thousands of digits raises.
+            if not (port.isascii() and port.isdigit() and len(port.lstrip("0")) <= 5
+                    and int(port) <= 65535):
+                raise ContractError(f"--listen wants host:port, port 0-65535: {args.listen!r}")
             import socket  # only --listen needs it; `detect` starts leaner without
 
             with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
@@ -371,7 +369,7 @@ def cmd_detect(args) -> int:
         writer.close()
     if stats.records_skipped:
         logger.warning("skipped %d malformed records", stats.records_skipped)
-    print(_dump(vars(stats)), file=sys.stderr)
+    print(canonical_json(vars(stats)), file=sys.stderr)
     return 0
 
 

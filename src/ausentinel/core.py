@@ -19,6 +19,7 @@ them.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import os
@@ -76,6 +77,11 @@ _CATALOG_SHA256 = "8e1e4e373ca9af2e277b56f8beccf93e84546a81be77a161289edf2fd2ddb
 def catalog_hash() -> str:
     """Hex digest pinning the AU ordering; embedded in serialized artifacts."""
     return _CATALOG_SHA256
+
+
+def canonical_json(obj) -> str:
+    """`obj` as the package writes all JSON: keys sorted, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class AusentinelError(Exception):
@@ -262,18 +268,13 @@ class Timestep:
 
     `au` is a float64 array of the 17 intensities; `valid_face` is False
     when no tick of the timestep held a frame above the confidence floor,
-    and `au` is then all zero. Read-only by convention, as `AuFrame` is.
+    and `au` is then all zero. Its seconds are `trial_start + index / 3`.
+    Read-only by convention, as `AuFrame` is.
     """
 
     index: int
-    t_start: float
-    t_end: float
     au: np.ndarray
     valid_face: bool = True
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ContractError(f"negative timestep index {self.index}")
 
 
 @dataclass(frozen=True)
@@ -319,39 +320,43 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """An ordered timestep sequence plus optional annotations for one trial."""
+    """One trial: a float64 (n, 17) `au` matrix whose row k is timestep k and
+    its (n,) bool `valid_face` mask (see `Timestep`), plus optional annotations."""
 
     trial_id: str
     participant_id: str
     error_type: str
-    timesteps: tuple[Timestep, ...]
+    au: np.ndarray
+    valid_face: np.ndarray
+    trial_start: float = 0.0
     annotations: GroundTruth | None = None
 
     def __post_init__(self) -> None:
         if self.error_type not in ERROR_TYPES:
             raise ContractError(f"unknown error type {self.error_type!r}")
-        for pos, ts in enumerate(self.timesteps):
-            if ts.index != pos:
-                raise ContractError(
-                    f"trial {self.trial_id}: timestep index {ts.index} at position {pos}"
-                )
+        au, valid = self.au, self.valid_face
+        if not (isinstance(au, np.ndarray) and au.dtype == np.float64 and au.ndim == 2
+                and au.shape[1] == N_AUS):
+            raise ContractError(f"trial {self.trial_id}: au is not a float64 (n, 17) array")
+        if not (isinstance(valid, np.ndarray) and valid.dtype == bool
+                and valid.shape == (len(au),)):
+            raise ContractError(f"trial {self.trial_id}: valid_face is not {len(au)} bools")
         if self.annotations is not None:
-            self.annotations.validate_bounds(len(self.timesteps))
+            self.annotations.validate_bounds(len(au))
 
     def __len__(self) -> int:
-        return len(self.timesteps)
+        return len(self.au)
 
-    def au_matrix(self) -> np.ndarray:
-        """Stacked intensities, shape (n_timesteps, 17)."""
-        if not self.timesteps:
-            return np.zeros((0, N_AUS), dtype=np.float64)
-        return np.stack([ts.au for ts in self.timesteps])
+    @property
+    def timesteps(self) -> tuple[Timestep, ...]:
+        """The rows as `Timestep`s, each `au` a view of its row."""
+        return tuple(map(Timestep, range(len(self.au)), self.au, self.valid_face.tolist()))
 
     def label_array(self) -> np.ndarray:
         """Per-timestep error labels; all False when unannotated."""
         if self.annotations is None:
-            return np.zeros(len(self.timesteps), dtype=bool)
-        return self.annotations.label_array(len(self.timesteps))
+            return np.zeros(len(self), dtype=bool)
+        return self.annotations.label_array(len(self))
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,10 @@ def run_trial(trial: TrialRecord, params: ModelParams,
               cfg: WindowConfig | None = None) -> list[ErrorEvent]:
     """Classify and filter one trial end to end; pure given its inputs.
 
-    The whole trial is scored in one call; `TrialRecord` keeps its indices
-    at 0..N-1, the indices `detect_sequence` gives the weights.
+    The whole trial is scored in one call: row k of `trial.au` is timestep
+    k, the index `detect_sequence` gives weight k.
     """
-    return detect_sequence(classify_timestep(params, trial.au_matrix()).tolist(), cfg)
+    return detect_sequence(classify_timestep(params, trial.au).tolist(), cfg)
 
 
 def event_to_obj(trial_id: str, event: ErrorEvent, trial_start: float = 0.0) -> dict:

@@ -21,7 +21,6 @@ t-distribution CDF (regularized incomplete beta via continued fraction).
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from ausentinel.core import (
     ErrorEvent,
     GroundTruth,
     TrialRecord,
+    canonical_json,
     map_in_order,
     timesteps_to_seconds,
 )
@@ -465,7 +465,7 @@ def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
 
 def write_report_json(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(canonical_json(report) + "\n")
 
 
 _CSV_COLUMNS = [

@@ -30,8 +30,8 @@ whole-trial numpy operations slot, de-duplicate and arbitrate the frames,
 as a builder fed the frames in time order would. A file that fails any
 check is read again by `read_stream`, so malformed records are skipped,
 counted, logged and budgeted in one place, and its frames then take the
-same batch pass. Either way, each timestep's winning ticks are reduced by
-`aggregate`, the one place a timestep is made.
+same batch pass, which fills the trial's matrix with no `Timestep`. Either
+way, `aggregate` reduces each timestep's winning ticks to its sample.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from ausentinel.core import (
     Timestep,
     TrialRecord,
     as_au_vector,
+    canonical_json,
     check_field,
     map_in_order,
     zero_au_vector,
@@ -137,35 +138,26 @@ class ArbitrationPolicy:
         return self.frames_per_timestep * RATE_HZ
 
 
-def aggregate(
-    rows: np.ndarray,
-    policy: ArbitrationPolicy,
-    index: int,
-    trial_start: float = 0.0,
-) -> Timestep:
-    """Reduce one timestep's winning ticks to a single sample.
+def aggregate(rows: np.ndarray, policy: ArbitrationPolicy) -> np.ndarray:
+    """Reduce one timestep's winning ticks to its sample row, a (17,) array.
 
     `rows` is a (k, 17) float64 array of the AU rows of the ticks whose
     winner cleared the confidence floor, in tick order. With none, the
-    timestep is a zero vector flagged invalid (a stream gap or sustained low
-    confidence). Every timestep, live or batch, is reduced and stamped here.
+    sample is a zero vector and the timestep invalid (a stream gap or
+    sustained low confidence). Every timestep, live or batch, is reduced here.
     """
     k = len(rows)
     if k > policy.frames_per_timestep:
         raise ContractError(
             f"{k} ticks in one timestep (max {policy.frames_per_timestep})"
         )
-    t_start = trial_start + index / RATE_HZ
-    t_end = trial_start + (index + 1) / RATE_HZ
     if not k:
-        return Timestep(index, t_start, t_end, zero_au_vector(), False)
+        return zero_au_vector()
     if policy.aggregator == "mean":
-        au = np.add.reduce(rows, axis=0) / k
-    elif policy.aggregator == "max":
-        au = np.maximum.reduce(rows, axis=0)
-    else:  # last; a copy, so the sample holds no view of a larger array
-        au = rows[-1].copy()
-    return Timestep(index, t_start, t_end, au, True)
+        return np.add.reduce(rows, axis=0) / k
+    if policy.aggregator == "max":
+        return np.maximum.reduce(rows, axis=0)
+    return rows[-1].copy()  # last; a copy, so the sample holds no view of a larger array
 
 
 def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
@@ -381,10 +373,9 @@ def write_frames_jsonl(path, frames, *, catalog_header: bool = True) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if catalog_header:
-            fh.write(json.dumps({"catalog": list(AU_IDS)}, separators=(",", ":")) + "\n")
+            fh.write(canonical_json({"catalog": list(AU_IDS)}) + "\n")
         for frame in frames:
-            fh.write(json.dumps(frame_to_obj(frame), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+            fh.write(canonical_json(frame_to_obj(frame)) + "\n")
             n += 1
     return n
 
@@ -548,7 +539,7 @@ class TimestepBuilder:
         k = len(winners)
         rows = np.fromiter(itertools.chain.from_iterable(winners), np.float64,
                            k * N_AUS).reshape(k, N_AUS)
-        return aggregate(rows, self.policy, index, self.trial_start)
+        return Timestep(index, aggregate(rows, self.policy), k > 0)
 
 
 def _check_first_frame(t: float, trial_start: float, fps: float, opens_trial: bool) -> None:
@@ -570,12 +561,13 @@ def _source_ranks(sources: list[str]) -> np.ndarray:
                        count=len(sources))
 
 
-def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
-                          trial_start: float, stats: StreamStats) -> list[Timestep]:
-    """Whole-trial `TimestepBuilder`: a trial's frames, as columns, to timesteps.
+def _columns_to_matrix(src, t, confidence, au, policy: ArbitrationPolicy,
+                       trial_start: float, stats: StreamStats):
+    """Whole-trial `TimestepBuilder`: a trial's frames, as columns, to its AU
+    matrix and `valid_face` mask.
 
-    The result equals feeding the frames to a builder sorted by time and
-    finishing it. Frames are stably sorted by `t`, keyed to slots as the
+    Row k is timestep k of a builder fed the frames sorted by time, then
+    finished. Frames are stably sorted by `t`, keyed to slots as the
     builder keys them, and the first frame per (slot, source) is kept; the
     others are counted on `stats.duplicate_frames`, and none is late. The
     winner of a slot has the highest confidence, ties going to the
@@ -584,7 +576,7 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     `src` holds source ranks (`_source_ranks`), and `au` is already clamped.
     """
     if not t.size:
-        return []
+        return np.zeros((0, N_AUS)), np.zeros(0, dtype=bool)
     order = np.argsort(t, kind="stable")
     _check_first_frame(float(t[order[0]]), trial_start, policy.fps, True)
     # Both readers hold every later frame within MAX_GAP_S of the ones
@@ -612,9 +604,10 @@ def _columns_to_timesteps(src, t, confidence, au, policy: ArbitrationPolicy,
     win = first & (conf > policy.min_confidence)
     rows = au[order[win]]
     # Timestep k's winning ticks are rows[bounds[k]:bounds[k + 1]].
-    bounds = np.searchsorted(slot[win], np.arange(n_timesteps + 1) * fpt).tolist()
-    return [aggregate(rows[lo:hi], policy, k, trial_start)
-            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    bounds = np.searchsorted(slot[win], np.arange(n_timesteps + 1) * fpt)
+    ends = bounds.tolist()
+    matrix = np.array([aggregate(rows[lo:hi], policy) for lo, hi in zip(ends, ends[1:])])
+    return matrix, bounds[1:] > bounds[:-1]
 
 
 # Decoded AU lists become arrays this many lines at a time, so only a block
@@ -795,14 +788,14 @@ def _manifest_trials(manifest) -> list[tuple]:
     return trials
 
 
-def _trial_timesteps(shared, i: int):
+def _trial_matrix(shared, i: int):
     """Trial file i of `shared` = ([(path, trial_start)], policy,
-    error_budget) as (timesteps, the file's own counters)."""
+    error_budget) as (AU matrix, valid_face mask, the file's own counters)."""
     paths, policy, error_budget = shared
     path, trial_start = paths[i]
     stats = StreamStats()
     columns = _read_trial(path, stats, error_budget)
-    return _columns_to_timesteps(*columns, policy, trial_start, stats), stats
+    return *_columns_to_matrix(*columns, policy, trial_start, stats), stats
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
@@ -810,15 +803,15 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
                 error_budget: int = 10) -> list[TrialRecord]:
     """Load a corpus directory (manifest.json + frames/ + annotations.csv).
 
-    Each trial's timesteps are those of a `TimestepBuilder` fed the file's
-    frames sorted by time (stably), then finished. A clean frame file is
-    decoded into columns and arbitrated in one numpy pass, with no
-    per-frame object; a file with any record `read_stream` would skip, or
-    any value the column checks cannot vouch for, is read by `read_stream`
-    instead (same warnings, skip counts and errors, and its own
-    `error_budget`) and its frames then take the same pass. The files are
-    read one per process (`core.map_in_order`), each worker returning only
-    the trial's timesteps and its counters; every trial adds its counters
+    Each trial's rows are the timesteps of a `TimestepBuilder` fed the
+    file's frames sorted by time (stably), then finished. A clean frame file
+    is decoded into columns and arbitrated in one numpy pass, with no
+    per-frame or per-timestep object; a file with any record `read_stream`
+    would skip, or any value the column checks cannot vouch for, is read by
+    `read_stream` instead (same warnings, skip counts and errors, and its
+    own `error_budget`) and its frames then take the same pass. The files
+    are read one per process (`core.map_in_order`), each worker returning
+    only the trial's two arrays and its counters; every trial adds its counters
     to `stats` when provided, and its log records are handed on, in
     manifest order, so counters, warnings and the first error are those of
     reading the files one by one. Files that total fewer than
@@ -848,10 +841,10 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
         size = sum(os.path.getsize(path) for path, _ in paths)
     except OSError:  # reading the file reports it
         size = 0
-    decoded = map_in_order(_trial_timesteps, (paths, policy, error_budget), len(paths),
+    decoded = map_in_order(_trial_matrix, (paths, policy, error_budget), len(paths),
                            pool=size >= POOL_MIN_BYTES)
     trials = []
-    for (trial_id, participant_id, error_type, _, _), (timesteps, counts) in zip(
+    for (trial_id, participant_id, error_type, _, trial_start), (au, valid, counts) in zip(
             entries, decoded):
         stats.add(counts)
         ann = annotations.get(trial_id)
@@ -866,7 +859,9 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
             trial_id=trial_id,
             participant_id=participant_id,
             error_type=error_type,
-            timesteps=tuple(timesteps),
+            au=au,
+            valid_face=valid,
+            trial_start=trial_start,
             annotations=ann["ground_truth"] if ann is not None else None,
         ))
     if not trials:

@@ -33,6 +33,7 @@ from ausentinel.core import (
     ModelIntegrityError,
     TrialRecord,
     UnusableCorpusError,
+    canonical_json,
     catalog_hash,
     check_field,
     numbers,
@@ -152,11 +153,10 @@ def classify_timestep(params: ModelParams, X) -> np.ndarray:
 
 def corpus_matrices(corpus: list[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Stack a corpus into (X, y): intensities (n, 17) and boolean labels (n,)."""
-    xs = [t.au_matrix() for t in corpus]
-    ys = [t.label_array() for t in corpus]
-    if not xs:
+    if not corpus:
         return np.zeros((0, N_AUS)), np.zeros(0, dtype=bool)
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
+    return (np.concatenate([t.au for t in corpus]),
+            np.concatenate([t.label_array() for t in corpus]))
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -320,7 +320,7 @@ def save(params: ModelParams, path) -> None:
         **{name: getattr(params, name).ravel().tolist() for name in _SHAPES},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(canonical_json(doc) + "\n")
 
 
 def load(path) -> ModelParams:

@@ -38,6 +38,7 @@ from ausentinel.core import (
     ContractError,
     GroundTruth,
     TrialRecord,
+    canonical_json,
     check_field,
     numbers,
     timestep_of,
@@ -251,15 +252,15 @@ class SimTrial:
         # The ingest reduction over the fpt identical frames of each
         # timestep with a face; occluded timesteps have no valid tick.
         ticks = np.repeat(self.trace(), fpt, axis=0)
-        steps = [
-            aggregate(ticks[:0] if hidden else ticks[k * fpt:(k + 1) * fpt], policy, k)
-            for k, hidden in enumerate(self.occluded.tolist())
-        ]
+        au = np.empty((self.n_timesteps, N_AUS))
+        for k, hidden in enumerate(self.occluded.tolist()):
+            au[k] = aggregate(ticks[:0] if hidden else ticks[k * fpt:(k + 1) * fpt], policy)
         return TrialRecord(
             trial_id=self.trial_id,
             participant_id=self.participant_id,
             error_type=self.error_type,
-            timesteps=tuple(steps),
+            au=au,
+            valid_face=~self.occluded,
             annotations=self.ground_truth,
         )
 
@@ -539,7 +540,7 @@ def write_corpus(corpus: SimCorpus, out_dir) -> dict:
         "trials": entries,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(canonical_json(manifest) + "\n")
     if annotations:
         write_annotations(os.path.join(out_dir, "annotations.csv"), annotations)
     return manifest

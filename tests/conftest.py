@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ausentinel.core import GroundTruth, StreamStats, Timestep, TrialRecord
+from ausentinel.core import N_AUS, GroundTruth, StreamStats, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
 from ausentinel.evaluation import loocv_folds
 from ausentinel.ingest import ArbitrationPolicy, TimestepBuilder
@@ -60,6 +60,14 @@ def frames_to_timesteps(frames, policy: ArbitrationPolicy | None = None,
         out.extend(builder.add(frame))
     out.extend(builder.finish())
     return out
+
+
+def timesteps_to_matrix(timesteps) -> tuple[np.ndarray, np.ndarray]:
+    """A builder's timesteps as a trial holds them: its (n, 17) AU matrix and
+    (n,) valid_face mask. Their indices must run 0..n-1."""
+    assert [ts.index for ts in timesteps] == list(range(len(timesteps)))
+    return (np.array([ts.au for ts in timesteps]).reshape(-1, N_AUS),
+            np.array([ts.valid_face for ts in timesteps], dtype=bool))
 
 
 PINNED_SEED = 42
@@ -123,14 +131,11 @@ def tiny_corpus():
 def make_trial(au: np.ndarray, gt: GroundTruth | None = None,
                trial_id: str = "t00", participant_id: str = "p00",
                error_type: str = "physical") -> TrialRecord:
-    """Wrap an (n, 17) intensity matrix into a TrialRecord."""
+    """Wrap an (n, 17) intensity matrix into a TrialRecord, every row valid."""
     au = np.asarray(au, dtype=np.float64)
-    steps = tuple(
-        Timestep(index=i, t_start=i / 3.0, t_end=(i + 1) / 3.0, au=row)
-        for i, row in enumerate(au)
-    )
     return TrialRecord(trial_id=trial_id, participant_id=participant_id,
-                       error_type=error_type, timesteps=steps, annotations=gt)
+                       error_type=error_type, au=au,
+                       valid_face=np.ones(len(au), dtype=bool), annotations=gt)
 
 
 def batch_oracle(weights, cfg: WindowConfig):

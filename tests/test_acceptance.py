@@ -335,11 +335,8 @@ def test_criterion_11_throughput_and_memory(pinned_corpus, pinned_params,
     """The live path classifies and windows at >= 1000 timesteps/s on one
     core, with detector memory bounded by the window length."""
     with criterion(11, "stream rate and bounded memory"):
-        X = np.concatenate([t.au_matrix() for t in pinned_corpus] * 3, axis=0)
-        steps = [
-            Timestep(index=i, t_start=i / 3.0, t_end=(i + 1) / 3.0, au=row)
-            for i, row in enumerate(X)
-        ]
+        X = np.concatenate([t.au for t in pinned_corpus] * 3, axis=0)
+        steps = [Timestep(index=i, au=row) for i, row in enumerate(X)]
         assert len(steps) >= 30_000
         state = DetectorState()
         t0 = time.perf_counter()

@@ -11,6 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate
+
 ROOT = Path(__file__).resolve().parents[1]
 LIVE_LOCK = ROOT / "tests" / "fixtures" / "live_lock"
 
@@ -21,6 +25,21 @@ def test_bench_tracer_installs():
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_record_timesteps_stack_into_the_record_matrix():
+    # bench/inputs.py builds each live workload's reference weights from
+    # np.stack([ts.au for ts in t.record().timesteps]); were that to differ
+    # from the trial's matrix, every live pass would fail its check.
+    (trial,) = generate(ScenarioSpec(participants=1, trials_per_participant=1, seed=1,
+                                     errors=(ErrorPlan("physical", 10.0),),
+                                     trial_len_s=20.0,
+                                     occlusion_windows=((4.0, 7.5),))).trials
+    record = trial.record()
+    steps = record.timesteps
+    assert np.stack([ts.au for ts in steps]).tobytes() == record.au.tobytes()
+    assert [ts.valid_face for ts in steps] == record.valid_face.tolist()
+    assert not record.valid_face.all() and record.valid_face.any()
 
 
 def test_bench_tracer_sees_every_live_layer(tmp_path):

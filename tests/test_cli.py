@@ -216,6 +216,30 @@ def test_detect_listen_closes_its_socket_when_the_stream_fails(tmp_path, capsys)
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("address", [
+    "127.0.0.1:70000", "127.0.0.1:\u00b2", "127.0.0.1:", "127.0.0.1:-1", "127.0.0.1: 80",
+    "127.0.0.1:" + "9" * 5000,
+], ids=["past-65535", "superscript-digit", "empty", "negative", "space", "5000-digits"])
+def test_detect_listen_refuses_a_port_outside_0_to_65535(tmp_path, capsys, monkeypatch,
+                                                         address, where):
+    # 70000 was an OverflowError from bind(), and the superscript two passed
+    # str.isdigit() into a ValueError from int(): tracebacks, exit 1.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket opened for a refused address")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    if where == "flag":
+        flags = ["--listen", address]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"listen": address}))
+        flags = ["--config", str(tmp_path / "config.json")]
+    assert main(["detect", "--model", str(model), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: --listen wants host:port")
+
+
 def _count_matches(monkeypatch) -> list:
     """Count calls to `evaluation.match`, one list item per call."""
     from ausentinel import evaluation

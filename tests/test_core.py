@@ -22,7 +22,6 @@ from ausentinel.core import (
     ErrorEvent,
     GroundTruth,
     StreamStats,
-    Timestep,
     TrialRecord,
     as_au_vector,
     catalog_hash,
@@ -205,14 +204,21 @@ def test_reaction_time_can_be_anticipatory():
     assert gt.reaction_duration_s() == timesteps_to_seconds(10)
 
 
-def test_trial_record_requires_contiguous_indices():
-    steps = [
-        Timestep(index=i, t_start=i / 3.0, t_end=(i + 1) / 3.0,
-                 au=zero_au_vector())
-        for i in (0, 1, 3)
-    ]
-    with pytest.raises(ContractError):
-        TrialRecord("t", "p", "physical", tuple(steps))
+@pytest.mark.parametrize("au, valid_face, named", [
+    (np.zeros((4, N_AUS - 1)), np.ones(4, bool), "au"),
+    (np.zeros(N_AUS), np.ones(1, bool), "au"),
+    (np.zeros((4, N_AUS), dtype=np.float32), np.ones(4, bool), "au"),
+    (np.zeros((4, N_AUS), dtype=np.int64), np.ones(4, bool), "au"),
+    ([[0.0] * N_AUS] * 4, np.ones(4, bool), "au"),
+    (np.zeros((4, N_AUS)), np.ones(3, bool), "valid_face"),
+    (np.zeros((4, N_AUS)), np.ones((4, 1), bool), "valid_face"),
+    (np.zeros((4, N_AUS)), np.ones(4), "valid_face"),
+    (np.zeros((4, N_AUS)), [True] * 4, "valid_face"),
+], ids=["narrow", "1-d", "float32", "int64", "list", "short-mask", "2-d-mask",
+        "float-mask", "list-mask"])
+def test_trial_record_refuses_a_malformed_matrix_or_mask(au, valid_face, named):
+    with pytest.raises(ContractError, match=f"trial t: {named} is not"):
+        TrialRecord("t", "p", "physical", au, valid_face)
 
 
 def test_trial_record_matrices_and_labels():
@@ -222,8 +228,12 @@ def test_trial_record_matrices_and_labels():
 
     trial = make_trial(au, gt)
     assert len(trial) == 5
-    assert trial.au_matrix().shape == (5, N_AUS)
-    assert np.array_equal(trial.au_matrix()[3], au[3])
+    assert trial.au.shape == (5, N_AUS)
+    assert np.array_equal(trial.au[3], au[3])
+    steps = trial.timesteps
+    assert [ts.index for ts in steps] == list(range(5))
+    assert all(ts.valid_face is True for ts in steps)
+    assert steps[3].au.tobytes() == au[3].tobytes()
     assert trial.label_array().tolist() == [False, True, True, False, False]
     unannotated = make_trial(au, None, error_type="none")
     assert not unannotated.label_array().any()

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, frames_to_timesteps
+from conftest import FIXTURES, frames_to_timesteps, timesteps_to_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +136,6 @@ def test_aggregate_gap_and_invalid_frames():
     out = build([frame(t=10.0 + 4 / 3.0)], trial_start=10.0)
     ts = out[3]
     assert ts.index == 3 and not ts.valid_face and not ts.au.any()
-    assert ts.t_start == 10.0 + 3 / 3.0
     (dead,) = build([frame(level=2.0, conf=0.2)])
     assert not dead.valid_face
     # A sub-floor tick is left out of the mean, not averaged in as zeros.
@@ -147,15 +146,14 @@ def test_aggregate_gap_and_invalid_frames():
 
 def test_aggregate_takes_one_timesteps_rows():
     policy = ArbitrationPolicy(frames_per_timestep=2)
-    empty = aggregate(np.zeros((0, N_AUS)), policy, 4, trial_start=1.0)
-    assert (empty.index, empty.valid_face, empty.t_start) == (4, False, 1.0 + 4 / 3.0)
-    assert not empty.au.any()
+    empty = aggregate(np.zeros((0, N_AUS)), policy)
+    assert empty.dtype == np.float64 and empty.shape == (N_AUS,) and not empty.any()
     rows = np.arange(2.0 * N_AUS).reshape(2, N_AUS)
-    last = aggregate(rows, ArbitrationPolicy(frames_per_timestep=2, aggregator="last"), 0)
-    assert last.au.tobytes() == rows[1].tobytes()
-    assert not np.shares_memory(last.au, rows)  # no view keeps a trial's rows alive
+    last = aggregate(rows, ArbitrationPolicy(frames_per_timestep=2, aggregator="last"))
+    assert last.tobytes() == rows[1].tobytes()
+    assert not np.shares_memory(last, rows)  # no view keeps a trial's rows alive
     with pytest.raises(ContractError, match="3 ticks in one timestep"):
-        aggregate(np.zeros((3, N_AUS)), policy, 0)
+        aggregate(np.zeros((3, N_AUS)), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +328,14 @@ def test_builder_dead_camera_drains_once_per_timestep(monkeypatch):
     assert len(drains) <= len(out) + 5
     out += builder.finish()
     # The whole-trial column path shares no code with the builder's drain.
-    want = ingest._columns_to_timesteps(
+    au, valid = ingest._columns_to_matrix(
         ingest._source_ranks([f.source_id for f in frames]),
         np.array([f.t for f in frames]), np.array([f.confidence for f in frames]),
         np.array([f.au for f in frames]), ArbitrationPolicy(), 0.0, StreamStats())
-    assert len(out) == len(want) == 183
-    for ours, theirs in zip(out, want):
-        assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
-        assert ours.au.tobytes() == theirs.au.tobytes()
+    assert len(out) == len(au) == 183
+    ours_au, ours_valid = timesteps_to_matrix(out)
+    assert ours_au.tobytes() == au.tobytes()
+    assert ours_valid.tolist() == valid.tolist()
 
 
 def test_builder_lockstep_cameras_drain_once_per_timestep(monkeypatch):
@@ -477,7 +475,6 @@ def test_builder_interleaving_within_the_skew_matches_the_oracle(feed):
     assert len(got) == len(want)
     for ours, theirs in zip(got, want):
         assert ours.index == theirs.index and ours.valid_face is theirs.valid_face
-        assert ours.t_start == theirs.t_start and ours.t_end == theirs.t_end
         assert ours.au.tobytes() == theirs.au.tobytes()
 
 
@@ -928,8 +925,8 @@ def test_unknown_format_rejected():
 
 def read_trial_both(path, policy=None, trial_start=0.0):
     """Read one trial file as the oracle (read_stream, then the live builder)
-    and as read_corpus does; each side's timesteps or exception, stats and
-    logged warnings."""
+    and as read_corpus does; each side's (AU matrix, valid_face mask) or
+    exception, stats and logged warnings."""
     policy = policy or ArbitrationPolicy()
     logger = logging.getLogger("ausentinel.ingest")
 
@@ -945,9 +942,9 @@ def read_trial_both(path, policy=None, trial_start=0.0):
             logger.removeHandler(handler)
         return result, stats, handler.messages
 
-    want = run(lambda stats: frames_to_timesteps(
-        list(read_stream(path, "jsonl", stats=stats)), policy, trial_start, stats))
-    got = run(lambda stats: ingest._columns_to_timesteps(
+    want = run(lambda stats: timesteps_to_matrix(frames_to_timesteps(
+        list(read_stream(path, "jsonl", stats=stats)), policy, trial_start, stats)))
+    got = run(lambda stats: ingest._columns_to_matrix(
         *ingest._read_trial(path, stats, 10), policy, trial_start, stats))
     return want, got
 
@@ -968,13 +965,10 @@ def assert_same_reads(want, got):
         assert str(got_out) == str(want_out)
     else:
         assert not isinstance(got_out, Exception), got_out
-        assert len(got_out) == len(want_out)
-        for ours, theirs in zip(got_out, want_out):
-            assert type(ours.index) is int and ours.index == theirs.index
-            assert ours.valid_face is theirs.valid_face
-            assert ours.t_start == theirs.t_start and ours.t_end == theirs.t_end
-            assert ours.au.dtype == np.float64 and ours.au.shape == (N_AUS,)
-            assert ours.au.tobytes() == theirs.au.tobytes()
+        (ours_au, ours_valid), (theirs_au, theirs_valid) = got_out, want_out
+        assert ours_au.dtype == np.float64 and ours_au.shape == theirs_au.shape
+        assert ours_au.tobytes() == theirs_au.tobytes()
+        assert ours_valid.dtype == bool and ours_valid.tolist() == theirs_valid.tolist()
     assert vars(got_stats) == vars(want_stats)
     assert got_log == want_log
 
@@ -1069,7 +1063,8 @@ def test_corpus_reader_header_only_file(tmp_path):
     path = tmp_path / "frames.jsonl"
     write_frames_jsonl(path, [])
     want, got = read_trial_both(path)
-    assert got[0] == []
+    au, valid = got[0]
+    assert au.shape == (0, N_AUS) and valid.shape == (0,)
     assert_same_reads(want, got)
 
 
@@ -1114,7 +1109,7 @@ def test_corpus_reader_first_frame_far_past_trial_start(tmp_path, past):
         assert isinstance(got[0], ContractError)
         assert f"first frame at t={10.0 + past} lies more than" in str(got[0])
     else:
-        assert len(got[0]) == round(past * 3) + 4
+        assert len(got[0][0]) == round(past * 3) + 4
     assert_same_reads(want, got)
 
 
@@ -1190,8 +1185,7 @@ def test_read_corpus_skips_lines_the_decoder_cannot_take(tmp_path):
         "trial_id": "t00", "participant_id": "p00", "error_type": "none",
         "frames": "frames/t00.jsonl"}]}))
     (trial,) = read_corpus(tmp_path)
-    want = frames_to_timesteps(frames)
-    assert [ts.au.tobytes() for ts in trial.timesteps] == [ts.au.tobytes() for ts in want]
+    assert trial.au.tobytes() == timesteps_to_matrix(frames_to_timesteps(frames))[0].tobytes()
     want, got = read_trial_both(path)
     assert got[1].records_skipped == 2
     assert_same_reads(want, got)
@@ -1214,10 +1208,9 @@ def test_read_corpus_reads_clean_files_without_frames(tmp_path, monkeypatch):
     got = read_corpus(tmp_path)
     assert len(got) == len(want) == 2
     for trial, timesteps in zip(got, want):
-        assert [ts.au.tobytes() for ts in trial.timesteps] == \
-            [ts.au.tobytes() for ts in timesteps]
-        assert [ts.valid_face for ts in trial.timesteps] == \
-            [ts.valid_face for ts in timesteps]
+        au, valid = timesteps_to_matrix(timesteps)
+        assert trial.au.tobytes() == au.tobytes()
+        assert trial.valid_face.tolist() == valid.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -104,12 +104,12 @@ def test_classify_timestep_carries_index():
     # Row i of a whole-trial batch is timestep i, scored as if alone.
     trial = separable_corpus()[0]
     params = train([trial], TrainConfig(epochs=30, seed=2))
-    weights = classify_timestep(params, trial.au_matrix())
+    weights = classify_timestep(params, trial.au)
     assert weights.shape == (len(trial),)
     assert ((weights == 0.0) | (weights > 0.5)).all()
     assert (weights > 0.5).any() and (weights == 0.0).any()
-    for i, ts in enumerate(trial.timesteps):
-        assert weights[i] == classify_timestep(params, ts.au[None])[0]
+    for i, row in enumerate(trial.au):
+        assert weights[i] == classify_timestep(params, row[None])[0]
 
 
 def test_corpus_matrices_shapes():

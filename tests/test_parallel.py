@@ -168,8 +168,8 @@ def test_files_with_skipped_lines_keep_their_warnings_and_counters(corpus, tmp_p
         with caplog.at_level("WARNING"):
             trials = read_corpus(corpus, stats=stats)
         seen[cpus] = ([r.getMessage() for r in caplog.records], vars(stats),
-                      [(t.trial_id, [(ts.au.tobytes(), ts.valid_face, ts.t_start)
-                                     for ts in t.timesteps]) for t in trials])
+                      [(t.trial_id, t.au.tobytes(), t.valid_face.tolist(), t.trial_start)
+                       for t in trials])
     assert seen[1] == seen[2]
     messages, counters, _ = seen[1]
     assert [m.split(":")[0] for m in messages] == [
