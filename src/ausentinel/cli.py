@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import logging
 import math
 import os
@@ -30,6 +29,7 @@ from ausentinel.core import (
     StreamStats,
     canonical_json,
     check_field,
+    read_json,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
 from ausentinel.evaluation import (
@@ -115,7 +115,6 @@ def build_parser():
         description="Detect robot errors from facial action-unit streams.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {}
 
     sub = commands.add_parser("train", help="train a model on a corpus")
     sub.add_argument("--corpus", required=True, help="corpus directory")
@@ -123,8 +122,6 @@ def build_parser():
     sub.add_argument("--report", help="training report JSON (per-epoch loss/counts)")
     _add_train_flags(sub)
     _add_ingest_flags(sub)
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    subs["train"] = sub
 
     sub = commands.add_parser("detect", help="run detection on streams")
     sub.add_argument("--model", required=True, help="model file")
@@ -145,8 +142,6 @@ def build_parser():
                           "trial file before failing (default 10)")
     _add_window_flags(sub)
     _add_ingest_flags(sub)
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    subs["detect"] = sub
 
     sub = commands.add_parser("evaluate", help="score a model or run LOOCV")
     sub.add_argument("--corpus", required=True, help="annotated corpus directory")
@@ -161,8 +156,6 @@ def build_parser():
     _add_train_flags(sub)
     _add_window_flags(sub)
     _add_ingest_flags(sub)
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    subs["evaluate"] = sub
 
     sub = commands.add_parser("simulate", help="generate a synthetic corpus")
     sub.add_argument("--spec", required=True, help="scenario spec JSON")
@@ -171,17 +164,15 @@ def build_parser():
                      help="contaminate the corpus after generation")
     sub.add_argument("--magnitude", type=_finite, default=1.0,
                      help="perturbation strength (see simulate docs)")
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    subs["simulate"] = sub
 
     sub = commands.add_parser("analyze", help="per-AU discriminability analysis")
     sub.add_argument("--corpus", required=True, help="annotated corpus directory")
     sub.add_argument("--report", help="write per-AU results JSON here")
     _add_ingest_flags(sub)
-    sub.add_argument("--config", help="JSON file of flag defaults")
-    subs["analyze"] = sub
 
-    return parser, subs
+    for sub in commands.choices.values():
+        sub.add_argument("--config", help="JSON file of flag defaults")
+    return parser, commands.choices
 
 
 def _apply_config(parser, subs, args, argv):
@@ -190,9 +181,8 @@ def _apply_config(parser, subs, args, argv):
     if not path:
         return args
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        overrides = read_json(path, f"config file {path}")
+    except OSError as exc:
         raise ContractError(f"unreadable config file {path}: {exc}")
     check_field(f"config file {path}", overrides, dict)
     sub = subs[args.command]
@@ -328,6 +318,8 @@ class _UntilIdle(io.RawIOBase):
 
 
 def cmd_detect(args) -> int:
+    if args.error_budget < 0:
+        raise ContractError(f"--error-budget must be >= 0, got {args.error_budget}")
     params = load(args.model)
     stats = StreamStats()
     writer = _EventWriter(args.out, stats)
@@ -376,28 +368,23 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     trials = read_corpus(args.corpus, _policy(args))
     cfg = _window(args)
-    hyper = _hyper(args)
+    params = load(args.model) if args.model else None
     folds = None
-    if args.model:
-        params = load(args.model)
-        scored = [(t, run_trial(t, params, cfg)) for t in trials]
-        mode = "model"
-    else:
-        folds = loocv_folds(trials, hyper, cfg)
+    if params is None or args.finetune_per_participant:  # one LOOCV pass, or none
+        folds = loocv_folds(trials, _hyper(args), cfg)
+    if params is None:
         scored = [pair for fold in folds for pair in fold.scored]
-        mode = "loocv"
+    else:
+        scored = [(t, run_trial(t, params, cfg)) for t in trials]
     score = score_corpus(scored)
     report = corpus_report(scored, score)
-    report["mode"] = mode
+    report["mode"] = "loocv" if params is None else "model"
     print(format_table(score))
     if args.finetune_per_participant:
         comparison = finetune_comparison(
-            trials, hyper, cfg,
-            TrainConfig(epochs=args.finetune_epochs,
-                        learning_rate=args.finetune_learning_rate,
-                        seed=args.seed),
-            folds=folds,
-        )
+            folds, cfg, TrainConfig(epochs=args.finetune_epochs,
+                                    learning_rate=args.finetune_learning_rate,
+                                    seed=args.seed))
         report["finetune"] = comparison.to_obj()
         base = comparison.base_mean_delay_s
         tuned = comparison.tuned_mean_delay_s

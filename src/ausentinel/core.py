@@ -183,6 +183,20 @@ def check_field(where: str, value, kind, lo=None, hi=None):
                         + f", got {reprlib.repr(value)}")
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at `path`, decoded as UTF-8. A file
+    that does not decode (bad UTF-8 or JSON, an integer of too many digits,
+    nesting too deep) is a ContractError naming it as `what`; one that
+    cannot be opened raises its OSError. Every JSON document file (spec,
+    model, manifest, `--config`) is read here; frame streams are not.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ContractError(f"unreadable {what}: {exc}") from None
+
+
 def as_au_vector(values, stats: StreamStats | None = None) -> list[float]:
     """Validate and normalize a 17-entry AU intensity vector.
 

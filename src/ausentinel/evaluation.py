@@ -260,24 +260,17 @@ class FinetuneComparison:
         }
 
 
-def finetune_comparison(corpus: list[TrialRecord],
-                        hyper: TrainConfig | None = None,
-                        cfg: WindowConfig | None = None,
-                        finetune_hyper: TrainConfig | None = None,
-                        folds: list[Fold] | None = None) -> FinetuneComparison:
+def finetune_comparison(folds: list[Fold], cfg: WindowConfig | None = None,
+                        finetune_hyper: TrainConfig | None = None) -> FinetuneComparison:
     """Compare each participant's fold model with its fine-tuned copy.
 
-    `folds` are the corpus's LOOCV folds when the caller already has them
-    (they must come from `loocv_folds(corpus, hyper, cfg)`); their scored
-    events are the base model's events, so nothing is trained or run twice.
+    `folds` are the corpus's LOOCV folds, as `loocv_folds` returns them;
+    their scored events are the base model's events, so nothing is trained
+    or run twice. `cfg` must be the window they were scored with. Without
+    `finetune_hyper`, each fold's model is fine-tuned for 100 epochs at a
+    third of the learning rate it was trained at, from the same seed.
     """
-    hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
-    finetune_hyper = finetune_hyper or TrainConfig(
-        epochs=100, learning_rate=hyper.learning_rate / 3.0, seed=hyper.seed
-    )
-    if folds is None:
-        folds = loocv_folds(corpus, hyper, cfg)
     base_scored: list[ScoredTrial] = []
     tuned_scored: list[ScoredTrial] = []
     held_out = []  # (participant id, adapt trial id, number of trials scored)
@@ -286,7 +279,9 @@ def finetune_comparison(corpus: list[TrialRecord],
         if len(scored) < 2:
             continue  # nothing left to evaluate after holding out one trial
         adapt, base_pairs = scored[0][0], scored[1:]
-        tuned = finetune(fold.params, [adapt], finetune_hyper)
+        tuned = finetune(fold.params, [adapt], finetune_hyper or TrainConfig(
+            epochs=100, learning_rate=fold.params.learning_rate / 3.0,
+            seed=fold.params.seed))
         base_scored.extend(base_pairs)
         tuned_scored.extend((t, run_trial(t, tuned, cfg)) for t, _ in base_pairs)
         held_out.append((fold.participant_id, adapt.trial_id, len(base_pairs)))

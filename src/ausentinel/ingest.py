@@ -64,6 +64,7 @@ from ausentinel.core import (
     canonical_json,
     check_field,
     map_in_order,
+    read_json,
     zero_au_vector,
 )
 
@@ -179,11 +180,11 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     vector not 17 entries; when the confidence lies outside [0, 1]; or when
     its time is not finite, runs backward within its source, or lies more
     than `MAX_GAP_S` past the latest time yielded so far. Malformed records
-    are skipped and counted; more than `error_budget` skips in this stream
-    is fatal. AU values outside [0, 5] of the records yielded are clamped,
-    not rejected, and counted as `values_clamped`. Counters accumulate on
-    `stats` when provided, so one `StreamStats` may span many streams; each
-    stream's budget counts only its own skips.
+    are skipped and counted; more than `error_budget` (at least 0) skips in
+    this stream is fatal. AU values outside [0, 5] of the records yielded
+    are clamped, not rejected, and counted as `values_clamped`. Counters
+    accumulate on `stats` when provided, so one `StreamStats` may span many
+    streams; each stream's budget counts only its own skips.
 
     A format only splits its lines into records and checks their shape
     (`_jsonl_records`, `_csv_records`). One loop here then checks every
@@ -191,6 +192,8 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
     and time order, in that order; the first check a record fails is the
     one logged.
     """
+    if error_budget < 0:
+        raise ContractError(f"error_budget must be >= 0, got {error_budget}")
     if stats is None:
         stats = StreamStats()
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -822,16 +825,15 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     not the documented one, is a `ContractError`, and so is a bad
     annotation file (see `read_annotations`).
     """
+    if error_budget < 0:
+        raise ContractError(f"error_budget must be >= 0, got {error_budget}")
     policy = policy or ArbitrationPolicy()
     stats = StreamStats() if stats is None else stats
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = read_json(manifest_path, "manifest.json")
     except FileNotFoundError:
         raise ContractError(f"no manifest.json in {corpus_dir}")
-    except _DECODE_ERRORS as exc:
-        raise ContractError(f"unreadable manifest.json: {exc}")
     entries = _manifest_trials(manifest)
     ann_path = os.path.join(corpus_dir, "annotations.csv")
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}

@@ -20,7 +20,6 @@ same probabilities bit for bit.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from ausentinel.core import (
     catalog_hash,
     check_field,
     numbers,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -327,11 +327,7 @@ def load(path) -> ModelParams:
     """Load a model file, refusing version or AU-ordering mismatches and any
     field of the wrong JSON type (see README, "Model file")."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer
-        raise ModelIntegrityError(f"unreadable model file {path}: {exc}")
-    try:
+        doc = read_json(path, f"model file {path}")
         check_field("model file", doc, dict)
         fields = {name: check_field(f"model file {name}", doc[name], *rule)
                   for name, rule in _FIELDS.items()}

@@ -20,7 +20,6 @@ specs yield identical corpora on any platform.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -41,6 +40,7 @@ from ausentinel.core import (
     canonical_json,
     check_field,
     numbers,
+    read_json,
     timestep_of,
 )
 from ausentinel.ingest import (
@@ -500,12 +500,7 @@ def scenario_from_obj(obj: dict) -> ScenarioSpec:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-        raise ContractError(f"unreadable scenario file {path}: {exc}")
-    return scenario_from_obj(obj)
+    return scenario_from_obj(read_json(path, f"scenario file {path}"))
 
 
 def write_corpus(corpus: SimCorpus, out_dir) -> dict:

@@ -298,23 +298,15 @@ def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "loocv_folds", counted)
     monkeypatch.setattr(evaluation, "loocv_folds", counted)
-    argv = ["evaluate", "--corpus", str(cli_env["corpus"]), "--epochs", "60",
-            "--finetune-per-participant", "--finetune-epochs", "20"]
-    reused = tmp_path / "reused.json"
-    assert main(argv + ["--report-json", str(reused)]) == 0
-    assert len(calls) == 1
-
-    # The earlier path: finetune_comparison runs a LOOCV pass of its own.
-    real = evaluation.finetune_comparison
-
-    def own_folds(*args, folds=None, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "finetune_comparison", own_folds)
-    retrained = tmp_path / "retrained.json"
-    assert main(argv + ["--report-json", str(retrained)]) == 0
-    assert len(calls) == 3
-    assert reused.read_bytes() == retrained.read_bytes()
+    corpus = ["evaluate", "--corpus", str(cli_env["corpus"]), "--epochs", "60"]
+    finetune = ["--finetune-per-participant", "--finetune-epochs", "20"]
+    model = ["--model", str(cli_env["model"])]
+    # One LOOCV pass for LOOCV or fine-tuning, none to score a fixed model alone.
+    for argv, passes in ((corpus + finetune, 1), (corpus + model + finetune, 1),
+                         (corpus + model, 0)):
+        calls.clear()
+        assert main(argv + ["--report-json", str(tmp_path / "report.json")]) == 0, argv
+        assert len(calls) == passes, argv
 
 
 def test_detect_skips_a_non_finite_time(tmp_path, capsys, caplog):
@@ -539,6 +531,8 @@ _PINNED_OUTPUTS = {
     "train.json": "36554c09bd9be475b2ef6cc9170e25727f666f81a6e0e86e7584e52b7c3e8e9e",
     "model_report.json": "b8a3977ad619dc838737371286a31610976904b8892b59698763aab1a1535f35",
     "model_report.csv": "fbe572711de0e40fef92f085806e3b32b9a6e28a589c559d0d3032999004f440",
+    "model_finetune_report.json":
+        "97c65c5e25860ef6a8b1615968f78ee2c6659835bb0c7b15fca472c4f262dfe4",
     "loocv_report.json": "f28a733449f183315941118e337be17cd930747fbb2990b9b9b83f8c82b42c3e",
     "loocv_report.csv": "f25cfa75c2c96c0b73e484396709b8e7b307c46e11e1e7934fc1aa0c52d125a2",
     "analyze.json": "efca237d3417ac5abb9e7544c75b7adc1c9bffb39f3c4636d1fb6cc8471f4b62",
@@ -554,6 +548,9 @@ def test_cli_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
         ["simulate", "--spec", "spec.json", "--out", "corpus"],
         ["train", "--corpus", "corpus", "--out", "model.json", "--report", "train.json",
          "--epochs", "40"],
+        ["evaluate", "--corpus", "corpus", "--model", "model.json", "--finetune-per-participant",
+         "--epochs", "40", "--finetune-epochs", "20",
+         "--report-json", "model_finetune_report.json"],
         ["evaluate", "--corpus", "corpus", "--model", "model.json",
          "--report-json", "model_report.json", "--report-csv", "model_report.csv"],
         ["evaluate", "--corpus", "corpus", "--finetune-per-participant", "--epochs", "40",
@@ -946,6 +943,21 @@ def test_detect_over_corpus_honours_the_error_budget(cli_env, two_trial_corpus,
     assert _summary(capsys.readouterr().err)["records_skipped"] == 11
     assert main(args) == 2
     assert "error budget exceeded (11 malformed records)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_detect_refuses_a_negative_error_budget(cli_env, tmp_path, capsys, where):
+    # It once acted as 0: exit 0 on a clean stream, and "error budget
+    # exceeded" at the first malformed record.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"error_budget": -3}))
+    budget = {"flag": ["--error-budget", "-3"], "config": ["--config", str(config)]}[where]
+    events = tmp_path / "ev.jsonl"
+    assert main(["detect", "--model", str(cli_env["model"]), "--out", str(events),
+                 "--input", str(cli_env["corpus"] / "frames" / "p00_t00.jsonl"),
+                 *budget]) == 2
+    assert capsys.readouterr().err == "error: --error-budget must be >= 0, got -3\n"
+    assert not events.exists()
 
 
 def test_detect_over_corpus_stamps_the_manifest_trial_start(two_trial_corpus, tmp_path,

@@ -57,6 +57,21 @@ def test_only_core_decides_the_kind_of_a_json_field():
     assert {name: n for name, n in found.items() if n} == {}
 
 
+def _json_load_calls(tree) -> int:
+    """Calls of `json.load` in a module's syntax tree."""
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "load"
+               and getattr(node.func.value, "id", None) == "json" for node in ast.walk(tree))
+
+
+def test_only_core_reads_a_json_file():
+    # core.read_json is the one reader of a JSON file, so every JSON input
+    # refuses a file that does not decode in the same way.
+    modules = sorted(Path(ausentinel.__file__).parent.rglob("*.py"))
+    found = {path.name: _json_load_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in modules}
+    assert {name: n for name, n in found.items() if n} == {"core.py": 1}
+
+
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
 # `simulate`, numpy.random only training, and the process pool only the

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from conftest import make_trial
+from ausentinel import evaluation
 from ausentinel.core import ContractError, ErrorEvent, GroundTruth
 from ausentinel.detector import WindowConfig
 from ausentinel.evaluation import (
@@ -183,7 +184,7 @@ def test_loocv_needs_two_participants(tiny_corpus):
 
 def test_finetune_comparison_protocol(tiny_corpus):
     hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=0)
-    cmp_ = finetune_comparison(tiny_corpus, hyper, WindowConfig(),
+    cmp_ = finetune_comparison(loocv_folds(tiny_corpus, hyper, WindowConfig()), WindowConfig(),
                                TrainConfig(epochs=20, learning_rate=0.1, seed=0))
     rows = list(cmp_.per_participant)
     assert len(rows) == 4
@@ -195,6 +196,23 @@ def test_finetune_comparison_protocol(tiny_corpus):
     assert cmp_.base_score.n_trials == 4
     obj = cmp_.to_obj()
     assert set(obj) >= {"base_mean_delay_s", "tuned_mean_delay_s", "base", "tuned"}
+
+
+def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, monkeypatch):
+    # 100 epochs at a third of the learning rate the folds trained at, from
+    # their seed: the recipe the comparison once derived from its own `hyper`.
+    recipes = []
+    real = evaluation.finetune
+
+    def recorded(params, trials, hyper):
+        recipes.append(hyper)
+        return real(params, trials, hyper)
+
+    monkeypatch.setattr(evaluation, "finetune", recorded)
+    folds = loocv_folds(tiny_corpus, TrainConfig(epochs=60, learning_rate=0.3, seed=2),
+                        WindowConfig())
+    finetune_comparison(folds)
+    assert recipes == [TrainConfig(epochs=100, learning_rate=0.3 / 3.0, seed=2)] * 4
 
 
 # ---------------------------------------------------------------------------

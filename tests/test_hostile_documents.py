@@ -171,3 +171,45 @@ def test_a_hostile_config_file_is_exit_0_or_2(env, flag, raw):
     config = env["root"] / "config.json"
     config.write_text(_with(valid, (dest,) if dest else (), raw))
     assert _run(_command_argv(env, command) + ["--config", str(config)]) in (0, 2)
+
+
+# Five ways a JSON input fails to be read, as the bytes its file holds: None
+# is no file, "dir" a directory in its place.
+_UNREADABLE = {"missing": None, "directory": "dir", "bad-utf8": b"\xff{}",
+               "truncated": b"[", "too-deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+@pytest.mark.parametrize("document", ["config", "model", "spec", "manifest"])
+def test_an_unreadable_json_input_is_refused(env, tmp_path, capsys, document, case):
+    root = env["root"]
+    corpus = tmp_path / "corpus"
+    path = tmp_path / f"{document}.json"
+    argv = {"config": ["analyze", "--corpus", str(root / "corpus"), "--config", str(path)],
+            "model": ["detect", "--model", str(path), "--input", str(env["stream"]),
+                      "--out", os.devnull],
+            "spec": ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")],
+            "manifest": ["analyze", "--corpus", str(corpus)]}[document]
+    if document == "manifest":
+        shutil.copytree(root / "corpus", corpus)
+        path = corpus / "manifest.json"
+        path.unlink()
+    content = _UNREADABLE[case]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    # A file the package cannot open is a runtime failure (exit 1), but for
+    # --config and a corpus without a manifest; one it cannot decode is a
+    # contract error (exit 2) naming the input.
+    if document == "manifest":
+        rc, said = {"missing": (2, f"error: no manifest.json in {corpus}\n"),
+                    "directory": (1, "error: [Errno ")}.get(
+                        case, (2, "error: unreadable manifest.json: "))
+    elif document == "config" or case not in ("missing", "directory"):
+        what = {"config": "config", "model": "model", "spec": "scenario"}[document]
+        rc, said = 2, f"error: unreadable {what} file {path}: "
+    else:
+        rc, said = 1, "error: [Errno "
+    assert _run(argv) == rc
+    assert capsys.readouterr().err.startswith(said)

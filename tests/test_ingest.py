@@ -619,6 +619,14 @@ def test_read_stream_error_budget():
     assert "line 4" in str(info.value)
 
 
+def test_a_negative_error_budget_is_refused(tmp_path):
+    # It once acted as a budget of 0.
+    with pytest.raises(ContractError, match="error_budget must be >= 0, got -1"):
+        list(read_stream(io.StringIO(""), error_budget=-1))
+    with pytest.raises(ContractError, match="error_budget must be >= 0, got -1"):
+        read_corpus(tmp_path, error_budget=-1)
+
+
 def test_error_budget_counts_each_stream_on_a_shared_stats():
     # Both live-lock streams hold six bad lines. On one StreamStats the second
     # stream's budget counts only its own skips, so neither fails at 10.
