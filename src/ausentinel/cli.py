@@ -365,13 +365,25 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _finetune_recipe(args) -> TrainConfig:
+    """`evaluate`'s fine-tune recipe, checked flag by flag before anything is read."""
+    if args.finetune_epochs < 0:
+        raise ContractError(f"--finetune-epochs must be >= 0, got {args.finetune_epochs}")
+    if not args.finetune_learning_rate > 0:
+        raise ContractError("--finetune-learning-rate must be > 0, "
+                            f"got {args.finetune_learning_rate:g}")
+    return TrainConfig(epochs=args.finetune_epochs, learning_rate=args.finetune_learning_rate,
+                       seed=args.seed)
+
+
 def cmd_evaluate(args) -> int:
+    recipe = _finetune_recipe(args) if args.finetune_per_participant else None
     trials = read_corpus(args.corpus, _policy(args))
     cfg = _window(args)
     params = load(args.model) if args.model else None
     folds = None
-    if params is None or args.finetune_per_participant:  # one LOOCV pass, or none
-        folds = loocv_folds(trials, _hyper(args), cfg)
+    if params is None or recipe is not None:  # one LOOCV pass, or none
+        folds = loocv_folds(trials, _hyper(args), cfg, recipe)
     if params is None:
         scored = [pair for fold in folds for pair in fold.scored]
     else:
@@ -380,11 +392,8 @@ def cmd_evaluate(args) -> int:
     report = corpus_report(scored, score)
     report["mode"] = "loocv" if params is None else "model"
     print(format_table(score))
-    if args.finetune_per_participant:
-        comparison = finetune_comparison(
-            folds, cfg, TrainConfig(epochs=args.finetune_epochs,
-                                    learning_rate=args.finetune_learning_rate,
-                                    seed=args.seed))
+    if recipe is not None:
+        comparison = finetune_comparison(folds)
         report["finetune"] = comparison.to_obj()
         base = comparison.base_mean_delay_s
         tuned = comparison.tuned_mean_delay_s

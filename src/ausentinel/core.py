@@ -25,6 +25,8 @@ import math
 import os
 import reprlib
 import sys
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,14 +452,35 @@ def _run_in_worker(i: int) -> tuple:
     return _held_back(*_worker_task, i)
 
 
+def _await_exited_threads(timeout_s: float = 0.1) -> None:
+    """Wait, up to `timeout_s`, until the kernel counts no thread in this
+    process beyond those `threading` runs.
+
+    A pool's own threads have been joined when it ends, but a joined
+    thread may still be exiting in the kernel. A fork then would start
+    from a process of more than one thread, which Python 3.12 and later
+    warn of. Where /proc is absent this returns at once.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            with open("/proc/self/stat", "rb") as fh:  # field 20 is the thread count
+                threads = int(fh.read().rpartition(b")")[2].split()[17])
+        except OSError:
+            return
+        if threads <= threading.active_count():
+            return
+        time.sleep(0.0005)
+
+
 def map_in_order(task, shared, n: int, *, pool: bool = True):
     """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
 
     With `pool` (the caller's judgement that the tasks take long enough to
     pay for starting one: 30-50 ms on a 2-vCPU VM), more than one CPU in
     the affinity mask (`usable_cpus`) and more than one task, the tasks run
-    in a pool of min(n, CPUs) fork-started processes, and the pool has
-    ended before the first result is yielded.
+    in a pool of min(n, CPUs) fork-started processes, and the pool and its
+    threads have ended before the first result is yielded.
     Otherwise they run here, one at a time, as the results are consumed.
     A worker gets `shared` by fork inheritance, as its initializer's
     argument, so `shared` is never pickled: a task gets only its index, and
@@ -483,6 +506,7 @@ def map_in_order(task, shared, n: int, *, pool: bool = True):
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                  _start_worker, (task, shared)) as pool:
             outcomes = list(pool.map(_run_in_worker, range(n)))
+        _await_exited_threads()
     else:
         outcomes = (_held_back(task, shared, i) for i in range(n))
     for records, failed, value in outcomes:

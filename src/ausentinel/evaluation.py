@@ -45,10 +45,10 @@ logger = logging.getLogger(__name__)
 
 P_SIGNIFICANT = 0.05
 
-# `loocv_folds` trains in-process when its folds together train on fewer rows
-# than this, counting each training timestep once per epoch: on a 2-vCPU VM
-# such folds gain less from a process pool (`core.map_in_order`) than it
-# costs to start.
+# `loocv_folds` runs its folds in-process when they train and fine-tune on
+# fewer rows than this together, counting each training or fine-tuning
+# timestep once per epoch: on a 2-vCPU VM such folds gain less from a
+# process pool (`core.map_in_order`) than it costs to start.
 POOL_MIN_ROW_EPOCHS = 500_000
 
 # One trial's detector events, ready for scoring.
@@ -193,45 +193,86 @@ def score_corpus(scored: list[ScoredTrial]) -> CorpusScore:
 
 @dataclass(frozen=True)
 class Fold:
+    """One participant's leave-one-out fold, as `loocv_folds` returns it.
+
+    `params` is trained on every other participant, and `scored` pairs each
+    held-out trial, in corpus order, with its events under `params`. Given a
+    fine-tune recipe, `tuned` is `params` fine-tuned on the participant's
+    adapt trial (their first by trial id), and `tuned_scored` pairs each of
+    their other trials, by trial id, with its events under `tuned`. A
+    participant with one trial has nothing left to score: `tuned` is None
+    and `tuned_scored` empty. Without a recipe both are None. Every trial is
+    the caller's own object.
+    """
+
     participant_id: str
     params: ModelParams
     scored: tuple  # ScoredTrial tuples for the held-out participant
+    tuned: ModelParams | None = None
+    tuned_scored: tuple | None = None  # ScoredTrial tuples after fine-tuning
+
+
+def finetune_recipe(hyper: TrainConfig) -> TrainConfig:
+    """The library's default fine-tune for folds trained with `hyper`:
+    100 epochs at a third of its learning rate, from the same seed."""
+    return TrainConfig(epochs=100, learning_rate=hyper.learning_rate / 3.0, seed=hyper.seed)
 
 
 def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
-                cfg: WindowConfig | None = None) -> list[Fold]:
+                cfg: WindowConfig | None = None,
+                finetune_hyper: TrainConfig | None = None) -> list[Fold]:
     """Leave-one-participant-out folds: train on the rest, detect on the one.
 
-    The folds' models are trained one per process (`core.map_in_order`),
-    unless they train on fewer than `POOL_MIN_ROW_EPOCHS` rows together;
-    models, log records and the first failure come back in fold order, as
-    training the folds one by one gives them. Detection on the held-out
-    trials runs here.
+    With `finetune_hyper`, each fold's model is also fine-tuned on the
+    held-out participant's first trial (by trial id) and run again on their
+    other trials (see `Fold`). Each fold's model work is one task of
+    `core.map_in_order`: one process per fold, unless the folds train and
+    fine-tune on fewer than `POOL_MIN_ROW_EPOCHS` rows together. A task
+    returns its models and event lists only; the trials are paired with
+    them here. Models, log records and the first failure come back fold by
+    fold (training, then fine-tuning), as running the folds one by one
+    gives them.
     """
     hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
     participants = sorted({t.participant_id for t in corpus})
     if len(participants) < 2:
         raise ContractError("cross validation needs at least 2 participants")
+    held_out = [[t for t in corpus if t.participant_id == p] for p in participants]
+    by_id = [sorted(trials, key=lambda t: t.trial_id) for trials in held_out]
     row_epochs = sum(len(t) for t in corpus) * (len(participants) - 1) * hyper.epochs
-    models = map_in_order(_fold_model, (corpus, participants, hyper), len(participants),
-                          pool=row_epochs >= POOL_MIN_ROW_EPOCHS)
+    if finetune_hyper is not None:
+        row_epochs += sum(len(trials[0]) for trials in by_id
+                          if len(trials) > 1) * finetune_hyper.epochs
+    outcomes = map_in_order(_fold_work, (corpus, held_out, by_id, hyper, cfg, finetune_hyper),
+                            len(participants), pool=row_epochs >= POOL_MIN_ROW_EPOCHS)
     folds = []
-    for held_out, params in zip(participants, models):
-        test_set = [t for t in corpus if t.participant_id == held_out]
-        scored = tuple((t, run_trial(t, params, cfg)) for t in test_set)
-        folds.append(Fold(held_out, params, scored))
+    for participant, trials, ordered, (params, events, tuned, tuned_events) in zip(
+            participants, held_out, by_id, outcomes):
+        tuned_scored = None if tuned_events is None else tuple(zip(ordered[1:], tuned_events))
+        folds.append(Fold(participant, params, tuple(zip(trials, events)), tuned, tuned_scored))
     return folds
 
 
-def _fold_model(shared, k: int) -> ModelParams:
-    """Fold k's model, of `shared` = (corpus, participants, hyper): trained
-    on every trial but participant k's."""
-    corpus, participants, hyper = shared
-    held_out = participants[k]
-    train_set = [t for t in corpus if t.participant_id != held_out]
-    assert not any(t.participant_id == held_out for t in train_set)  # leakage
-    return train(train_set, hyper)
+def _fold_work(shared, k: int):
+    """Fold k's model work, of `shared` = (corpus, each participant's trials
+    in corpus order, the same by trial id, hyper, cfg, fine-tune recipe or
+    None): its model, the held-out trials' events in corpus order, and,
+    given a recipe, the fine-tuned model and the events of the trials after
+    the first by id."""
+    corpus, held_out, by_id, hyper, cfg, finetune_hyper = shared
+    participant = held_out[k][0].participant_id
+    train_set = [t for t in corpus if t.participant_id != participant]
+    assert not any(t.participant_id == participant for t in train_set)  # leakage
+    params = train(train_set, hyper)
+    events = [run_trial(t, params, cfg) for t in held_out[k]]
+    if finetune_hyper is None:
+        return params, events, None, None
+    adapt, *rest = by_id[k]
+    if not rest:  # nothing left to evaluate after holding out one trial
+        return params, events, None, []
+    tuned = finetune(params, [adapt], finetune_hyper)
+    return params, events, tuned, [run_trial(t, tuned, cfg) for t in rest]
 
 
 @dataclass(frozen=True)
@@ -260,31 +301,26 @@ class FinetuneComparison:
         }
 
 
-def finetune_comparison(folds: list[Fold], cfg: WindowConfig | None = None,
-                        finetune_hyper: TrainConfig | None = None) -> FinetuneComparison:
+def finetune_comparison(folds: list[Fold]) -> FinetuneComparison:
     """Compare each participant's fold model with its fine-tuned copy.
 
-    `folds` are the corpus's LOOCV folds, as `loocv_folds` returns them;
-    their scored events are the base model's events, so nothing is trained
-    or run twice. `cfg` must be the window they were scored with. Without
-    `finetune_hyper`, each fold's model is fine-tuned for 100 epochs at a
-    third of the learning rate it was trained at, from the same seed.
+    `folds` are the corpus's LOOCV folds as `loocv_folds` returns them given
+    a fine-tune recipe; a fold without a fine-tuned result is refused. The
+    folds hold every event, so nothing is trained or run here.
     """
-    cfg = cfg or WindowConfig()
     base_scored: list[ScoredTrial] = []
     tuned_scored: list[ScoredTrial] = []
     held_out = []  # (participant id, adapt trial id, number of trials scored)
     for fold in folds:
-        scored = sorted(fold.scored, key=lambda pair: pair[0].trial_id)
-        if len(scored) < 2:
+        if fold.tuned_scored is None:
+            raise ContractError(f"fold {fold.participant_id} has no fine-tuned result; "
+                                "give loocv_folds a fine-tune recipe")
+        if not fold.tuned_scored:
             continue  # nothing left to evaluate after holding out one trial
-        adapt, base_pairs = scored[0][0], scored[1:]
-        tuned = finetune(fold.params, [adapt], finetune_hyper or TrainConfig(
-            epochs=100, learning_rate=fold.params.learning_rate / 3.0,
-            seed=fold.params.seed))
-        base_scored.extend(base_pairs)
-        tuned_scored.extend((t, run_trial(t, tuned, cfg)) for t, _ in base_pairs)
-        held_out.append((fold.participant_id, adapt.trial_id, len(base_pairs)))
+        scored = sorted(fold.scored, key=lambda pair: pair[0].trial_id)
+        base_scored.extend(scored[1:])
+        tuned_scored.extend(fold.tuned_scored)
+        held_out.append((fold.participant_id, scored[0][0].trial_id, len(scored) - 1))
     if not base_scored:
         raise ContractError(
             "fine-tuning comparison needs a participant with at least 2 trials"

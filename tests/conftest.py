@@ -7,15 +7,20 @@ are session-scoped so the acceptance tests and unit tests share one build.
 from __future__ import annotations
 
 import importlib.util
+import io
+import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ausentinel import core, evaluation, ingest
+from ausentinel.cli import main
 from ausentinel.core import N_AUS, GroundTruth, StreamStats, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
-from ausentinel.evaluation import loocv_folds
+from ausentinel.evaluation import finetune_recipe, loocv_folds
 from ausentinel.ingest import ArbitrationPolicy, TimestepBuilder
 from ausentinel.model import TrainConfig, train
 from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate
@@ -111,7 +116,7 @@ def pinned_folds(pinned_corpus, window_cfg):
     Criteria 6 and 7 share this one pass, as `evaluate` does.
     """
     t0 = time.perf_counter()
-    folds = loocv_folds(pinned_corpus, TRAIN_HYPER, window_cfg)
+    folds = loocv_folds(pinned_corpus, TRAIN_HYPER, window_cfg, finetune_recipe(TRAIN_HYPER))
     return folds, time.perf_counter() - t0
 
 
@@ -167,3 +172,71 @@ def batch_oracle(weights, cfg: WindowConfig):
 
 def event_tuples(events):
     return [(e.detected_at, e.estimated_start, e.score, e.merged) for e in events]
+
+
+WORKER_COUNTS = (1, 2)
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Run on `cpus` CPUs, with a pool for work of any size when there are 2."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ingest, "POOL_MIN_BYTES", 0)
+    monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", 0)
+
+
+# A command sequence that writes every report, the model file and the event
+# log, for a corpus with false positives, misses and merged events, and
+# (second spec) a one-participant corpus whose flat AUs give the analyze
+# report NaN statistics. test_cli pins the bytes it writes.
+PIN_SPEC = {
+    "participants": 3, "trials_per_participant": 3, "seed": 5, "trial_len_s": 30.0,
+    "novelty_effect": True, "occlusion_windows": [[12.0, 13.5]],
+    "errors": [{"error_type": "physical", "perceived_error_start_s": 9.0},
+               {"error_type": "concept", "perceived_error_start_s": 16.0},
+               {"error_type": "none"}],
+}
+PIN_FLAT_SPEC = {
+    "participants": 1, "trials_per_participant": 2, "seed": 3, "trial_len_s": 12.0,
+    "baseline_noise": 0,
+    "errors": [{"error_type": "physical", "perceived_error_start_s": 3.0},
+               {"error_type": "none"}],
+}
+PINNED_COMMANDS = (
+    ["simulate", "--spec", "spec.json", "--out", "corpus"],
+    ["train", "--corpus", "corpus", "--out", "model.json", "--report", "train.json",
+     "--epochs", "40"],
+    ["evaluate", "--corpus", "corpus", "--model", "model.json", "--finetune-per-participant",
+     "--epochs", "40", "--finetune-epochs", "20",
+     "--report-json", "model_finetune_report.json"],
+    ["evaluate", "--corpus", "corpus", "--model", "model.json",
+     "--report-json", "model_report.json", "--report-csv", "model_report.csv"],
+    ["evaluate", "--corpus", "corpus", "--finetune-per-participant", "--epochs", "40",
+     "--finetune-epochs", "20", "--report-json", "loocv_report.json",
+     "--report-csv", "loocv_report.csv"],
+    ["simulate", "--spec", "flat.json", "--out", "flat"],
+    ["analyze", "--corpus", "flat", "--report", "analyze.json"],
+    ["detect", "--model", "model.json", "--corpus", "corpus", "--out", "events.jsonl"],
+)
+
+
+@pytest.fixture(scope="session")
+def pinned_cli_runs(tmp_path_factory):
+    """`PINNED_COMMANDS`, run once on each of `WORKER_COUNTS` CPUs.
+
+    Maps the CPU count to (the directory the commands ran in, their exit
+    codes, what they printed to stdout, what they printed to stderr). The
+    commands use relative paths, so train.json's path fields are fixed.
+    """
+    runs = {}
+    for cpus in WORKER_COUNTS:
+        root = tmp_path_factory.mktemp(f"pinned_cpus{cpus}")
+        (root / "spec.json").write_text(json.dumps(PIN_SPEC))
+        (root / "flat.json").write_text(json.dumps(PIN_FLAT_SPEC))
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as monkeypatch, redirect_stdout(out), \
+                redirect_stderr(err):
+            monkeypatch.chdir(root)
+            use_cpus(monkeypatch, cpus)
+            rcs = [main(argv) for argv in PINNED_COMMANDS]
+        runs[cpus] = (root, rcs, out.getvalue(), err.getvalue())
+    return runs

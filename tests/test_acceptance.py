@@ -212,12 +212,12 @@ def test_criterion_06_population_benchmark(pinned_folds):
         assert elapsed <= 300.0, f"LOOCV took {elapsed:.0f}s"
 
 
-def test_criterion_07_per_person_adaptation(pinned_folds, window_cfg):
+def test_criterion_07_per_person_adaptation(pinned_folds):
     """Fine-tuning on one trial of the held-out participant must not worsen
     the mean detection delay on their remaining trials."""
     with criterion(7, "fine-tuning never worsens mean delay"):
         # Reuses criterion 6's folds, as `evaluate` does.
-        cmp_ = finetune_comparison(pinned_folds[0], window_cfg)
+        cmp_ = finetune_comparison(pinned_folds[0])
         assert cmp_.base_mean_delay_s is not None
         assert cmp_.tuned_mean_delay_s is not None
         assert cmp_.tuned_mean_delay_s <= cmp_.base_mean_delay_s, (

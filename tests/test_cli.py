@@ -17,6 +17,7 @@ import warnings
 import pytest
 
 from ausentinel.cli import build_parser, main
+from conftest import PINNED_COMMANDS
 
 
 @pytest.fixture(scope="module")
@@ -510,22 +511,7 @@ def test_analyze_report(cli_env, tmp_path, capsys):
     assert report["reactions"]["n_annotated"] == 8
 
 
-# The written bytes of every report, the model file and the event log, for a
-# corpus with false positives, misses and merged events, and (second spec) a
-# one-participant corpus whose flat AUs give the analyze report NaN statistics.
-_PIN_SPEC = {
-    "participants": 3, "trials_per_participant": 3, "seed": 5, "trial_len_s": 30.0,
-    "novelty_effect": True, "occlusion_windows": [[12.0, 13.5]],
-    "errors": [{"error_type": "physical", "perceived_error_start_s": 9.0},
-               {"error_type": "concept", "perceived_error_start_s": 16.0},
-               {"error_type": "none"}],
-}
-_PIN_FLAT_SPEC = {
-    "participants": 1, "trials_per_participant": 2, "seed": 3, "trial_len_s": 12.0,
-    "baseline_noise": 0,
-    "errors": [{"error_type": "physical", "perceived_error_start_s": 3.0},
-               {"error_type": "none"}],
-}
+# The SHA-256 of every file `conftest.PINNED_COMMANDS` writes.
 _PINNED_OUTPUTS = {
     "model.json": "c66d5984b6e02807326db65a449180745b71c5336bc5640084a547fffaf037d1",
     "train.json": "36554c09bd9be475b2ef6cc9170e25727f666f81a6e0e86e7584e52b7c3e8e9e",
@@ -540,30 +526,16 @@ _PINNED_OUTPUTS = {
 }
 
 
-def test_cli_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # relative paths, so train.json's path fields are fixed
-    (tmp_path / "spec.json").write_text(json.dumps(_PIN_SPEC))
-    (tmp_path / "flat.json").write_text(json.dumps(_PIN_FLAT_SPEC))
-    for argv in (
-        ["simulate", "--spec", "spec.json", "--out", "corpus"],
-        ["train", "--corpus", "corpus", "--out", "model.json", "--report", "train.json",
-         "--epochs", "40"],
-        ["evaluate", "--corpus", "corpus", "--model", "model.json", "--finetune-per-participant",
-         "--epochs", "40", "--finetune-epochs", "20",
-         "--report-json", "model_finetune_report.json"],
-        ["evaluate", "--corpus", "corpus", "--model", "model.json",
-         "--report-json", "model_report.json", "--report-csv", "model_report.csv"],
-        ["evaluate", "--corpus", "corpus", "--finetune-per-participant", "--epochs", "40",
-         "--finetune-epochs", "20", "--report-json", "loocv_report.json",
-         "--report-csv", "loocv_report.csv"],
-        ["simulate", "--spec", "flat.json", "--out", "flat"],
-        ["analyze", "--corpus", "flat", "--report", "analyze.json"],
-        ["detect", "--model", "model.json", "--corpus", "corpus", "--out", "events.jsonl"],
-    ):
-        assert main(argv) == 0, argv
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in _PINNED_OUTPUTS}
-    assert digests == _PINNED_OUTPUTS
+def pinned_digests(root) -> dict:
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in _PINNED_OUTPUTS}
+
+
+def test_cli_writes_pinned_bytes(pinned_cli_runs):
+    for cpus, (root, rcs, _, _) in pinned_cli_runs.items():
+        for argv, rc in zip(PINNED_COMMANDS, rcs, strict=True):
+            assert rc == 0, (cpus, argv)
+        assert pinned_digests(root) == _PINNED_OUTPUTS, cpus
 
 
 def test_config_file_sets_defaults(cli_env, tmp_path, capsys):
@@ -958,6 +930,34 @@ def test_detect_refuses_a_negative_error_budget(cli_env, tmp_path, capsys, where
                  *budget]) == 2
     assert capsys.readouterr().err == "error: --error-budget must be >= 0, got -3\n"
     assert not events.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("dest, value, message", [
+    ("finetune_epochs", -1, "--finetune-epochs must be >= 0, got -1"),
+    ("finetune_learning_rate", 0.0, "--finetune-learning-rate must be > 0, got 0"),
+    ("finetune_learning_rate", -0.5, "--finetune-learning-rate must be > 0, got -0.5"),
+])
+def test_evaluate_checks_the_finetune_flags_before_reading(tmp_path, capsys, monkeypatch,
+                                                           where, dest, value, message):
+    # They were once checked after the whole LOOCV pass had printed its
+    # table, and the error named `epochs` or `learning_rate`.
+    from ausentinel import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the fine-tune flags were checked")
+
+    monkeypatch.setattr(cli, "read_corpus", never)
+    monkeypatch.setattr(cli, "loocv_folds", never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({dest: value}))
+    given = {"flag": [f"--{dest.replace('_', '-')}", str(value)],
+             "config": ["--config", str(config)]}[where]
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--corpus", str(tmp_path / "corpus"), "--finetune-per-participant",
+                 "--report-json", str(report), *given]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not report.exists()
 
 
 def test_detect_over_corpus_stamps_the_manifest_trial_start(two_trial_corpus, tmp_path,

@@ -282,3 +282,17 @@ def test_map_in_order_raises_the_first_failure_after_the_records_before_it(
             next(results)
     assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1", "task 2"]
     assert logging.getLogger("ausentinel").propagate
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="Linux /proc only")
+def test_a_pool_leaves_no_exiting_thread_behind(monkeypatch):
+    # A pool's threads are joined when it ends, yet may still be exiting in
+    # the kernel; a second pool forked then (as `evaluate` forks its fold
+    # pool right after its corpus pool) forked from a process of two threads.
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    left = []
+    for _ in range(10):
+        assert [square for square, _ in map_in_order(_logged_task, None, 2)] == [0, 1]
+        with open("/proc/self/stat") as fh:  # field 20 is the thread count
+            left.append(int(fh.read().rpartition(")")[2].split()[17]))
+    assert left == [threading.active_count()] * 10

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import ausentinel
+from ausentinel.cli import main
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ausentinel"}
 
@@ -81,12 +82,13 @@ _NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "
                          *_POOL)
 
 
-def _loaded_after(argv: list[str], modules) -> list[str]:
+def _loaded_after(argv: list[str], modules, preamble: str = "") -> list[str]:
     """Run the CLI on `argv` in a fresh interpreter, which must exit 0, and
-    return which of `modules` it loaded."""
+    return which of `modules` it loaded. `preamble` runs just before the CLI."""
     code = (
         "import json, sys\n"
         "from ausentinel.cli import main\n"
+        f"{preamble}"
         f"rc = main({argv!r})\n"
         f"print(json.dumps([rc, [m for m in {tuple(modules)!r} if m in sys.modules]]))\n"
     )
@@ -115,3 +117,23 @@ def test_simulate_never_loads_the_pool(tmp_path):
                                 "trial_len_s": 3.0, "errors": [{"error_type": "none"}]}))
     argv = ["simulate", "--spec", str(spec), "--out", str(tmp_path / "corpus")]
     assert _loaded_after(argv, _POOL) == []
+
+
+def test_evaluate_trains_and_fine_tunes_only_in_its_workers(tmp_path):
+    # With the pool forced, every fold's training, fine-tuning and detection
+    # runs in a worker, so the parent never loads numpy.random (6 MB of RSS).
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"participants": 2, "trials_per_participant": 2, "seed": 1,
+                                "trial_len_s": 9.0,
+                                "errors": [{"error_type": "physical",
+                                            "perceived_error_start_s": 3.0},
+                                           {"error_type": "concept",
+                                            "perceived_error_start_s": 4.0}]}))
+    corpus = str(tmp_path / "corpus")
+    assert main(["simulate", "--spec", str(spec), "--out", corpus]) == 0
+    preamble = ("from ausentinel import core, evaluation, ingest\n"
+                "core.usable_cpus = lambda: 2\n"
+                "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n")
+    argv = ["evaluate", "--corpus", corpus, "--epochs", "5", "--finetune-per-participant",
+            "--finetune-epochs", "5", "--report-json", str(tmp_path / "report.json")]
+    assert _loaded_after(argv, ("numpy.random", *_POOL), preamble) == list(_POOL)

@@ -14,6 +14,7 @@ from ausentinel.evaluation import (
     CorpusScore,
     detection_delay,
     finetune_comparison,
+    finetune_recipe,
     format_table,
     internal_delay,
     loocv_folds,
@@ -184,8 +185,8 @@ def test_loocv_needs_two_participants(tiny_corpus):
 
 def test_finetune_comparison_protocol(tiny_corpus):
     hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=0)
-    cmp_ = finetune_comparison(loocv_folds(tiny_corpus, hyper, WindowConfig()), WindowConfig(),
-                               TrainConfig(epochs=20, learning_rate=0.1, seed=0))
+    cmp_ = finetune_comparison(loocv_folds(tiny_corpus, hyper, WindowConfig(),
+                                           TrainConfig(epochs=20, learning_rate=0.1, seed=0)))
     rows = list(cmp_.per_participant)
     assert len(rows) == 4
     for row in rows:
@@ -200,7 +201,7 @@ def test_finetune_comparison_protocol(tiny_corpus):
 
 def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, monkeypatch):
     # 100 epochs at a third of the learning rate the folds trained at, from
-    # their seed: the recipe the comparison once derived from its own `hyper`.
+    # their seed: the library's default recipe, which criterion 7 uses.
     recipes = []
     real = evaluation.finetune
 
@@ -209,10 +210,30 @@ def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, mo
         return real(params, trials, hyper)
 
     monkeypatch.setattr(evaluation, "finetune", recorded)
-    folds = loocv_folds(tiny_corpus, TrainConfig(epochs=60, learning_rate=0.3, seed=2),
-                        WindowConfig())
+    hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=2)
+    folds = loocv_folds(tiny_corpus, hyper, WindowConfig(), finetune_recipe(hyper))
     finetune_comparison(folds)
     assert recipes == [TrainConfig(epochs=100, learning_rate=0.3 / 3.0, seed=2)] * 4
+
+
+def test_finetune_comparison_only_aggregates_the_folds(tiny_corpus, monkeypatch):
+    # The folds carry every model and event; the comparison trains and runs
+    # nothing, and refuses folds that were not fine-tuned.
+    hyper = TrainConfig(epochs=20, learning_rate=0.3, seed=0)
+    tuned = loocv_folds(tiny_corpus, hyper, WindowConfig(), finetune_recipe(hyper))
+    plain = loocv_folds(tiny_corpus, hyper, WindowConfig())
+    assert [fold.params.w1.tobytes() for fold in plain] == [
+        fold.params.w1.tobytes() for fold in tuned]
+    assert {(fold.tuned, fold.tuned_scored) for fold in plain} == {(None, None)}
+
+    def refused(*args):
+        raise AssertionError("finetune_comparison trained or ran a model")
+
+    monkeypatch.setattr(evaluation, "finetune", refused)
+    monkeypatch.setattr(evaluation, "run_trial", refused)
+    assert finetune_comparison(tuned).base_score.n_trials == 4
+    with pytest.raises(ContractError, match="fold p00 has no fine-tuned result"):
+        finetune_comparison(plain)
 
 
 # ---------------------------------------------------------------------------

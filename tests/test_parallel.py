@@ -1,6 +1,6 @@
 """The offline commands in one process or in a pool of worker processes.
 
-`core.map_in_order` decodes corpus files and trains LOOCV folds in one
+`core.map_in_order` decodes corpus files and runs LOOCV folds in one
 process per CPU of the affinity mask, and in-process when there is one.
 These tests force one and two workers by patching `core.usable_cpus`, and
 check that every byte written, every log record, every counter and every
@@ -24,12 +24,8 @@ from ausentinel.core import GroundTruth, StreamFormatError, StreamStats
 from ausentinel.evaluation import loocv_folds
 from ausentinel.ingest import read_corpus
 from ausentinel.model import TrainConfig
-from conftest import FIXTURES, load_fixture_script, make_trial
-# Imported under another name, so that it runs here under each worker count
-# and is not collected a second time.
-from test_cli import test_cli_writes_pinned_bytes as run_pinned_commands
-
-WORKER_COUNTS = (1, 2)
+from conftest import FIXTURES, WORKER_COUNTS, load_fixture_script, make_trial, use_cpus
+from test_cli import _PINNED_OUTPUTS, pinned_digests
 
 _SPEC = {
     "participants": 3, "trials_per_participant": 2, "seed": 11, "trial_len_s": 12.0,
@@ -49,13 +45,6 @@ def _count_threads() -> None:
 
 if os.path.exists("/proc/self/stat"):
     os.register_at_fork(after_in_parent=_count_threads)
-
-
-def use_cpus(monkeypatch, cpus: int) -> None:
-    """Run on `cpus` CPUs, with a pool for work of any size when there are 2."""
-    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(ingest, "POOL_MIN_BYTES", 0)
-    monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", 0)
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +72,12 @@ def test_offline_lock_recipe_on_one_and_two_workers(tmp_path, monkeypatch):
             assert data == (FIXTURES / "offline_lock" / name).read_bytes(), (cpus, name)
 
 
-def test_cli_pinned_bytes_and_output_on_one_and_two_workers(tmp_path, monkeypatch, capsys):
+def test_cli_pinned_bytes_and_output_on_one_and_two_workers(pinned_cli_runs):
     printed = {}
-    for cpus in WORKER_COUNTS:
-        use_cpus(monkeypatch, cpus)
-        work = tmp_path / f"cpus{cpus}"
-        work.mkdir()
-        run_pinned_commands(work, monkeypatch, capsys)  # checks every file's SHA-256
-        printed[cpus] = capsys.readouterr()
+    for cpus, (root, rcs, out, err) in pinned_cli_runs.items():
+        assert set(rcs) == {0}, cpus
+        assert pinned_digests(root) == _PINNED_OUTPUTS, cpus
+        printed[cpus] = out, err
     assert printed[1] == printed[2]
 
 
@@ -115,6 +102,81 @@ def test_degenerate_folds_warn_once_each_in_fold_order(monkeypatch, caplog):
         models[cpus] = [fold.params.w1.tobytes() + fold.params.b2.tobytes()
                         for fold in folds]
     assert models[1] == models[2]
+
+
+def test_each_fold_fine_tunes_right_after_it_trains(monkeypatch, caplog):
+    # Two thirds of every trial is error-labelled, so every fold's training
+    # set and every adapt trial (the first by trial id, listed second here)
+    # has fewer no-error than error timesteps; the counts name the fold.
+    rng = np.random.default_rng(1)
+    trials = [make_trial(rng.random((n, 17)), GroundTruth(0, 2 * n // 3 - 1, 0),
+                         trial_id=f"p{k}_t{j}", participant_id=f"p{k}")
+              for k, sizes in enumerate(((30, 39), (33, 42), (36, 45)))
+              for j, n in reversed(list(enumerate(sizes)))]
+    want = [f"only {ok} no-error timesteps for {err} error timesteps; "
+            "undersampling degenerates to the full no-error set"
+            for err, ok in ((104, 52), (20, 10), (100, 50), (22, 11), (96, 48), (24, 12))]
+    for cpus in WORKER_COUNTS:
+        use_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            folds = loocv_folds(trials, TrainConfig(epochs=5), finetune_hyper=TrainConfig(epochs=5))
+        assert [r.getMessage() for r in caplog.records] == want, cpus
+        assert [t.trial_id for fold in folds for t, _ in fold.tuned_scored] == [
+            "p0_t1", "p1_t1", "p2_t1"]
+
+
+def _fold_bytes(folds) -> list:
+    """Each fold's models and events, as bytes and exact reprs."""
+    def model(params):
+        if params is None:
+            return None
+        return (b"".join(getattr(params, name).tobytes() for name in ("w1", "b1", "w2", "b2")),
+                params.seed, params.epochs, repr(params.learning_rate))
+
+    return [(fold.participant_id, model(fold.params), model(fold.tuned),
+             repr([events for _, events in fold.scored]),
+             repr([events for _, events in fold.tuned_scored])) for fold in folds]
+
+
+def test_no_trial_crosses_the_pool(corpus, monkeypatch):
+    # A fold's task returns models and events; every trial in its pairs is
+    # the caller's own object, whether the fold ran here or in a worker.
+    trials = read_corpus(corpus)
+    seen = {}
+    for cpus in WORKER_COUNTS:
+        use_cpus(monkeypatch, cpus)
+        folds = loocv_folds(trials, TrainConfig(epochs=60), finetune_hyper=TrainConfig(epochs=20))
+        for fold in folds:
+            held_out = [t for t in trials if t.participant_id == fold.participant_id]
+            assert [t for t, _ in fold.scored] == held_out
+            assert all(mine is theirs for (mine, _), theirs in zip(fold.scored, held_out))
+            assert all(any(t is own for own in held_out[1:]) for t, _ in fold.tuned_scored)
+            assert len(fold.tuned_scored) == len(held_out) - 1
+        seen[cpus] = _fold_bytes(folds)
+    assert seen[1] == seen[2]
+    assert any(events != "[]" for fold in seen[1] for events in fold[3:])
+
+
+def test_an_unannotated_adapt_trial_is_exit_2_before_the_table(corpus, tmp_path, monkeypatch,
+                                                               capsys):
+    # p01's first trial loses its annotation, so fine-tuning the second fold
+    # finds no error timestep; that fold's failure stops the command before
+    # anything is printed.
+    corpus = _copy(corpus, tmp_path)
+    lines = (corpus / "annotations.csv").read_text().splitlines(True)
+    (corpus / "annotations.csv").write_text(
+        "".join(line for line in lines if not line.startswith("p01_t00,")))
+    printed = {}
+    for cpus in WORKER_COUNTS:
+        use_cpus(monkeypatch, cpus)
+        rc = main(["evaluate", "--corpus", str(corpus), "--epochs", "5",
+                   "--finetune-per-participant", "--finetune-epochs", "5"])
+        printed[cpus] = capsys.readouterr()
+        assert rc == 2
+    assert printed[1] == printed[2]
+    assert printed[1] == ("", "error: corpus has no error-labeled timesteps; "
+                              "undersampling rule needs >= 1\n")
 
 
 def test_a_fold_without_error_timesteps_is_exit_2_as_before(corpus, tmp_path, monkeypatch,
