@@ -30,21 +30,23 @@ from ausentinel.core import (
     canonical_json,
     check_field,
     read_json,
+    write_json,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
 from ausentinel.evaluation import (
     corpus_report,
     finetune_comparison,
+    finetune_recipe,
     format_table,
     loocv_folds,
     reaction_stats,
     score_corpus,
     welch_ttest,
     write_report_csv,
-    write_report_json,
 )
 from ausentinel.ingest import (
     AGGREGATORS,
+    ERROR_BUDGET,
     MAX_FRAMES_PER_TIMESTEP,
     ArbitrationPolicy,
     TimestepBuilder,
@@ -84,29 +86,30 @@ def _finite(text) -> float:
 
 
 def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--min-confidence", type=_finite, default=0.5,
-                     help="face-detection confidence floor (default 0.5)")
-    sub.add_argument("--fps", type=_finite, default=30.0,
-                     help="camera frame rate; must be a multiple of 3 (default 30)")
-    sub.add_argument("--aggregator", choices=AGGREGATORS, default="mean",
-                     help="frame-to-timestep reducer (default mean)")
+    policy = ArbitrationPolicy()  # every flag default is the library's own
+    sub.add_argument("--min-confidence", type=_finite, default=policy.min_confidence,
+                     help="face-detection confidence floor (default %(default)s)")
+    sub.add_argument("--fps", type=_finite, default=policy.fps,
+                     help="camera frame rate; must be a multiple of 3 (default %(default)g)")
+    sub.add_argument("--aggregator", choices=AGGREGATORS, default=policy.aggregator,
+                     help="frame-to-timestep reducer (default %(default)s)")
 
 
 def _add_window_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--window-len", type=int, default=11,
-                     help="sliding window length in timesteps (default 11)")
-    sub.add_argument("--threshold", type=_finite, default=6.0,
-                     help="window sum needed to declare an error (default 6.0)")
-    sub.add_argument("--merge-gap", type=int, default=1,
-                     help="merge detections within this many timesteps (default 1)")
-    sub.add_argument("--warmup", type=int, default=0,
-                     help="discard this many leading timesteps (default 0)")
+    sub.add_argument("--window-len", type=int, default=WindowConfig.window_len,
+                     help="sliding window length in timesteps (default %(default)s)")
+    sub.add_argument("--threshold", type=_finite, default=WindowConfig.threshold,
+                     help="window sum needed to declare an error (default %(default)s)")
+    sub.add_argument("--merge-gap", type=int, default=WindowConfig.merge_gap,
+                     help="merge detections within this many timesteps (default %(default)s)")
+    sub.add_argument("--warmup", type=int, default=WindowConfig.warmup,
+                     help="discard this many leading timesteps (default %(default)s)")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     sub.add_argument("--learning-rate", type=_finite, default=TrainConfig.learning_rate)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def build_parser():
@@ -137,9 +140,9 @@ def build_parser():
     sub.add_argument("--trial-start", type=_finite, default=0.0,
                      help="stream time of timestep 0 (default 0.0)")
     sub.add_argument("--out", help="events JSONL path (default stdout)")
-    sub.add_argument("--error-budget", type=int, default=10,
+    sub.add_argument("--error-budget", type=int, default=ERROR_BUDGET,
                      help="malformed records tolerated per stream or corpus "
-                          "trial file before failing (default 10)")
+                          "trial file before failing (default %(default)s)")
     _add_window_flags(sub)
     _add_ingest_flags(sub)
 
@@ -149,8 +152,9 @@ def build_parser():
                      help="fixed model to score (default: leave-one-out CV)")
     sub.add_argument("--finetune-per-participant", action="store_true",
                      help="also fine-tune on each participant's first trial")
-    sub.add_argument("--finetune-epochs", type=int, default=100)
-    sub.add_argument("--finetune-learning-rate", type=_finite, default=0.1)
+    recipe = finetune_recipe(TrainConfig())
+    sub.add_argument("--finetune-epochs", type=int, default=recipe.epochs)
+    sub.add_argument("--finetune-learning-rate", type=_finite, default=recipe.learning_rate)
     sub.add_argument("--report-json", help="write the full report here")
     sub.add_argument("--report-csv", help="write the flat metric table here")
     _add_train_flags(sub)
@@ -237,9 +241,10 @@ def _hyper(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    trials = read_corpus(args.corpus, _policy(args))
+    policy, hyper = _policy(args), _hyper(args)
+    trials = read_corpus(args.corpus, policy)
     epoch_log: list = []
-    params = train(trials, _hyper(args), epoch_log)
+    params = train(trials, hyper, epoch_log)
     save(params, args.out)
     if args.report:
         report = {
@@ -249,7 +254,7 @@ def cmd_train(args) -> int:
             "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
             "epochs": epoch_log,
         }
-        write_report_json(args.report, report)
+        write_json(args.report, report)
     final = f", final loss {epoch_log[-1]['loss']:.4f}" if epoch_log else ""
     print(f"trained on {len(trials)} trials ({args.epochs} epochs{final}) -> {args.out}")
     return 0
@@ -273,10 +278,9 @@ class _EventWriter:
             self._fh.close()
 
 
-def _detect_stream(source, args, params, writer, stats: StreamStats) -> None:
+def _detect_stream(source, args, policy, cfg, params, writer, stats: StreamStats) -> None:
     """Consume one frame stream (a text stream or a path), counting on `stats`."""
-    cfg = _window(args)
-    builder = TimestepBuilder(_policy(args), args.trial_start, stats)
+    builder = TimestepBuilder(policy, args.trial_start, stats)
     state = DetectorState()
 
     def process(timesteps) -> None:
@@ -320,13 +324,13 @@ class _UntilIdle(io.RawIOBase):
 def cmd_detect(args) -> int:
     if args.error_budget < 0:
         raise ContractError(f"--error-budget must be >= 0, got {args.error_budget}")
+    policy, cfg = _policy(args), _window(args)
     params = load(args.model)
     stats = StreamStats()
     writer = _EventWriter(args.out, stats)
     try:
         if args.corpus:
-            cfg = _window(args)
-            for trial in read_corpus(args.corpus, _policy(args), stats,
+            for trial in read_corpus(args.corpus, policy, stats,
                                      error_budget=args.error_budget):
                 for event in run_trial(trial, params, cfg):
                     writer.write(trial.trial_id, event, trial.trial_start)
@@ -349,14 +353,14 @@ def cmd_detect(args) -> int:
                 logger.info("stream from %s", peer)
                 with conn, io.TextIOWrapper(io.BufferedReader(_UntilIdle(conn)),
                                             encoding="utf-8", errors="replace") as fh:
-                    _detect_stream(fh, args, params, writer, stats)
+                    _detect_stream(fh, args, policy, cfg, params, writer, stats)
         elif args.input:
-            _detect_stream(args.input, args, params, writer, stats)
+            _detect_stream(args.input, args, policy, cfg, params, writer, stats)
         else:
             reconfigure = getattr(sys.stdin, "reconfigure", None)
             if reconfigure is not None:  # a text file; not a stand-in such as StringIO
                 reconfigure(errors="replace")
-            _detect_stream(sys.stdin, args, params, writer, stats)
+            _detect_stream(sys.stdin, args, policy, cfg, params, writer, stats)
     finally:
         writer.close()
     if stats.records_skipped:
@@ -378,12 +382,11 @@ def _finetune_recipe(args) -> TrainConfig:
 
 def cmd_evaluate(args) -> int:
     recipe = _finetune_recipe(args) if args.finetune_per_participant else None
-    trials = read_corpus(args.corpus, _policy(args))
-    cfg = _window(args)
+    policy, cfg = _policy(args), _window(args)
+    hyper = None if args.model and recipe is None else _hyper(args)  # --model trains nothing
+    trials = read_corpus(args.corpus, policy)
     params = load(args.model) if args.model else None
-    folds = None
-    if params is None or recipe is not None:  # one LOOCV pass, or none
-        folds = loocv_folds(trials, _hyper(args), cfg, recipe)
+    folds = None if hyper is None else loocv_folds(trials, hyper, cfg, recipe)
     if params is None:
         scored = [pair for fold in folds for pair in fold.scored]
     else:
@@ -403,7 +406,7 @@ def cmd_evaluate(args) -> int:
             print(f"fine-tuning: mean delay {base:.3f}s -> {tuned:.3f}s "
                   f"on held-out trials")
     if args.report_json:
-        write_report_json(args.report_json, report)
+        write_json(args.report_json, report)
     if args.report_csv:
         write_report_csv(args.report_csv, score)
     return 0
@@ -444,7 +447,7 @@ def cmd_analyze(args) -> int:
         aus = {au_id: {k: None if isinstance(v, float) and math.isnan(v) else v
                        for k, v in vars(r).items()}
                for au_id, r in results.items()}
-        write_report_json(args.report, {"aus": aus, "reactions": stats})
+        write_json(args.report, {"aus": aus, "reactions": stats})
     return 0
 
 

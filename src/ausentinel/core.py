@@ -35,6 +35,10 @@ import numpy as np
 RATE_HZ = 3.0
 TIMESTEP_SECONDS = 1.0 / RATE_HZ
 
+# The longest trial a spec or corpus file may hold: one hour, 10 800 timesteps.
+# A trial is built whole in memory, so without a bound it asks for any amount.
+MAX_TRIAL_S = 3600.0
+
 AU_INTENSITY_MIN = 0.0
 AU_INTENSITY_MAX = 5.0
 
@@ -197,6 +201,12 @@ def read_json(path, what: str):
             return json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise ContractError(f"unreadable {what}: {exc}") from None
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as one canonical JSON line (model, manifest, report)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(obj) + "\n")
 
 
 def as_au_vector(values, stats: StreamStats | None = None) -> list[float]:

@@ -34,7 +34,6 @@ from ausentinel.core import (
     ErrorEvent,
     GroundTruth,
     TrialRecord,
-    canonical_json,
     map_in_order,
     timesteps_to_seconds,
 )
@@ -197,9 +196,9 @@ class Fold:
 
     `params` is trained on every other participant, and `scored` pairs each
     held-out trial, in corpus order, with its events under `params`. Given a
-    fine-tune recipe, `tuned` is `params` fine-tuned on the participant's
-    adapt trial (their first by trial id), and `tuned_scored` pairs each of
-    their other trials, by trial id, with its events under `tuned`. A
+    recipe (`finetune_recipe`), `tuned` is `params` fine-tuned on the adapt
+    trial (the participant's first by trial id), and `tuned_scored` pairs each
+    of their other trials, by trial id, with its events under `tuned`. A
     participant with one trial has nothing left to score: `tuned` is None
     and `tuned_scored` empty. Without a recipe both are None. Every trial is
     the caller's own object.
@@ -213,9 +212,9 @@ class Fold:
 
 
 def finetune_recipe(hyper: TrainConfig) -> TrainConfig:
-    """The library's default fine-tune for folds trained with `hyper`:
-    100 epochs at a third of its learning rate, from the same seed."""
-    return TrainConfig(epochs=100, learning_rate=hyper.learning_rate / 3.0, seed=hyper.seed)
+    """The one per-participant fine-tune for folds trained with `hyper`: 100
+    epochs at 0.1, from its seed; the defaults of `evaluate`'s flags."""
+    return TrainConfig(epochs=100, learning_rate=0.1, seed=hyper.seed)
 
 
 def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
@@ -223,15 +222,15 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
                 finetune_hyper: TrainConfig | None = None) -> list[Fold]:
     """Leave-one-participant-out folds: train on the rest, detect on the one.
 
-    With `finetune_hyper`, each fold's model is also fine-tuned on the
-    held-out participant's first trial (by trial id) and run again on their
-    other trials (see `Fold`). Each fold's model work is one task of
-    `core.map_in_order`: one process per fold, unless the folds train and
-    fine-tune on fewer than `POOL_MIN_ROW_EPOCHS` rows together. A task
-    returns its models and event lists only; the trials are paired with
-    them here. Models, log records and the first failure come back fold by
-    fold (training, then fine-tuning), as running the folds one by one
-    gives them.
+    With `finetune_hyper` (`finetune_recipe(hyper)`, or `evaluate`'s flags),
+    each fold's model is also fine-tuned on the held-out participant's first
+    trial (by trial id) and run again on their other trials (see `Fold`).
+    Each fold's model work is one task of `core.map_in_order`: one process
+    per fold, unless the folds train and fine-tune on fewer than
+    `POOL_MIN_ROW_EPOCHS` rows together. A task returns its models and event
+    lists only; the trials are paired with them here. Models, log records
+    and the first failure come back fold by fold (training, then
+    fine-tuning), as running the folds one by one gives them.
     """
     hyper = hyper or TrainConfig()
     cfg = cfg or WindowConfig()
@@ -492,11 +491,6 @@ def corpus_report(scored: list[ScoredTrial], score: CorpusScore) -> dict:
             **{k: v for k, v in vars(s).items() if not isinstance(v, tuple)},
         })
     return {"score": score.to_obj(), "trials": rows}
-
-
-def write_report_json(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report) + "\n")
 
 
 _CSV_COLUMNS = [

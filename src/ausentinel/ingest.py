@@ -50,6 +50,7 @@ from ausentinel.core import (
     AU_IDS,
     AU_INTENSITY_MAX,
     AU_INTENSITY_MIN,
+    MAX_TRIAL_S,
     N_AUS,
     RATE_HZ,
     AuFrame,
@@ -111,6 +112,9 @@ MAX_GAP_S = 600.0
 # It bounds outside input (--fps), whose slots and buffers scale with it.
 MAX_FRAMES_PER_TIMESTEP = 400
 
+# Malformed records a stream or corpus trial file may hold before reading fails.
+ERROR_BUDGET = 10
+
 # `read_corpus` reads frame files that total fewer bytes than this in-process:
 # on one CPU of a 2-vCPU VM they decode in under ~0.1 s, too little to pay for
 # a process pool (`core.map_in_order`).
@@ -161,7 +165,7 @@ def aggregate(rows: np.ndarray, policy: ArbitrationPolicy) -> np.ndarray:
     return rows[-1].copy()  # last; a copy, so the sample holds no view of a larger array
 
 
-def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
+def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDGET,
                 stats: StreamStats | None = None):
     """Yield AuFrames from a text stream or path, each AU vector a list.
 
@@ -196,11 +200,7 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = 10,
         raise ContractError(f"error_budget must be >= 0, got {error_budget}")
     if stats is None:
         stats = StreamStats()
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        opened = open(source, "r", encoding="utf-8", errors="replace", newline="")
-    else:
-        opened = contextlib.nullcontext(source)  # the caller's to close
-    with opened as source:
+    with _text(source, "r", errors="replace", newline="") as source:
         if format == "jsonl":
             records, keys = _jsonl_records(source), _JSONL_KEYS
         elif format == "csv":
@@ -360,6 +360,13 @@ def _csv_records(lines):
         yield line_no, row
 
 
+def _text(target, mode: str, **kwargs):
+    """`target` opened as UTF-8 text if it is a path, else the caller's open stream."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, mode, encoding="utf-8", **kwargs)
+    return contextlib.nullcontext(target)
+
+
 def frame_to_obj(frame: AuFrame) -> dict:
     au = [float(v) for v in frame.au]
     return {
@@ -372,9 +379,9 @@ def frame_to_obj(frame: AuFrame) -> dict:
 
 
 def write_frames_jsonl(path, frames, *, catalog_header: bool = True) -> int:
-    """Write frames as JSONL; returns the number of frames written."""
+    """Write frames as JSONL to a path or text stream; returns how many."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _text(path, "w") as fh:
         if catalog_header:
             fh.write(canonical_json({"catalog": list(AU_IDS)}) + "\n")
         for frame in frames:
@@ -385,7 +392,7 @@ def write_frames_jsonl(path, frames, *, catalog_header: bool = True) -> int:
 
 def write_frames_csv(path, frames) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _text(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for frame in frames:
@@ -577,6 +584,7 @@ def _columns_to_matrix(src, t, confidence, au, policy: ArbitrationPolicy,
     lexicographically first source; the tick is valid iff that confidence
     clears the floor, and each timestep's valid ticks go to `aggregate`.
     `src` holds source ranks (`_source_ranks`), and `au` is already clamped.
+    A trial longer than `MAX_TRIAL_S` is refused before its matrix is built.
     """
     if not t.size:
         return np.zeros((0, N_AUS)), np.zeros(0, dtype=bool)
@@ -604,6 +612,8 @@ def _columns_to_matrix(src, t, confidence, au, policy: ArbitrationPolicy,
     np.not_equal(slot[1:], slot[:-1], out=first[1:])
     fpt = policy.frames_per_timestep
     n_timesteps = int(slot[-1]) // fpt + 1
+    if n_timesteps > MAX_TRIAL_S * RATE_HZ:
+        raise ContractError(f"trial spans {n_timesteps} timesteps, longer than {MAX_TRIAL_S:g} s")
     win = first & (conf > policy.min_confidence)
     rows = au[order[win]]
     # Timestep k's winning ticks are rows[bounds[k]:bounds[k + 1]].
@@ -793,17 +803,21 @@ def _manifest_trials(manifest) -> list[tuple]:
 
 def _trial_matrix(shared, i: int):
     """Trial file i of `shared` = ([(path, trial_start)], policy,
-    error_budget) as (AU matrix, valid_face mask, the file's own counters)."""
+    error_budget) as (AU matrix, valid_face mask, the file's own counters).
+    A contract error of its frames (see `_columns_to_matrix`) names the file."""
     paths, policy, error_budget = shared
     path, trial_start = paths[i]
     stats = StreamStats()
     columns = _read_trial(path, stats, error_budget)
-    return *_columns_to_matrix(*columns, policy, trial_start, stats), stats
+    try:
+        return *_columns_to_matrix(*columns, policy, trial_start, stats), stats
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
                 stats: StreamStats | None = None, *,
-                error_budget: int = 10) -> list[TrialRecord]:
+                error_budget: int = ERROR_BUDGET) -> list[TrialRecord]:
     """Load a corpus directory (manifest.json + frames/ + annotations.csv).
 
     Each trial's rows are the timesteps of a `TimestepBuilder` fed the

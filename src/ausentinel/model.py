@@ -32,11 +32,11 @@ from ausentinel.core import (
     ModelIntegrityError,
     TrialRecord,
     UnusableCorpusError,
-    canonical_json,
     catalog_hash,
     check_field,
     numbers,
     read_json,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -288,14 +288,13 @@ def train(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     return _fit(start, X, y, hyper, epoch_log)
 
 
-def finetune(params: ModelParams, trials: list[TrialRecord],
-             hyper: TrainConfig | None = None,
+def finetune(params: ModelParams, trials: list[TrialRecord], hyper: TrainConfig,
              epoch_log: list | None = None) -> ModelParams:
-    """Continue optimization from `params` on the given trials only.
+    """Continue optimization from `params` on the given trials only, with a
+    fine-tune recipe (see `evaluation.finetune_recipe`).
 
     Zero epochs returns the input parameters unchanged.
     """
-    hyper = hyper or TrainConfig()
     if hyper.epochs == 0:
         return params
     if not trials:
@@ -319,8 +318,7 @@ def save(params: ModelParams, path) -> None:
         "learning_rate": params.learning_rate,
         **{name: getattr(params, name).ravel().tolist() for name in _SHAPES},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc) + "\n")
+    write_json(path, doc)
 
 
 def load(path) -> ModelParams:

@@ -31,17 +31,18 @@ from ausentinel.core import (
     AU_IDS,
     AU_INTENSITY_MAX,
     ERROR_TYPES,
+    MAX_TRIAL_S,
     N_AUS,
     RATE_HZ,
     AuFrame,
     ContractError,
     GroundTruth,
     TrialRecord,
-    canonical_json,
     check_field,
     numbers,
     read_json,
     timestep_of,
+    write_json,
 )
 from ausentinel.ingest import (
     ArbitrationPolicy,
@@ -71,10 +72,6 @@ DEFAULT_AMPLITUDES: dict[str, float] = {
 }
 
 PERTURB_KINDS = ("novelty", "occlusion", "amplitude-scale")
-
-# The longest trial a spec may ask for: one hour, 10 800 timesteps. A trial is
-# built whole in memory, so an unbounded length asks for any amount of it.
-MAX_TRIAL_S = 3600.0
 
 _VALID_CONF = (0.75, 0.98)   # per-timestep confidence ranges, source A
 _VALID_CONF_B = (0.55, 0.97)  # source B: usually loses, sometimes wins
@@ -534,8 +531,7 @@ def write_corpus(corpus: SimCorpus, out_dir) -> dict:
         "scenario": scenario_to_obj(corpus.spec),
         "trials": entries,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(manifest) + "\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     if annotations:
         write_annotations(os.path.join(out_dir, "annotations.csv"), annotations)
     return manifest

@@ -61,6 +61,69 @@ def test_parser_covers_all_commands():
     assert args.finetune_per_participant is True
 
 
+def test_flag_defaults_are_the_librarys():
+    # Each flag with a library counterpart defaults to it, of the same kind,
+    # in every command that has it; and evaluate's fine-tune is the one recipe.
+    from ausentinel.detector import WindowConfig
+    from ausentinel.evaluation import finetune_recipe
+    from ausentinel.ingest import ERROR_BUDGET, ArbitrationPolicy
+    from ausentinel.model import TrainConfig
+
+    policy, window, hyper = ArbitrationPolicy(), WindowConfig(), TrainConfig()
+    recipe = finetune_recipe(hyper)
+    library = {
+        "min_confidence": policy.min_confidence, "fps": policy.fps,
+        "aggregator": policy.aggregator, "window_len": window.window_len,
+        "threshold": window.threshold, "merge_gap": window.merge_gap,
+        "warmup": window.warmup, "epochs": hyper.epochs,
+        "learning_rate": hyper.learning_rate, "seed": hyper.seed,
+        "error_budget": ERROR_BUDGET, "finetune_epochs": recipe.epochs,
+        "finetune_learning_rate": recipe.learning_rate,
+    }
+    _, subs = build_parser()
+    seen = set()
+    for command, sub in subs.items():
+        for action in sub._actions:
+            if action.dest in library:
+                want = library[action.dest]
+                assert (action.default, type(action.default)) == (want, type(want)), \
+                    (command, action.dest)
+                seen.add(action.dest)
+    assert seen == set(library)
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command, dest, value, message", [
+    ("evaluate", "epochs", -1, "epochs must be >= 0"),
+    ("evaluate", "window_len", 0, "window_len must be >= 1"),
+    ("evaluate", "threshold", 99.0, "threshold must be in (0, window_len=11]"),
+    ("evaluate", "seed", -1, "seed must be >= 0"),
+    ("train", "learning_rate", 0.0, "learning_rate must be > 0 and finite"),
+    ("detect", "window_len", 0, "window_len must be >= 1"),
+])
+def test_bad_settings_are_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                          where, command, dest, value,
+                                                          message):
+    # Each was once refused only after the whole corpus had been read.
+    from ausentinel import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("read input before every setting was checked")
+
+    for name in ("read_corpus", "loocv_folds", "load"):
+        monkeypatch.setattr(cli, name, never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({dest: value}))
+    given = {"flag": [f"--{dest.replace('_', '-')}", str(value)],
+             "config": ["--config", str(config)]}[where]
+    out = tmp_path / "out"
+    argv = {"train": ["--out", str(out)], "detect": ["--model", "m.json", "--out", str(out)],
+            "evaluate": ["--report-json", str(out)]}[command]
+    assert main([command, "--corpus", str(tmp_path / "corpus"), *argv, *given]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_argparse_rejects_missing_required():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", "m.json"])  # no --corpus
@@ -859,6 +922,27 @@ def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
     assert err.startswith("error: ") and named in err
 
 
+def test_a_trial_past_an_hour_is_exit_2_naming_its_file(two_trial_corpus, tmp_path, capsys):
+    # 100 frames 599 s apart: `detect --corpus` built 177 904 timesteps
+    # (106.6 MB at peak) and exited 0.
+    from ausentinel.core import N_AUS, AuFrame
+    from ausentinel.ingest import write_frames_jsonl
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(two_trial_corpus, corpus)
+    path = corpus / "frames" / "p00_t00.jsonl"
+    write_frames_jsonl(path, [AuFrame("cam_a", 599.0 * k, [1.0] * N_AUS, 0.9)
+                              for k in range(100)])
+    model = tmp_path / "model.json"
+    _always_firing_model(model)
+    events = tmp_path / "ev.jsonl"
+    assert main(["detect", "--model", str(model), "--corpus", str(corpus),
+                 "--out", str(events)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: trial spans 177904 timesteps, "
+                                       "longer than 3600 s\n")
+    assert events.read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["detect", "train", "evaluate", "analyze"])
 @pytest.mark.parametrize("start, message", [
     (1e308, "frame at t=0.0 precedes trial start"),
@@ -1071,7 +1155,7 @@ def _spec_text(**raw) -> bytes:
     ("--spec", _spec_text(participants="true"), "participants"),
     ("--spec", _spec_text(occlusion_windows="[[1]]"), "occlusion_windows"),
     ("--spec", _spec_text(trial_len_s="1e308"), "trial_len_s"),
-    # Longer than simgen.MAX_TRIAL_S: a length no array can hold, and one that
+    # Longer than core.MAX_TRIAL_S: a length no array can hold, and one that
     # would ask for 3.8 GiB. Both are refused before anything is allocated.
     ("--spec", _spec_text(trial_len_s="1e300"), "trial_len_s"),
     ("--spec", _spec_text(trial_len_s="1e7"), "trial_len_s"),

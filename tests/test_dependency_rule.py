@@ -73,6 +73,31 @@ def test_only_core_reads_a_json_file():
     assert {name: n for name, n in found.items() if n} == {"core.py": 1}
 
 
+def _json_document_writes(tree) -> int:
+    """`with open(...)` blocks that call `canonical_json` and hold no loop:
+    each writes one JSON document (a JSONL writer writes in a loop)."""
+    count = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.With) and any(
+                getattr(getattr(item.context_expr, "func", None), "id", None) == "open"
+                for item in node.items)):
+            continue
+        inner = [n for stmt in node.body for n in ast.walk(stmt)]
+        count += (any(getattr(getattr(n, "func", None), "id", None) == "canonical_json"
+                      for n in inner)
+                  and not any(isinstance(n, (ast.For, ast.While)) for n in inner))
+    return count
+
+
+def test_only_core_writes_a_json_file():
+    # core.write_json is the one writer of a JSON document file (model,
+    # manifest, report), so every one of them ends as the others do.
+    modules = sorted(Path(ausentinel.__file__).parent.rglob("*.py"))
+    found = {path.name: _json_document_writes(ast.parse(path.read_text(encoding="utf-8")))
+             for path in modules}
+    assert {name: n for name, n in found.items() if n} == {"core.py": 1}
+
+
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
 # `simulate`, numpy.random only training, and the process pool only the

@@ -8,7 +8,7 @@ import scipy.stats
 
 from conftest import make_trial
 from ausentinel import evaluation
-from ausentinel.core import ContractError, ErrorEvent, GroundTruth
+from ausentinel.core import ContractError, ErrorEvent, GroundTruth, write_json
 from ausentinel.detector import WindowConfig
 from ausentinel.evaluation import (
     CorpusScore,
@@ -26,7 +26,6 @@ from ausentinel.evaluation import (
     welch_from_samples,
     welch_ttest,
     write_report_csv,
-    write_report_json,
 )
 from ausentinel.model import TrainConfig
 
@@ -151,7 +150,7 @@ def test_report_writers(tmp_path):
     score = score_corpus(two_trial_scored())
     table = format_table(score)
     assert "fp/trial" in table and "RMSE seconds" in table
-    write_report_json(tmp_path / "r.json", score.to_obj())
+    write_json(tmp_path / "r.json", score.to_obj())
     text = (tmp_path / "r.json").read_text()
     assert text.endswith("\n") and '"n_trials":2' in text
     write_report_csv(tmp_path / "r.csv", score)
@@ -200,8 +199,8 @@ def test_finetune_comparison_protocol(tiny_corpus):
 
 
 def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, monkeypatch):
-    # 100 epochs at a third of the learning rate the folds trained at, from
-    # their seed: the library's default recipe, which criterion 7 uses.
+    # 100 epochs at 0.1, from the folds' seed: the one recipe, which
+    # criterion 7 uses and `evaluate`'s flags default to.
     recipes = []
     real = evaluation.finetune
 
@@ -213,7 +212,7 @@ def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, mo
     hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=2)
     folds = loocv_folds(tiny_corpus, hyper, WindowConfig(), finetune_recipe(hyper))
     finetune_comparison(folds)
-    assert recipes == [TrainConfig(epochs=100, learning_rate=0.3 / 3.0, seed=2)] * 4
+    assert recipes == [TrainConfig(epochs=100, learning_rate=0.1, seed=2)] * 4
 
 
 def test_finetune_comparison_only_aggregates_the_folds(tiny_corpus, monkeypatch):

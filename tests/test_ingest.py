@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from ausentinel import ingest
 
 from ausentinel.core import (
     AU_IDS,
+    MAX_TRIAL_S,
     N_AUS,
     AuFrame,
     ContractError,
@@ -571,16 +573,21 @@ def written_frames(draw):
             for _ in range(draw(st.integers(0, 30)))]
 
 
-@settings(max_examples=100, deadline=None)
-@given(frames=written_frames())
-def test_jsonl_and_csv_streams_read_back_alike(tmp_path_factory, frames):
-    directory = tmp_path_factory.mktemp("formats")
+def assert_formats_read_back_alike(frames, directory=None):
+    """Write `frames` as JSONL and as CSV, to files in `directory` or else to
+    in-memory text streams, and read both back: frames, timesteps and
+    counters must agree."""
     reads = []
     for fmt, write in (("jsonl", write_frames_jsonl), ("csv", write_frames_csv)):
-        path = directory / f"frames.{fmt}"
-        write(path, frames)
+        if directory is None:
+            source = io.StringIO(newline="")  # as read_stream opens a path
+            write(source, frames)
+            source.seek(0)
+        else:
+            source = directory / f"frames.{fmt}"
+            write(source, frames)
         stats = StreamStats()
-        got = list(read_stream(path, fmt, error_budget=len(frames), stats=stats))
+        got = list(read_stream(source, fmt, error_budget=len(frames), stats=stats))
         assert all(type(v) is float for f in got for v in f.au)
         builder = TimestepBuilder()
         timesteps = [ts for f in got for ts in builder.add(f)] + builder.finish()
@@ -592,6 +599,23 @@ def test_jsonl_and_csv_streams_read_back_alike(tmp_path_factory, frames):
     jsonl, csv_ = reads
     # float == float cannot tell -0.0 from 0.0; the timestep bytes can.
     assert jsonl == csv_
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames=written_frames())
+def test_jsonl_and_csv_streams_read_back_alike(frames):
+    assert_formats_read_back_alike(frames)
+
+
+def test_jsonl_and_csv_files_read_back_alike(tmp_path):
+    # The property's case on files: a source the CSV writer quotes, values
+    # to clamp or skip, and times out of order.
+    edges = [-0.0, 5.000000000000001, -5e-324, math.nan, math.inf, 2.5]
+    frames = [AuFrame(src, t, [edges[(k + i) % len(edges)] for i in range(N_AUS)], 0.75)
+              for k, (src, t) in enumerate([(' a,"b" ', 0.1), ("", 0.0), ("cam_a", 0.2),
+                                            ("cam_b", 0.05)])]
+    frames.append(AuFrame("cam_a", 0.3, [1.0] * N_AUS, 0.9))
+    assert_formats_read_back_alike(frames, tmp_path)
 
 
 def test_read_stream_rejects_wrong_catalog():
@@ -1197,6 +1221,38 @@ def test_read_corpus_skips_lines_the_decoder_cannot_take(tmp_path):
     want, got = read_trial_both(path)
     assert got[1].records_skipped == 2
     assert_same_reads(want, got)
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["clean", "read-stream"])
+@pytest.mark.parametrize("last_t, refused", [
+    (MAX_TRIAL_S - 1 / 30, False),  # the last tick of timestep 10 799
+    (MAX_TRIAL_S, True),
+    (599.0 * 99, True),  # each gap within MAX_GAP_S: 177 904 timesteps were built
+])
+def test_read_corpus_refuses_a_trial_longer_than_max_trial_s(tmp_path, monkeypatch, clean,
+                                                             last_t, refused):
+    times = [min(599.0 * k, last_t) for k in range(100) if 599.0 * (k - 1) < last_t]
+    path = tmp_path / "frames" / "t00.jsonl"
+    path.parent.mkdir()
+    write_frames_jsonl(path, [frame(t=t) for t in times])
+    if not clean:  # one malformed record: read_stream reads the file
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{}\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"trials": [{
+        "trial_id": "t00", "participant_id": "p00", "error_type": "none",
+        "frames": "frames/t00.jsonl"}]}))
+    if not refused:
+        (trial,) = read_corpus(tmp_path)
+        assert len(trial) == MAX_TRIAL_S * 3
+        return
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a timestep of a trial too long was built")
+
+    monkeypatch.setattr(ingest, "aggregate", refuse)
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: trial spans "
+                                            r"\d+ timesteps, longer than 3600 s$"):
+        read_corpus(tmp_path)
 
 
 def test_read_corpus_reads_clean_files_without_frames(tmp_path, monkeypatch):

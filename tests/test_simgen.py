@@ -9,11 +9,10 @@ import pytest
 from conftest import frames_to_timesteps, timesteps_to_matrix
 
 from ausentinel.cli import main
-from ausentinel.core import AU_IDS, ContractError, timestep_of
+from ausentinel.core import AU_IDS, MAX_TRIAL_S, ContractError, timestep_of
 from ausentinel.ingest import read_corpus
 from ausentinel.simgen import (
     DEFAULT_AMPLITUDES,
-    MAX_TRIAL_S,
     ErrorPlan,
     ReactionProfile,
     ScenarioSpec,
