@@ -23,10 +23,9 @@ import json
 import logging
 import math
 import os
+import pickle
 import reprlib
 import sys
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,7 +411,7 @@ class ErrorEvent:
 
 
 # ---------------------------------------------------------------------------
-# Independent offline tasks, one process per CPU.
+# Independent offline tasks, one forked process per CPU.
 
 def usable_cpus() -> int:
     """The number of CPUs in this process's affinity mask (1 on a platform
@@ -450,57 +449,70 @@ def _held_back(task, shared, i: int) -> tuple:
         package.propagate = propagate
 
 
-_worker_task = None  # (task, shared), in a pool worker
-
-
-def _start_worker(task, shared) -> None:
-    global _worker_task
-    _worker_task = task, shared
-
-
-def _run_in_worker(i: int) -> tuple:
-    return _held_back(*_worker_task, i)
-
-
-def _await_exited_threads(timeout_s: float = 0.1) -> None:
-    """Wait, up to `timeout_s`, until the kernel counts no thread in this
-    process beyond those `threading` runs.
-
-    A pool's own threads have been joined when it ends, but a joined
-    thread may still be exiting in the kernel. A fork then would start
-    from a process of more than one thread, which Python 3.12 and later
-    warn of. Where /proc is absent this returns at once.
+def _forked(task, shared, n: int, workers: int) -> list:
+    """The outcomes of `_held_back` for tasks 0 .. n-1, in task order, run
+    in `workers` forked processes. Worker w runs tasks w, w + workers,
+    w + 2 * workers, ... and writes each outcome, pickled, into a pipe of
+    its own, so outcome i is read from worker i % workers. Every worker has
+    been reaped when this returns or raises. A pipe that ends before its
+    worker's last outcome raises ChildProcessError, naming both.
     """
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            with open("/proc/self/stat", "rb") as fh:  # field 20 is the thread count
-                threads = int(fh.read().rpartition(b")")[2].split()[17])
-        except OSError:
-            return
-        if threads <= threading.active_count():
-            return
-        time.sleep(0.0005)
+    pids, pipes, outcomes = [], [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # The worker leaves only through os._exit: it never
+                    # returns into the caller nor flushes its stdio buffers.
+                    code = 1
+                    try:
+                        with open(write_end, "wb") as out:
+                            for i in range(w, n, workers):
+                                pickle.dump(_held_back(task, shared, i), out)
+                                out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            finally:
+                os.close(write_end)  # so the pipe ends when its worker does
+        for i in range(n):
+            try:
+                outcomes.append(pickle.load(pipes[i % workers]))
+            except (EOFError, pickle.UnpicklingError):
+                break  # `outcomes` stops at the task whose worker ended early
+    finally:
+        for pipe in pipes:
+            pipe.close()  # a worker still running fails its next write
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if len(outcomes) < n:
+        i = len(outcomes)
+        raise ChildProcessError(f"worker {i % workers} ended before returning task {i} "
+                                f"(exit code {codes[i % workers]})")
+    return outcomes
 
 
 def map_in_order(task, shared, n: int, *, pool: bool = True):
     """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
 
     With `pool` (the caller's judgement that the tasks take long enough to
-    pay for starting one: 30-50 ms on a 2-vCPU VM), more than one CPU in
-    the affinity mask (`usable_cpus`) and more than one task, the tasks run
-    in a pool of min(n, CPUs) fork-started processes, and the pool and its
-    threads have ended before the first result is yielded.
-    Otherwise they run here, one at a time, as the results are consumed.
-    A worker gets `shared` by fork inheritance, as its initializer's
-    argument, so `shared` is never pickled: a task gets only its index, and
-    only its result travels back, so each task should return little. Fork
-    rather than spawn, because a spawned worker would import the package
-    and unpickle `shared` again. The process that forks must hold one
-    thread then, or Python 3.12 and later warn that the child may deadlock:
-    the commands that start a pool run no thread of their own, and numpy's
-    OpenBLAS stops its threads before a fork (its own fork handler) and
-    starts them again on its next call.
+    pay for forking workers: 5-8 ms for two on a 2-vCPU VM), more than one
+    CPU in the affinity mask (`usable_cpus`) and more than one task, the
+    tasks run in min(n, CPUs) processes forked from this one, each running
+    every W-th task (see `_forked`), and every worker has ended before the
+    first result is yielded. Otherwise they run here, one at a time, as the
+    results are consumed. A worker gets `task` and `shared` by fork
+    inheritance, so neither is ever pickled; only each task's result, log
+    records and exception travel back, pickled, so each task should return
+    little. A worker that dies before returning its tasks (killed, or
+    unable to pickle an outcome) raises ChildProcessError here. The process
+    that forks must hold one thread then, or Python 3.12 and later warn
+    that the child may deadlock: the commands that fork workers run no
+    thread of their own, and numpy's OpenBLAS stops its threads before a
+    fork (its own fork handler) and starts them again on its next call.
 
     Either way, whatever the package logs during a task is held back and
     handed to its loggers just before that task's result is yielded; a task
@@ -509,14 +521,7 @@ def map_in_order(task, shared, n: int, *, pool: bool = True):
     """
     workers = min(n, usable_cpus()) if pool else 1
     if workers > 1:
-        # Imported here: only the offline commands ever start a pool.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _start_worker, (task, shared)) as pool:
-            outcomes = list(pool.map(_run_in_worker, range(n)))
-        _await_exited_threads()
+        outcomes = _forked(task, shared, n, workers)
     else:
         outcomes = (_held_back(task, shared, i) for i in range(n))
     for records, failed, value in outcomes:

@@ -46,8 +46,8 @@ P_SIGNIFICANT = 0.05
 
 # `loocv_folds` runs its folds in-process when they train and fine-tune on
 # fewer rows than this together, counting each training or fine-tuning
-# timestep once per epoch: on a 2-vCPU VM such folds gain less from a
-# process pool (`core.map_in_order`) than it costs to start.
+# timestep once per epoch: on a 2-vCPU VM such folds gain less from forked
+# workers (`core.map_in_order`) than the 5-8 ms it costs to start them.
 POOL_MIN_ROW_EPOCHS = 500_000
 
 # One trial's detector events, ready for scoring.

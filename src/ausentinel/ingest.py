@@ -117,7 +117,7 @@ ERROR_BUDGET = 10
 
 # `read_corpus` reads frame files that total fewer bytes than this in-process:
 # on one CPU of a 2-vCPU VM they decode in under ~0.1 s, too little to pay for
-# a process pool (`core.map_in_order`).
+# forking workers (`core.map_in_order`, 5-8 ms for two).
 POOL_MIN_BYTES = 4 * 2**20
 
 

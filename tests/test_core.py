@@ -251,31 +251,42 @@ def test_error_event_ordering_and_seconds():
 # map_in_order: independent tasks, in a pool or in-process
 
 
-def _logged_task(shared, i):
+def _logged_task(fail_at, i):
     logging.getLogger("ausentinel.test").warning("task %d", i)
-    if i == 2:
+    if i == fail_at:
         raise ContractError(f"task {i} failed")
     return i * i, os.getpid()
+
+
+def _task_under_lock(lock, i):
+    # A lock cannot be pickled, so it reaches the workers by fork alone.
+    with lock:
+        return _logged_task(None, i)
 
 
 @pytest.mark.parametrize("cpus, pool", [(1, True), (2, True), (3, True), (2, False)])
 def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog,
                                                                cpus, pool):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-    # A lock cannot be pickled, so it reaches the workers by fork alone.
-    with caplog.at_level("WARNING"):
-        results = list(map_in_order(_logged_task, threading.Lock(), 2, pool=pool))
-    assert [square for square, _ in results] == [0, 1]
-    assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1"]
-    in_process = [pid == os.getpid() for _, pid in results]
-    assert in_process == [cpus == 1 or not pool] * 2
+    for n in (1, 2, 5):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            results = list(map_in_order(_task_under_lock, threading.Lock(), n, pool=pool))
+        assert [square for square, _ in results] == [i * i for i in range(n)]
+        assert [r.getMessage() for r in caplog.records] == [f"task {i}" for i in range(n)]
+        # Worker w runs tasks w, w + W, w + 2W, ... of W = min(n, CPUs) workers.
+        workers = min(n, cpus) if pool else 1
+        pids = [pid for _, pid in results]
+        assert pids == [pids[i % workers] for i in range(n)], n
+        assert len(set(pids)) == workers, n
+        assert (os.getpid() in pids) == (workers == 1), n
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_map_in_order_raises_the_first_failure_after_the_records_before_it(
         monkeypatch, caplog, cpus):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-    results = map_in_order(_logged_task, None, 5)
+    results = map_in_order(_logged_task, 2, 5)
     with caplog.at_level("WARNING"):
         assert [square for square, _ in (next(results), next(results))] == [0, 1]
         with pytest.raises(ContractError, match="task 2 failed"):
@@ -286,9 +297,9 @@ def test_map_in_order_raises_the_first_failure_after_the_records_before_it(
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="Linux /proc only")
 def test_a_pool_leaves_no_exiting_thread_behind(monkeypatch):
-    # A pool's threads are joined when it ends, yet may still be exiting in
-    # the kernel; a second pool forked then (as `evaluate` forks its fold
-    # pool right after its corpus pool) forked from a process of two threads.
+    # The workers are forked directly, so a pool starts no thread; a second
+    # pool (as `evaluate` forks its fold workers right after its corpus
+    # workers) forks from a process of one thread, as the first did.
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     left = []
     for _ in range(10):
@@ -296,3 +307,4 @@ def test_a_pool_leaves_no_exiting_thread_behind(monkeypatch):
         with open("/proc/self/stat") as fh:  # field 20 is the thread count
             left.append(int(fh.read().rpartition(")")[2].split()[17]))
     assert left == [threading.active_count()] * 10
+

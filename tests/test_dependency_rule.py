@@ -100,8 +100,8 @@ def test_only_core_writes_a_json_file():
 
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
-# `simulate`, numpy.random only training, and the process pool only the
-# commands that read a corpus.
+# `simulate` and numpy.random only training. `_POOL` are the stdlib's process
+# pools, which nothing loads: `core.map_in_order` forks its workers itself.
 _POOL = ("multiprocessing", "concurrent.futures")
 _NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "numpy.random",
                          *_POOL)
@@ -161,4 +161,5 @@ def test_evaluate_trains_and_fine_tunes_only_in_its_workers(tmp_path):
                 "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n")
     argv = ["evaluate", "--corpus", corpus, "--epochs", "5", "--finetune-per-participant",
             "--finetune-epochs", "5", "--report-json", str(tmp_path / "report.json")]
-    assert _loaded_after(argv, ("numpy.random", *_POOL), preamble) == list(_POOL)
+    # The workers are forked directly, so the parent loads no pool module either.
+    assert _loaded_after(argv, ("numpy.random", *_POOL, "socket", "subprocess"), preamble) == []

@@ -264,10 +264,33 @@ def test_only_work_past_its_threshold_starts_a_pool(corpus, monkeypatch):
     assert pools == [False, True, False, True]
 
 
+# Two forced CPUs, and `no_child_left()`, for a script run by `_run_fresh`.
+_TWO_CPUS = (
+    "import json, os, signal, time\n"
+    "from ausentinel import core\n"
+    "core.usable_cpus = lambda: 2\n"
+    "def no_child_left():\n"
+    "    try:\n"
+    "        os.waitpid(-1, os.WNOHANG)\n"
+    "    except ChildProcessError:\n"
+    "        return True\n"
+    "    return False\n"
+)
+
+
+def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """Run `code` on `args` in a fresh interpreter whose stdout is block-buffered."""
+    src = Path(ausentinel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="Linux /proc only")
 def test_workers_fork_from_a_process_of_one_thread(corpus, monkeypatch, capsys):
     # Python 3.12 and later warn (an error in this suite) when os.fork runs
-    # in a process of more than one thread, as the pool's fork would with
+    # in a process of more than one thread, as a worker's fork would with
     # OpenBLAS's threads running. OpenBLAS stops them before a fork, so the
     # parent is down to its one thread then, as Python counts it.
     use_cpus(monkeypatch, 2)
@@ -285,30 +308,84 @@ def test_no_worker_outlives_a_command(corpus, tmp_path):
     failing = _copy(corpus, tmp_path)
     (failing / "annotations.csv").write_text(
         (failing / "annotations.csv").read_text().splitlines(True)[0])
-    code = (
-        "import json, os, resource, sys\n"
-        "from ausentinel import core\n"
-        "from ausentinel.cli import main\n"
+    code = _TWO_CPUS + (
+        "import resource, sys\n"
         "from ausentinel import evaluation, ingest\n"
-        "core.usable_cpus = lambda: 2\n"
+        "from ausentinel.cli import main\n"
         "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n"
+        "print('before the pool')\n"
         "seen = []\n"
         "for corpus in sys.argv[1:]:\n"
         "    rc = main(['evaluate', '--corpus', corpus, '--epochs', '5'])\n"
-        "    try:\n"
-        "        os.waitpid(-1, os.WNOHANG)\n"
-        "        left = True\n"
-        "    except ChildProcessError:\n"
-        "        left = False\n"
-        "    seen.append([rc, left])\n"
+        "    seen.append([rc, no_child_left()])\n"
         "workers_ran = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0\n"
         "print(json.dumps([seen, workers_ran]))\n"
     )
-    src = Path(ausentinel.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code, str(corpus), str(failing)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run_fresh(code, corpus, failing)
     assert done.returncode == 0, done.stderr
     seen, workers_ran = json.loads(done.stdout.splitlines()[-1])
-    assert seen == [[0, False], [2, False]]
+    assert seen == [[0, True], [2, True]]
     assert workers_ran
+    # stdout is a pipe, so block-buffered: a worker that flushed its copy of
+    # the buffer would print the line again.
+    assert done.stdout.count("before the pool") == 1
+
+
+def test_a_dead_worker_is_a_child_process_error_and_leaves_no_child():
+    # Task 1 runs in worker 1, which dies before returning it.
+    code = _TWO_CPUS + (
+        "def task(shared, i):\n"
+        "    if i == 1:\n"
+        "        os._exit(3)\n"
+        "    return i\n"
+        "try:\n"
+        "    raised = list(core.map_in_order(task, None, 4))\n"
+        "except ChildProcessError as exc:\n"
+        "    raised = str(exc)\n"
+        "print(json.dumps([raised, no_child_left()]))\n"
+    )
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        "worker 1 ended before returning task 1 (exit code 3)", True]
+
+
+def test_an_interrupted_pool_leaves_no_worker():
+    # Task 1 interrupts the parent while worker 0 is still in task 2.
+    code = _TWO_CPUS + (
+        "def task(shared, i):\n"
+        "    if i == 1:\n"
+        "        os.kill(os.getppid(), signal.SIGINT)\n"
+        "    elif i == 2:\n"
+        "        time.sleep(0.2)\n"
+        "    return i\n"
+        "try:\n"
+        "    ended = list(core.map_in_order(task, None, 4))\n"
+        "except KeyboardInterrupt:\n"
+        "    ended = 'interrupted'\n"
+        "print(json.dumps([ended, no_child_left()]))\n"
+    )
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["interrupted", True]
+
+
+def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
+    # The second fold's worker dies before it returns the fold.
+    code = _TWO_CPUS + (
+        "import sys\n"
+        "from ausentinel import evaluation, ingest\n"
+        "from ausentinel.cli import main\n"
+        "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n"
+        "fold_work = evaluation._fold_work\n"
+        "def dying(shared, k):\n"
+        "    if k == 1:\n"
+        "        os._exit(3)\n"
+        "    return fold_work(shared, k)\n"
+        "evaluation._fold_work = dying\n"
+        "sys.exit(main(['evaluate', '--corpus', sys.argv[1], '--epochs', '5']))\n"
+    )
+    done = _run_fresh(code, corpus)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: worker 1 ended before returning task 1 (exit code 3)\n"
+
