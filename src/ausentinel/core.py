@@ -25,6 +25,7 @@ import math
 import os
 import pickle
 import reprlib
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -452,12 +453,14 @@ def _held_back(task, shared, i: int) -> tuple:
 def _forked(task, shared, n: int, workers: int) -> list:
     """The outcomes of `_held_back` for tasks 0 .. n-1, in task order, run
     in `workers` forked processes. Worker w runs tasks w, w + workers,
-    w + 2 * workers, ... and writes each outcome, pickled, into a pipe of
-    its own, so outcome i is read from worker i % workers. Every worker has
-    been reaped when this returns or raises. A pipe that ends before its
-    worker's last outcome raises ChildProcessError, naming both.
+    w + 2 * workers, ... and only then writes the list of their outcomes,
+    pickled, into a pipe of its own, so no worker waits on the parent while
+    it has tasks left. A pipe that ends before its worker's list raises
+    ChildProcessError, naming the worker and its first task. If reading
+    stops early (that error, or an interrupt), every worker is killed.
+    Every worker has been reaped when this returns or raises.
     """
-    pids, pipes, outcomes = [], [], []
+    pids, pipes, lists = [], [], []
     try:
         for w in range(workers):
             read_end, write_end = os.pipe()
@@ -469,30 +472,35 @@ def _forked(task, shared, n: int, workers: int) -> list:
                     # returns into the caller nor flushes its stdio buffers.
                     code = 1
                     try:
-                        with open(write_end, "wb") as out:
-                            for i in range(w, n, workers):
-                                pickle.dump(_held_back(task, shared, i), out)
-                                out.flush()
+                        for pipe in pipes:  # the parent's: once it closes them, a write fails
+                            pipe.close()
+                        outcomes = [_held_back(task, shared, i) for i in range(w, n, workers)]
+                        out = open(write_end, "wb")  # closed by os._exit if dump fails
+                        pickle.dump(outcomes, out)
+                        out.close()
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
             finally:
                 os.close(write_end)  # so the pipe ends when its worker does
-        for i in range(n):
+        for pipe in pipes:
             try:
-                outcomes.append(pickle.load(pipes[i % workers]))
+                lists.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
-                break  # `outcomes` stops at the task whose worker ended early
+                break  # `lists` stops at the worker that ended early
     finally:
         for pipe in pipes:
-            pipe.close()  # a worker still running fails its next write
+            pipe.close()
+        if len(lists) < len(pids):  # stopped early: no list left is read
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if len(outcomes) < n:
-        i = len(outcomes)
-        raise ChildProcessError(f"worker {i % workers} ended before returning task {i} "
-                                f"(exit code {codes[i % workers]})")
-    return outcomes
+    if len(lists) < workers:
+        w = len(lists)
+        raise ChildProcessError(f"worker {w} ended before returning task {w} "
+                                f"(exit code {codes[w]})")
+    return [lists[i % workers][i // workers] for i in range(n)]
 
 
 def map_in_order(task, shared, n: int, *, pool: bool = True):

@@ -332,42 +332,49 @@ def test_no_worker_outlives_a_command(corpus, tmp_path):
 
 
 def test_a_dead_worker_is_a_child_process_error_and_leaves_no_child():
-    # Task 1 runs in worker 1, which dies before returning it.
+    # Task `dying` runs in worker `dying`, which dies before returning it;
+    # the other worker's outcomes outgrow a pipe's buffer (64 KiB), so it
+    # must not wait on a pipe nobody reads.
     code = _TWO_CPUS + (
-        "def task(shared, i):\n"
-        "    if i == 1:\n"
+        "def task(dying, i):\n"
+        "    if i == dying:\n"
         "        os._exit(3)\n"
-        "    return i\n"
-        "try:\n"
-        "    raised = list(core.map_in_order(task, None, 4))\n"
-        "except ChildProcessError as exc:\n"
-        "    raised = str(exc)\n"
-        "print(json.dumps([raised, no_child_left()]))\n"
+        "    return b'x' * 100_000\n"
+        "seen = []\n"
+        "for dying in (0, 1):\n"
+        "    try:\n"
+        "        raised = len(list(core.map_in_order(task, dying, 4)))\n"
+        "    except ChildProcessError as exc:\n"
+        "        raised = str(exc)\n"
+        "    seen.append([raised, no_child_left()])\n"
+        "print(json.dumps(seen))\n"
     )
     done = _run_fresh(code)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        "worker 1 ended before returning task 1 (exit code 3)", True]
+        [f"worker {w} ended before returning task {w} (exit code 3)", True] for w in (0, 1)]
 
 
 def test_an_interrupted_pool_leaves_no_worker():
-    # Task 1 interrupts the parent while worker 0 is still in task 2.
+    # Task 1 interrupts the parent while worker 0 is still in task 2, a
+    # minute long: the parent kills it rather than wait for it.
     code = _TWO_CPUS + (
         "def task(shared, i):\n"
         "    if i == 1:\n"
         "        os.kill(os.getppid(), signal.SIGINT)\n"
         "    elif i == 2:\n"
-        "        time.sleep(0.2)\n"
+        "        time.sleep(60)\n"
         "    return i\n"
+        "start = time.monotonic()\n"
         "try:\n"
         "    ended = list(core.map_in_order(task, None, 4))\n"
         "except KeyboardInterrupt:\n"
         "    ended = 'interrupted'\n"
-        "print(json.dumps([ended, no_child_left()]))\n"
+        "print(json.dumps([ended, no_child_left(), time.monotonic() - start < 30]))\n"
     )
     done = _run_fresh(code)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["interrupted", True]
+    assert json.loads(done.stdout) == ["interrupted", True, True]
 
 
 def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
