@@ -368,7 +368,10 @@ class TrialRecord:
                 and valid.shape == (len(au),)):
             raise ContractError(f"trial {self.trial_id}: valid_face is not {len(au)} bools")
         if self.annotations is not None:
-            self.annotations.validate_bounds(len(au))
+            try:
+                self.annotations.validate_bounds(len(au))
+            except ContractError as exc:
+                raise ContractError(f"trial {self.trial_id}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.au)
@@ -503,31 +506,29 @@ def _forked(task, shared, n: int, workers: int) -> list:
     return [lists[i % workers][i // workers] for i in range(n)]
 
 
-def map_in_order(task, shared, n: int, *, pool: bool = True):
+def map_in_order(task, shared, n: int):
     """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
 
-    With `pool` (the caller's judgement that the tasks take long enough to
-    pay for forking workers: 5-8 ms for two on a 2-vCPU VM), more than one
-    CPU in the affinity mask (`usable_cpus`) and more than one task, the
-    tasks run in min(n, CPUs) processes forked from this one, each running
-    every W-th task (see `_forked`), and every worker has ended before the
-    first result is yielded. Otherwise they run here, one at a time, as the
-    results are consumed. A worker gets `task` and `shared` by fork
-    inheritance, so neither is ever pickled; only each task's result, log
-    records and exception travel back, pickled, so each task should return
-    little. A worker that dies before returning its tasks (killed, or
-    unable to pickle an outcome) raises ChildProcessError here. The process
-    that forks must hold one thread then, or Python 3.12 and later warn
-    that the child may deadlock: the commands that fork workers run no
-    thread of their own, and numpy's OpenBLAS stops its threads before a
-    fork (its own fork handler) and starts them again on its next call.
+    With W = min(n, `usable_cpus()`) of at least 2, the tasks run in W
+    processes forked from this one (see `_forked`), and every worker has
+    ended before the first result is yielded; otherwise (one CPU, one task,
+    or no affinity mask) they run here, one at a time, as the results are
+    consumed. A worker gets `task` and `shared` by fork inheritance, so
+    neither is ever pickled; only each task's result, log records and
+    exception travel back, pickled, so each task should return little. A worker that dies before returning
+    its tasks (killed, or unable to pickle an outcome) raises
+    ChildProcessError here. The process that forks must hold one thread
+    then, or Python 3.12 and later warn that the child may deadlock: the
+    commands that fork workers run no thread of their own, and numpy's
+    OpenBLAS stops its threads before a fork (its own fork handler) and
+    starts them again on its next call.
 
     Either way, whatever the package logs during a task is held back and
     handed to its loggers just before that task's result is yielded; a task
     that raised has its exception raised there instead. So records, results
     and the first failure come in task order, as a serial loop makes them.
     """
-    workers = min(n, usable_cpus()) if pool else 1
+    workers = min(n, usable_cpus())
     if workers > 1:
         outcomes = _forked(task, shared, n, workers)
     else:

@@ -44,12 +44,6 @@ logger = logging.getLogger(__name__)
 
 P_SIGNIFICANT = 0.05
 
-# `loocv_folds` runs its folds in-process when they train and fine-tune on
-# fewer rows than this together, counting each training or fine-tuning
-# timestep once per epoch: on a 2-vCPU VM such folds gain less from forked
-# workers (`core.map_in_order`) than the 5-8 ms it costs to start them.
-POOL_MIN_ROW_EPOCHS = 500_000
-
 # One trial's detector events, ready for scoring.
 ScoredTrial = tuple[TrialRecord, list[ErrorEvent]]
 
@@ -225,11 +219,10 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     With `finetune_hyper` (`finetune_recipe(hyper)`, or `evaluate`'s flags),
     each fold's model is also fine-tuned on the held-out participant's first
     trial (by trial id) and run again on their other trials (see `Fold`).
-    Each fold's model work is one task of `core.map_in_order`: one process
-    per fold, unless the folds train and fine-tune on fewer than
-    `POOL_MIN_ROW_EPOCHS` rows together. A task returns its models and event
-    lists only; the trials are paired with them here. Models, log records
-    and the first failure come back fold by fold (training, then
+    Each fold's model work is one task of `core.map_in_order`, which runs
+    the folds in up to one process per CPU. A task returns its models and
+    event lists only; the trials are paired with them here. Models, log
+    records and the first failure come back fold by fold (training, then
     fine-tuning), as running the folds one by one gives them.
     """
     hyper = hyper or TrainConfig()
@@ -239,12 +232,8 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
         raise ContractError("cross validation needs at least 2 participants")
     held_out = [[t for t in corpus if t.participant_id == p] for p in participants]
     by_id = [sorted(trials, key=lambda t: t.trial_id) for trials in held_out]
-    row_epochs = sum(len(t) for t in corpus) * (len(participants) - 1) * hyper.epochs
-    if finetune_hyper is not None:
-        row_epochs += sum(len(trials[0]) for trials in by_id
-                          if len(trials) > 1) * finetune_hyper.epochs
     outcomes = map_in_order(_fold_work, (corpus, held_out, by_id, hyper, cfg, finetune_hyper),
-                            len(participants), pool=row_epochs >= POOL_MIN_ROW_EPOCHS)
+                            len(participants))
     folds = []
     for participant, trials, ordered, (params, events, tuned, tuned_events) in zip(
             participants, held_out, by_id, outcomes):

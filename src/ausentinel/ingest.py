@@ -115,11 +115,6 @@ MAX_FRAMES_PER_TIMESTEP = 400
 # Malformed records a stream or corpus trial file may hold before reading fails.
 ERROR_BUDGET = 10
 
-# `read_corpus` reads frame files that total fewer bytes than this in-process:
-# on one CPU of a 2-vCPU VM they decode in under ~0.1 s, too little to pay for
-# forking workers (`core.map_in_order`, 5-8 ms for two).
-POOL_MIN_BYTES = 4 * 2**20
-
 
 @dataclass(frozen=True)
 class ArbitrationPolicy:
@@ -721,9 +716,9 @@ def read_annotations(path) -> dict[str, dict]:
 
     Only trials with an annotated reaction appear in the file; error-free
     trials are listed in the corpus manifest alone. The file must be UTF-8
-    and its three index columns integers; anything else is a
-    `StreamFormatError` naming the file (and the line and column, where
-    known), since a ground truth is never guessed.
+    and its three index columns integers that make a valid `GroundTruth`;
+    anything else is a `StreamFormatError` naming the file (and the line,
+    column and trial, where known), since a ground truth is never guessed.
     """
     rows: dict[str, dict] = {}
     try:
@@ -731,17 +726,17 @@ def read_annotations(path) -> dict[str, dict]:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-                raise StreamFormatError("annotation CSV header mismatch", line_no=1)
+                raise StreamFormatError(f"{path}: annotation CSV header mismatch", line_no=1)
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(ANNOTATION_HEADER):
                     raise StreamFormatError(
-                        f"expected {len(ANNOTATION_HEADER)} columns", line_no=line_no
+                        f"{path}: expected {len(ANNOTATION_HEADER)} columns", line_no=line_no
                     )
                 trial_id = row[0]
                 if trial_id in rows:
-                    raise StreamFormatError(f"duplicate trial_id {trial_id!r}",
+                    raise StreamFormatError(f"{path}: duplicate trial_id {trial_id!r}",
                                             line_no=line_no)
                 indices = []
                 for name, cell in zip(ANNOTATION_HEADER[3:], row[3:]):
@@ -751,10 +746,15 @@ def read_annotations(path) -> dict[str, dict]:
                         raise StreamFormatError(
                             f"{path}: {name} {cell!r} is not an integer", line_no=line_no
                         ) from None
+                try:
+                    ground_truth = GroundTruth(*indices)
+                except ContractError as exc:
+                    raise StreamFormatError(f"{path}: trial {trial_id}: {exc}",
+                                            line_no=line_no) from None
                 rows[trial_id] = {
                     "participant_id": row[1],
                     "error_type": row[2],
-                    "ground_truth": GroundTruth(*indices),
+                    "ground_truth": ground_truth,
                 }
     except UnicodeDecodeError as exc:
         raise StreamFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -785,10 +785,11 @@ _TRIAL_FIELDS = {"trial_id": (str,), "participant_id": (str,), "error_type": (st
 
 def _manifest_trials(manifest) -> list[tuple]:
     """The trial entries of a decoded manifest, each as (trial_id,
-    participant_id, error_type, frames, trial_start); any other shape is a
-    `ContractError` naming the entry and the field."""
+    participant_id, error_type, frames, trial_start); any other shape, or a
+    trial_id listed twice, is a `ContractError` naming the entry and the
+    field."""
     check_field("manifest.json", manifest, dict)
-    trials = []
+    trials, first_pos = [], {}
     for pos, entry in enumerate(check_field("manifest.json trials",
                                             manifest.get("trials", []), list)):
         where = f"manifest.json trial {pos}"
@@ -798,6 +799,11 @@ def _manifest_trials(manifest) -> list[tuple]:
                                 for key, rule in _TRIAL_FIELDS.items()))
         except KeyError as exc:
             raise ContractError(f"{where} lacks {exc.args[0]}") from None
+        trial_id = trials[-1][0]
+        if trial_id in first_pos:
+            raise ContractError(f"{where} repeats trial_id {trial_id!r} "
+                                f"of trial {first_pos[trial_id]}")
+        first_pos[trial_id] = pos
     return trials
 
 
@@ -827,12 +833,11 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     would skip, or any value the column checks cannot vouch for, is read by
     `read_stream` instead (same warnings, skip counts and errors, and its
     own `error_budget`) and its frames then take the same pass. The files
-    are read one per process (`core.map_in_order`), each worker returning
-    only the trial's two arrays and its counters; every trial adds its counters
-    to `stats` when provided, and its log records are handed on, in
-    manifest order, so counters, warnings and the first error are those of
-    reading the files one by one. Files that total fewer than
-    `POOL_MIN_BYTES` are read here.
+    are read in up to one process per CPU (`core.map_in_order`), each
+    returning only a trial's two arrays and its counters; every trial adds
+    its counters to `stats` when provided, and its log records are handed
+    on, in manifest order, so counters, warnings and the first error are
+    those of reading the files one by one.
 
     The manifest and the annotations are checked before any frame file is
     read: a manifest that does not decode as UTF-8 JSON, or whose shape is
@@ -853,12 +858,7 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
     paths = [(os.path.join(corpus_dir, frames), trial_start)
              for _, _, _, frames, trial_start in entries]
-    try:
-        size = sum(os.path.getsize(path) for path, _ in paths)
-    except OSError:  # reading the file reports it
-        size = 0
-    decoded = map_in_order(_trial_matrix, (paths, policy, error_budget), len(paths),
-                           pool=size >= POOL_MIN_BYTES)
+    decoded = map_in_order(_trial_matrix, (paths, policy, error_budget), len(paths))
     trials = []
     for (trial_id, participant_id, error_type, _, trial_start), (au, valid, counts) in zip(
             entries, decoded):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ausentinel import core, evaluation, ingest
+from ausentinel import core
 from ausentinel.cli import main
 from ausentinel.core import N_AUS, GroundTruth, StreamStats, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
@@ -178,10 +178,8 @@ WORKER_COUNTS = (1, 2)
 
 
 def use_cpus(monkeypatch, cpus: int) -> None:
-    """Run on `cpus` CPUs, with a pool for work of any size when there are 2."""
+    """Run on `cpus` CPUs."""
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(ingest, "POOL_MIN_BYTES", 0)
-    monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", 0)
 
 
 # A command sequence that writes every report, the model file and the event

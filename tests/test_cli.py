@@ -907,10 +907,16 @@ def _annotation_cell(at, value):
     (_insert_byte("annotations.csv", b"\np00"), "annotations.csv"),
     (_annotation_cell(3, "x"), "reaction_start"),
     (_annotation_cell(1, "p" * 200_000), "field larger than field limit"),
+    # These three once named no file, line or trial.
+    (_annotation_cell(3, "999"), "annotations.csv: trial p00_t00: reaction_start 999 > "),
+    (_annotation_cell(3, "-1"),
+     "annotations.csv: trial p00_t00: annotation indices must be non-negative"),
+    (_annotation_cell(5, "60"), "trial p00_t00: annotation indices exceed trial length 60"),
 ], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
         "trial-start-number-text", "trial-start-bool", "trial-start-400-digits",
         "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text",
-        "annotations-field-past-the-size-limit"])
+        "annotations-field-past-the-size-limit", "reversed-interval", "negative-index",
+        "index-past-the-trial"])
 def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
                                             corrupt, named):
     corpus = tmp_path / "corpus"

@@ -264,18 +264,17 @@ def _task_under_lock(lock, i):
         return _logged_task(None, i)
 
 
-@pytest.mark.parametrize("cpus, pool", [(1, True), (2, True), (3, True), (2, False)])
-def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog,
-                                                               cpus, pool):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, caplog, cpus):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     for n in (1, 2, 5):
         caplog.clear()
         with caplog.at_level("WARNING"):
-            results = list(map_in_order(_task_under_lock, threading.Lock(), n, pool=pool))
+            results = list(map_in_order(_task_under_lock, threading.Lock(), n))
         assert [square for square, _ in results] == [i * i for i in range(n)]
         assert [r.getMessage() for r in caplog.records] == [f"task {i}" for i in range(n)]
         # Worker w runs tasks w, w + W, w + 2W, ... of W = min(n, CPUs) workers.
-        workers = min(n, cpus) if pool else 1
+        workers = min(n, cpus)
         pids = [pid for _, pid in results]
         assert pids == [pids[i % workers] for i in range(n)], n
         assert len(set(pids)) == workers, n

@@ -145,8 +145,9 @@ def test_simulate_never_loads_the_pool(tmp_path):
 
 
 def test_evaluate_trains_and_fine_tunes_only_in_its_workers(tmp_path):
-    # With the pool forced, every fold's training, fine-tuning and detection
-    # runs in a worker, so the parent never loads numpy.random (6 MB of RSS).
+    # With 2 CPUs, every fold's training, fine-tuning and detection runs in
+    # a worker, however small the corpus, so the parent never loads
+    # numpy.random (6 MB of RSS).
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"participants": 2, "trials_per_participant": 2, "seed": 1,
                                 "trial_len_s": 9.0,
@@ -156,9 +157,7 @@ def test_evaluate_trains_and_fine_tunes_only_in_its_workers(tmp_path):
                                             "perceived_error_start_s": 4.0}]}))
     corpus = str(tmp_path / "corpus")
     assert main(["simulate", "--spec", str(spec), "--out", corpus]) == 0
-    preamble = ("from ausentinel import core, evaluation, ingest\n"
-                "core.usable_cpus = lambda: 2\n"
-                "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n")
+    preamble = "from ausentinel import core\ncore.usable_cpus = lambda: 2\n"
     argv = ["evaluate", "--corpus", corpus, "--epochs", "5", "--finetune-per-participant",
             "--finetune-epochs", "5", "--report-json", str(tmp_path / "report.json")]
     # The workers are forked directly, so the parent loads no pool module either.

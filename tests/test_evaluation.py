@@ -198,21 +198,15 @@ def test_finetune_comparison_protocol(tiny_corpus):
     assert set(obj) >= {"base_mean_delay_s", "tuned_mean_delay_s", "base", "tuned"}
 
 
-def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus, monkeypatch):
+def test_finetune_comparison_default_recipe_comes_from_the_folds(tiny_corpus):
     # 100 epochs at 0.1, from the folds' seed: the one recipe, which
-    # criterion 7 uses and `evaluate`'s flags default to.
-    recipes = []
-    real = evaluation.finetune
-
-    def recorded(params, trials, hyper):
-        recipes.append(hyper)
-        return real(params, trials, hyper)
-
-    monkeypatch.setattr(evaluation, "finetune", recorded)
+    # criterion 7 uses and `evaluate`'s flags default to. Each tuned model
+    # records the recipe it was fine-tuned with.
     hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=2)
     folds = loocv_folds(tiny_corpus, hyper, WindowConfig(), finetune_recipe(hyper))
     finetune_comparison(folds)
-    assert recipes == [TrainConfig(epochs=100, learning_rate=0.1, seed=2)] * 4
+    assert [(f.tuned.epochs, f.tuned.learning_rate, f.tuned.seed) for f in folds] == [
+        (100, 0.1, 2)] * 4
 
 
 def test_finetune_comparison_only_aggregates_the_folds(tiny_corpus, monkeypatch):

@@ -1309,12 +1309,33 @@ def test_annotations_duplicate_trial_fatal(tmp_path):
     lines = [",".join(ANNOTATION_HEADER), "t0,p0,physical,1,2,1",
              "t0,p0,physical,3,4,3"]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(StreamFormatError):
+    with pytest.raises(StreamFormatError,
+                       match=f"^line 3: {re.escape(str(path))}: duplicate trial_id 't0'$"):
         read_annotations(path)
+
+
+def test_annotations_short_row_fatal(tmp_path):
+    path = tmp_path / "annotations.csv"
+    path.write_text(",".join(ANNOTATION_HEADER) + "\nt0,p0,physical,1,2\n")
+    with pytest.raises(StreamFormatError,
+                       match=f"^line 2: {re.escape(str(path))}: expected 6 columns$"):
+        read_annotations(path)
+
+
+def test_manifest_repeated_trial_id_fatal(tmp_path):
+    # `evaluate` trained on and scored such a trial twice, exit 0.
+    first = {"trial_id": "t0", "participant_id": "p0", "error_type": "none",
+             "frames": "frames/t0.jsonl"}
+    second = dict(first, trial_id="t1", frames="frames/t1.jsonl")
+    (tmp_path / "manifest.json").write_text(json.dumps({"trials": [first, second, first]}))
+    with pytest.raises(ContractError,
+                       match=r"^manifest.json trial 2 repeats trial_id 't0' of trial 0$"):
+        read_corpus(tmp_path)
 
 
 def test_annotations_header_mismatch(tmp_path):
     path = tmp_path / "annotations.csv"
     path.write_text("trial,participant\n")
-    with pytest.raises(StreamFormatError):
+    with pytest.raises(StreamFormatError,
+                       match=f"^line 1: {re.escape(str(path))}: annotation CSV header mismatch$"):
         read_annotations(path)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ausentinel
-from ausentinel import core, evaluation, ingest
+from ausentinel import core
 from ausentinel.cli import main
 from ausentinel.core import GroundTruth, StreamFormatError, StreamStats
 from ausentinel.evaluation import loocv_folds
@@ -241,27 +241,27 @@ def test_files_with_skipped_lines_keep_their_warnings_and_counters(corpus, tmp_p
     assert (counters["records_skipped"], counters["frames_read"]) == (2, frame_lines - 2)
 
 
-def test_only_work_past_its_threshold_starts_a_pool(corpus, monkeypatch):
-    # Decoding is sized by the frame files' bytes, training by its rows
-    # times epochs; anything smaller runs in-process even with 2 CPUs.
-    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-    pools = []
+def test_two_tasks_fork_on_two_cpus_whatever_their_size(corpus, tmp_path, monkeypatch):
+    # Usable CPUs and the task count alone choose: the 3x2 corpus of 12 s
+    # trials and 1-epoch folds fork min(tasks, CPUs) workers, and one CPU
+    # or one task forks none.
+    forks = []
+    forked = core._forked
 
-    def spy(task, shared, n, *, pool):
-        pools.append(pool)
-        return core.map_in_order(task, shared, n, pool=pool)
+    def spy(task, shared, n, workers):
+        forks.append((n, workers))
+        return forked(task, shared, n, workers)
 
-    monkeypatch.setattr(ingest, "map_in_order", spy)
-    monkeypatch.setattr(evaluation, "map_in_order", spy)
-    size = sum(path.stat().st_size for path in (corpus / "frames").iterdir())
-    for threshold in (size + 1, size):
-        monkeypatch.setattr(ingest, "POOL_MIN_BYTES", threshold)
-        trials = read_corpus(corpus)
-    row_epochs = sum(len(t) for t in trials) * 2 * 5  # 3 participants, 5 epochs
-    for threshold in (row_epochs + 1, row_epochs):
-        monkeypatch.setattr(evaluation, "POOL_MIN_ROW_EPOCHS", threshold)
-        loocv_folds(trials, TrainConfig(epochs=5))
-    assert pools == [False, True, False, True]
+    monkeypatch.setattr(core, "_forked", spy)
+    one_trial = _copy(corpus, tmp_path)
+    manifest = json.loads((one_trial / "manifest.json").read_text())
+    manifest["trials"] = manifest["trials"][:1]
+    (one_trial / "manifest.json").write_text(json.dumps(manifest))
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        loocv_folds(read_corpus(corpus), TrainConfig(epochs=1))
+        assert len(read_corpus(one_trial)) == 1
+    assert forks == [(6, 2), (3, 2)]
 
 
 # Two forced CPUs, and `no_child_left()`, for a script run by `_run_fresh`.
@@ -310,9 +310,7 @@ def test_no_worker_outlives_a_command(corpus, tmp_path):
         (failing / "annotations.csv").read_text().splitlines(True)[0])
     code = _TWO_CPUS + (
         "import resource, sys\n"
-        "from ausentinel import evaluation, ingest\n"
         "from ausentinel.cli import main\n"
-        "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n"
         "print('before the pool')\n"
         "seen = []\n"
         "for corpus in sys.argv[1:]:\n"
@@ -381,9 +379,8 @@ def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
     # The second fold's worker dies before it returns the fold.
     code = _TWO_CPUS + (
         "import sys\n"
-        "from ausentinel import evaluation, ingest\n"
+        "from ausentinel import evaluation\n"
         "from ausentinel.cli import main\n"
-        "ingest.POOL_MIN_BYTES = evaluation.POOL_MIN_ROW_EPOCHS = 0\n"
         "fold_work = evaluation._fold_work\n"
         "def dying(shared, k):\n"
         "    if k == 1:\n"
