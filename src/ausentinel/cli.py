@@ -33,27 +33,20 @@ from ausentinel.core import (
     write_json,
 )
 from ausentinel.detector import DetectorState, WindowConfig, event_to_obj, run_trial, step
-from ausentinel.evaluation import (
-    corpus_report,
-    finetune_comparison,
-    finetune_recipe,
-    format_table,
-    loocv_folds,
-    reaction_stats,
-    score_corpus,
-    welch_ttest,
-    write_report_csv,
-)
 from ausentinel.ingest import (
     AGGREGATORS,
     ERROR_BUDGET,
     MAX_FRAMES_PER_TIMESTEP,
     ArbitrationPolicy,
     TimestepBuilder,
+    check_error_budget,
     read_corpus,
     read_stream,
 )
-from ausentinel.model import TrainConfig, classify_timestep, load, save, train
+from ausentinel.model import TrainConfig, classify_timestep, finetune_recipe, load, save, train
+
+# `evaluate` and `analyze` import `ausentinel.evaluation` when they run, so
+# `detect` starts without it.
 
 logger = logging.getLogger(__name__)
 
@@ -322,8 +315,7 @@ class _UntilIdle(io.RawIOBase):
 
 
 def cmd_detect(args) -> int:
-    if args.error_budget < 0:
-        raise ContractError(f"--error-budget must be >= 0, got {args.error_budget}")
+    check_error_budget(args.error_budget, "--error-budget")
     policy, cfg = _policy(args), _window(args)
     params = load(args.model)
     stats = StreamStats()
@@ -381,6 +373,9 @@ def _finetune_recipe(args) -> TrainConfig:
 
 
 def cmd_evaluate(args) -> int:
+    from ausentinel.evaluation import (corpus_report, finetune_comparison, format_table,
+                                       loocv_folds, score_corpus, write_report_csv)
+
     recipe = _finetune_recipe(args) if args.finetune_per_participant else None
     policy, cfg = _policy(args), _window(args)
     hyper = None if args.model and recipe is None else _hyper(args)  # --model trains nothing
@@ -428,6 +423,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from ausentinel.evaluation import reaction_stats, welch_ttest
+
     trials = read_corpus(args.corpus, _policy(args))
     results = welch_ttest(trials)
     stats = reaction_stats(trials)
@@ -449,6 +446,18 @@ def cmd_analyze(args) -> int:
                for au_id, r in results.items()}
         write_json(args.report, {"aus": aus, "reactions": stats})
     return 0
+
+
+def __getattr__(name: str):
+    # The bench tracer (`bench/worker.py`) checks that `cli` has these two
+    # names before it patches them, as it did while `cli` imported them; it
+    # patches them in `evaluation` too, which `cmd_evaluate` calls. Goes
+    # with the tracer (ROADMAP item 7).
+    if name in ("loocv_folds", "score_corpus"):
+        from ausentinel import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _DISPATCH = {

@@ -38,7 +38,9 @@ from ausentinel.core import (
     timesteps_to_seconds,
 )
 from ausentinel.detector import WindowConfig, run_trial
-from ausentinel.model import ModelParams, TrainConfig, corpus_matrices, finetune, train
+# `finetune_recipe` is named here too, for callers of `loocv_folds`.
+from ausentinel.model import (ModelParams, TrainConfig, corpus_matrices, finetune,
+                              finetune_recipe, train)
 
 logger = logging.getLogger(__name__)
 
@@ -190,12 +192,12 @@ class Fold:
 
     `params` is trained on every other participant, and `scored` pairs each
     held-out trial, in corpus order, with its events under `params`. Given a
-    recipe (`finetune_recipe`), `tuned` is `params` fine-tuned on the adapt
-    trial (the participant's first by trial id), and `tuned_scored` pairs each
-    of their other trials, by trial id, with its events under `tuned`. A
-    participant with one trial has nothing left to score: `tuned` is None
-    and `tuned_scored` empty. Without a recipe both are None. Every trial is
-    the caller's own object.
+    recipe (`model.finetune_recipe`), `tuned` is `params` fine-tuned on the
+    adapt trial (the participant's first by trial id), and `tuned_scored`
+    pairs each of their other trials, by trial id, with its events under
+    `tuned`. A participant with one trial has nothing left to score: `tuned`
+    is None and `tuned_scored` empty. Without a recipe both are None. Every
+    trial is the caller's own object.
     """
 
     participant_id: str
@@ -205,20 +207,15 @@ class Fold:
     tuned_scored: tuple | None = None  # ScoredTrial tuples after fine-tuning
 
 
-def finetune_recipe(hyper: TrainConfig) -> TrainConfig:
-    """The one per-participant fine-tune for folds trained with `hyper`: 100
-    epochs at 0.1, from its seed; the defaults of `evaluate`'s flags."""
-    return TrainConfig(epochs=100, learning_rate=0.1, seed=hyper.seed)
-
-
 def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
                 cfg: WindowConfig | None = None,
                 finetune_hyper: TrainConfig | None = None) -> list[Fold]:
     """Leave-one-participant-out folds: train on the rest, detect on the one.
 
-    With `finetune_hyper` (`finetune_recipe(hyper)`, or `evaluate`'s flags),
-    each fold's model is also fine-tuned on the held-out participant's first
-    trial (by trial id) and run again on their other trials (see `Fold`).
+    With `finetune_hyper` (`model.finetune_recipe(hyper)`, or `evaluate`'s
+    flags), each fold's model is also fine-tuned on the held-out
+    participant's first trial (by trial id) and run again on their other
+    trials (see `Fold`).
     Each fold's model work is one task of `core.map_in_order`, which runs
     the folds in up to one process per CPU. A task returns its models and
     event lists only; the trials are paired with them here. Models, log

@@ -116,6 +116,12 @@ MAX_FRAMES_PER_TIMESTEP = 400
 ERROR_BUDGET = 10
 
 
+def check_error_budget(error_budget: int, name: str = "error_budget") -> None:
+    """Refuse an error budget below 0, naming it as `name` (a flag or a parameter)."""
+    if error_budget < 0:
+        raise ContractError(f"{name} must be >= 0, got {error_budget}")
+
+
 @dataclass(frozen=True)
 class ArbitrationPolicy:
     """Knobs for source arbitration and frame→timestep aggregation."""
@@ -191,8 +197,7 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDG
     and time order, in that order; the first check a record fails is the
     one logged.
     """
-    if error_budget < 0:
-        raise ContractError(f"error_budget must be >= 0, got {error_budget}")
+    check_error_budget(error_budget)
     if stats is None:
         stats = StreamStats()
     with _text(source, "r", errors="replace", newline="") as source:
@@ -844,8 +849,7 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     not the documented one, is a `ContractError`, and so is a bad
     annotation file (see `read_annotations`).
     """
-    if error_budget < 0:
-        raise ContractError(f"error_budget must be >= 0, got {error_budget}")
+    check_error_budget(error_budget)
     policy = policy or ArbitrationPolicy()
     stats = StreamStats() if stats is None else stats
     manifest_path = os.path.join(corpus_dir, "manifest.json")

@@ -288,10 +288,16 @@ def train(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     return _fit(start, X, y, hyper, epoch_log)
 
 
+def finetune_recipe(hyper: TrainConfig) -> TrainConfig:
+    """The one per-participant fine-tune for folds trained with `hyper`: 100
+    epochs at 0.1, from its seed; the defaults of `evaluate`'s flags."""
+    return TrainConfig(epochs=100, learning_rate=0.1, seed=hyper.seed)
+
+
 def finetune(params: ModelParams, trials: list[TrialRecord], hyper: TrainConfig,
              epoch_log: list | None = None) -> ModelParams:
     """Continue optimization from `params` on the given trials only, with a
-    fine-tune recipe (see `evaluation.finetune_recipe`).
+    fine-tune recipe (see `finetune_recipe`).
 
     Zero epochs returns the input parameters unchanged.
     """

@@ -105,13 +105,14 @@ def test_bad_settings_are_refused_before_any_input_is_read(tmp_path, capsys, mon
                                                           where, command, dest, value,
                                                           message):
     # Each was once refused only after the whole corpus had been read.
-    from ausentinel import cli
+    from ausentinel import cli, evaluation
 
     def never(*args, **kwargs):
         raise AssertionError("read input before every setting was checked")
 
-    for name in ("read_corpus", "loocv_folds", "load"):
+    for name in ("read_corpus", "load"):
         monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(evaluation, "loocv_folds", never)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({dest: value}))
     given = {"flag": [f"--{dest.replace('_', '-')}", str(value)],
@@ -351,7 +352,7 @@ def test_evaluate_loocv_with_finetune(cli_env, tmp_path, capsys, monkeypatch):
 
 
 def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch):
-    from ausentinel import cli, evaluation
+    from ausentinel import evaluation
 
     calls = []
     loocv_folds = evaluation.loocv_folds
@@ -360,7 +361,6 @@ def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch
         calls.append(1)
         return loocv_folds(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "loocv_folds", counted)
     monkeypatch.setattr(evaluation, "loocv_folds", counted)
     corpus = ["evaluate", "--corpus", str(cli_env["corpus"]), "--epochs", "60"]
     finetune = ["--finetune-per-participant", "--finetune-epochs", "20"]
@@ -1032,13 +1032,13 @@ def test_evaluate_checks_the_finetune_flags_before_reading(tmp_path, capsys, mon
                                                            where, dest, value, message):
     # They were once checked after the whole LOOCV pass had printed its
     # table, and the error named `epochs` or `learning_rate`.
-    from ausentinel import cli
+    from ausentinel import cli, evaluation
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the fine-tune flags were checked")
 
     monkeypatch.setattr(cli, "read_corpus", never)
-    monkeypatch.setattr(cli, "loocv_folds", never)
+    monkeypatch.setattr(evaluation, "loocv_folds", never)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({dest: value}))
     given = {"flag": [f"--{dest.replace('_', '-')}", str(value)],

@@ -100,11 +100,23 @@ def test_only_core_writes_a_json_file():
 
 # Modules the live `detect` path never runs: hashlib maps OpenSSL's libcrypto
 # (about 3.6 MB of RSS), socket serves only --listen, the simulator only
-# `simulate` and numpy.random only training. `_POOL` are the stdlib's process
-# pools, which nothing loads: `core.map_in_order` forks its workers itself.
+# `simulate`, numpy.random only training, and the scorer only `evaluate` and
+# `analyze`. `_POOL` are the stdlib's process pools, which nothing loads:
+# `core.map_in_order` forks its workers itself.
 _POOL = ("multiprocessing", "concurrent.futures")
+_SCORER = "ausentinel.evaluation"
 _NOT_ON_THE_LIVE_PATH = ("hashlib", "_hashlib", "socket", "ausentinel.simgen", "numpy.random",
-                         *_POOL)
+                         _SCORER, *_POOL)
+
+
+def _run_fresh(code: str) -> tuple:
+    """Run `code` in a fresh interpreter, which must exit 0, and return the
+    JSON value of its last line of output, and its stderr."""
+    src = Path(ausentinel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1]), out.stderr
 
 
 def _loaded_after(argv: list[str], modules, preamble: str = "") -> list[str]:
@@ -117,13 +129,32 @@ def _loaded_after(argv: list[str], modules, preamble: str = "") -> list[str]:
         f"rc = main({argv!r})\n"
         f"print(json.dumps([rc, [m for m in {tuple(modules)!r} if m in sys.modules]]))\n"
     )
-    src = Path(ausentinel.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    rc, loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert rc == 0, out.stderr
+    (rc, loaded), stderr = _run_fresh(code)
+    assert rc == 0, stderr
     return loaded
+
+
+def test_importing_the_cli_loads_no_scorer():
+    code = f"import json, sys, ausentinel.cli\nprint(json.dumps({_SCORER!r} in sys.modules))\n"
+    assert _run_fresh(code)[0] is False
+
+
+def test_the_cli_names_only_what_the_bench_tracer_patches(monkeypatch):
+    # `cli` resolves `loocv_folds` and `score_corpus` from `evaluation` when
+    # asked, always the current ones, so the tracer still finds them there;
+    # any other name it lacks, the tracer stops on.
+    from ausentinel import cli, evaluation
+
+    assert cli.loocv_folds is evaluation.loocv_folds
+    assert cli.score_corpus is evaluation.score_corpus
+    for name in ("corpus_report", "welch_ttest", "no_such_name"):
+        assert not hasattr(cli, name), name
+
+    def patched(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(evaluation, "loocv_folds", patched)
+    assert cli.loocv_folds is patched
 
 
 def test_detect_loads_only_what_it_runs(tmp_path):
@@ -134,6 +165,20 @@ def test_detect_loads_only_what_it_runs(tmp_path):
     argv = ["detect", "--model", str(fixtures / "model.json"), "--input", str(stream),
             "--out", str(tmp_path / "events.jsonl")]
     assert _loaded_after(argv, _NOT_ON_THE_LIVE_PATH) == []
+
+
+def test_simulate_train_and_detect_corpus_load_no_scorer(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"participants": 2, "trials_per_participant": 1, "seed": 1,
+                                "trial_len_s": 9.0,
+                                "errors": [{"error_type": "physical",
+                                            "perceived_error_start_s": 3.0}]}))
+    corpus, model = str(tmp_path / "corpus"), str(tmp_path / "model.json")
+    for argv in (["simulate", "--spec", str(spec), "--out", corpus],
+                 ["train", "--corpus", corpus, "--out", model, "--epochs", "5"],
+                 ["detect", "--model", model, "--corpus", corpus,
+                  "--out", str(tmp_path / "events.jsonl")]):
+        assert _loaded_after(argv, (_SCORER,)) == [], argv[0]
 
 
 def test_simulate_never_loads_the_pool(tmp_path):
