@@ -436,32 +436,26 @@ class _HeldRecords(logging.Handler):
         record.msg, record.args = record.getMessage(), None
         self.records.append(record)
 
-
-def _held_back(task, shared, i: int) -> tuple:
-    """Run `task(shared, i)` holding back what the package logs meanwhile:
-    (log records, whether it raised, its result or its exception)."""
-    package = logging.getLogger(__name__.partition(".")[0])
-    held, propagate = _HeldRecords(), package.propagate
-    package.addHandler(held)
-    package.propagate = False
-    try:
-        return held.records, False, task(shared, i)
-    except Exception as exc:
-        return held.records, True, exc
-    finally:
-        package.removeHandler(held)
-        package.propagate = propagate
+    def outcome(self, task, i: int) -> tuple:
+        """Run `task(i)`: (the records it logged, whether it raised, its
+        result or its exception)."""
+        self.records = []
+        try:
+            return self.records, False, task(i)
+        except Exception as exc:
+            return self.records, True, exc
 
 
-def _forked(task, shared, n: int, workers: int) -> list:
-    """The outcomes of `_held_back` for tasks 0 .. n-1, in task order, run
-    in `workers` forked processes. Worker w runs tasks w, w + workers,
-    w + 2 * workers, ... and only then writes the list of their outcomes,
-    pickled, into a pipe of its own, so no worker waits on the parent while
-    it has tasks left. A pipe that ends before its worker's list raises
-    ChildProcessError, naming the worker and its first task. If reading
-    stops early (that error, or an interrupt), every worker is killed.
-    Every worker has been reaped when this returns or raises.
+def _forked(task, n: int, workers: int) -> list:
+    """The outcomes (see `_HeldRecords.outcome`) of tasks 0 .. n-1, in task
+    order, run in `workers` forked processes. A worker holds back all that
+    the package logs, from its start to its end. Worker w runs tasks w,
+    w + workers, w + 2 * workers, ... and only then writes the list of their
+    outcomes, pickled, into a pipe of its own, so no worker waits on the
+    parent while it has tasks left. A pipe that ends before its worker's
+    list raises ChildProcessError, naming the worker and its first task. If
+    reading stops early (that error, or an interrupt), every worker is
+    killed. Every worker has been reaped when this returns or raises.
     """
     pids, pipes, lists = [], [], []
     try:
@@ -472,12 +466,17 @@ def _forked(task, shared, n: int, workers: int) -> list:
                 pid = os.fork()
                 if pid == 0:
                     # The worker leaves only through os._exit: it never
-                    # returns into the caller nor flushes its stdio buffers.
+                    # returns into the caller nor flushes its stdio buffers,
+                    # so nothing it changes needs restoring.
                     code = 1
                     try:
                         for pipe in pipes:  # the parent's: once it closes them, a write fails
                             pipe.close()
-                        outcomes = [_held_back(task, shared, i) for i in range(w, n, workers)]
+                        held = _HeldRecords()
+                        package = logging.getLogger(__name__.partition(".")[0])
+                        package.addHandler(held)
+                        package.propagate = False  # the parent hands each record on
+                        outcomes = [held.outcome(task, i) for i in range(w, n, workers)]
                         out = open(write_end, "wb")  # closed by os._exit if dump fails
                         pickle.dump(outcomes, out)
                         out.close()
@@ -506,34 +505,34 @@ def _forked(task, shared, n: int, workers: int) -> list:
     return [lists[i % workers][i // workers] for i in range(n)]
 
 
-def map_in_order(task, shared, n: int):
-    """Yield `task(shared, i)` for i = 0 .. n-1, in that order.
+def map_in_order(task, n: int):
+    """Yield `task(i)` for i = 0 .. n-1, in that order.
 
     With W = min(n, `usable_cpus()`) of at least 2, the tasks run in W
     processes forked from this one (see `_forked`), and every worker has
-    ended before the first result is yielded; otherwise (one CPU, one task,
-    or no affinity mask) they run here, one at a time, as the results are
-    consumed. A worker gets `task` and `shared` by fork inheritance, so
-    neither is ever pickled; only each task's result, log records and
-    exception travel back, pickled, so each task should return little. A worker that dies before returning
-    its tasks (killed, or unable to pickle an outcome) raises
-    ChildProcessError here. The process that forks must hold one thread
-    then, or Python 3.12 and later warn that the child may deadlock: the
-    commands that fork workers run no thread of their own, and numpy's
+    ended before the first result is yielded. A worker inherits `task` by
+    fork, so any callable will do, a closure included, and it is never
+    pickled; only each task's result, log records and exception travel
+    back, pickled, so each task should return little. A worker that dies
+    before returning its tasks (killed, or unable to pickle an outcome)
+    raises ChildProcessError here. The process that forks must hold one
+    thread then, or Python 3.12 and later warn that the child may deadlock:
+    the commands that fork workers run no thread of their own, and numpy's
     OpenBLAS stops its threads before a fork (its own fork handler) and
-    starts them again on its next call.
+    starts them again on its next call. What a worker's task logs is handed
+    to the package's loggers just before that task's result is yielded, and
+    a task that raised has its exception raised there instead.
 
-    Either way, whatever the package logs during a task is held back and
-    handed to its loggers just before that task's result is yielded; a task
-    that raised has its exception raised there instead. So records, results
-    and the first failure come in task order, as a serial loop makes them.
+    Otherwise (one CPU, one task, or no affinity mask) the tasks run here,
+    one at a time, as the results are consumed, and log as they run. So
+    records, results and the first failure come in task order either way,
+    as a serial loop makes them.
     """
     workers = min(n, usable_cpus())
-    if workers > 1:
-        outcomes = _forked(task, shared, n, workers)
-    else:
-        outcomes = (_held_back(task, shared, i) for i in range(n))
-    for records, failed, value in outcomes:
+    if workers < 2:
+        yield from map(task, range(n))
+        return
+    for records, failed, value in _forked(task, n, workers):
         for record in records:
             logging.getLogger(record.name).handle(record)
         if failed:

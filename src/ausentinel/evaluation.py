@@ -216,8 +216,8 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     flags), each fold's model is also fine-tuned on the held-out
     participant's first trial (by trial id) and run again on their other
     trials (see `Fold`).
-    Each fold's model work is one task of `core.map_in_order`, which runs
-    the folds in up to one process per CPU. A task returns its models and
+    Fold k's `_fold_work` is task k of `core.map_in_order`, which runs the
+    folds in up to one process per CPU. A task returns its models and
     event lists only; the trials are paired with them here. Models, log
     records and the first failure come back fold by fold (training, then
     fine-tuning), as running the folds one by one gives them.
@@ -229,8 +229,9 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
         raise ContractError("cross validation needs at least 2 participants")
     held_out = [[t for t in corpus if t.participant_id == p] for p in participants]
     by_id = [sorted(trials, key=lambda t: t.trial_id) for trials in held_out]
-    outcomes = map_in_order(_fold_work, (corpus, held_out, by_id, hyper, cfg, finetune_hyper),
-                            len(participants))
+    outcomes = map_in_order(
+        lambda k: _fold_work(corpus, held_out[k], by_id[k], hyper, cfg, finetune_hyper),
+        len(participants))
     folds = []
     for participant, trials, ordered, (params, events, tuned, tuned_events) in zip(
             participants, held_out, by_id, outcomes):
@@ -239,21 +240,20 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     return folds
 
 
-def _fold_work(shared, k: int):
-    """Fold k's model work, of `shared` = (corpus, each participant's trials
-    in corpus order, the same by trial id, hyper, cfg, fine-tune recipe or
-    None): its model, the held-out trials' events in corpus order, and,
-    given a recipe, the fine-tuned model and the events of the trials after
-    the first by id."""
-    corpus, held_out, by_id, hyper, cfg, finetune_hyper = shared
-    participant = held_out[k][0].participant_id
+def _fold_work(corpus, held, ordered, hyper, cfg, finetune_hyper):
+    """The model work of the fold that holds out `held`, one participant's
+    trials in corpus order (`ordered` is the same by trial id): its model,
+    the held-out trials' events in corpus order, and, given a fine-tune
+    recipe, the fine-tuned model and the events of the trials after the
+    first by id."""
+    participant = held[0].participant_id
     train_set = [t for t in corpus if t.participant_id != participant]
     assert not any(t.participant_id == participant for t in train_set)  # leakage
     params = train(train_set, hyper)
-    events = [run_trial(t, params, cfg) for t in held_out[k]]
+    events = [run_trial(t, params, cfg) for t in held]
     if finetune_hyper is None:
         return params, events, None, None
-    adapt, *rest = by_id[k]
+    adapt, *rest = ordered
     if not rest:  # nothing left to evaluate after holding out one trial
         return params, events, None, []
     tuned = finetune(params, [adapt], finetune_hyper)

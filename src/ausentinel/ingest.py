@@ -812,18 +812,18 @@ def _manifest_trials(manifest) -> list[tuple]:
     return trials
 
 
-def _trial_matrix(shared, i: int):
-    """Trial file i of `shared` = ([(path, trial_start)], policy,
-    error_budget) as (AU matrix, valid_face mask, the file's own counters).
-    A contract error of its frames (see `_columns_to_matrix`) names the file."""
-    paths, policy, error_budget = shared
-    path, trial_start = paths[i]
+def _trial_matrix(path, trial_start: float, policy: ArbitrationPolicy,
+                  error_budget: int):
+    """The trial file at `path` as (AU matrix, valid_face mask, the file's
+    own counters). A contract error of its frames (see `_read_trial` and
+    `_columns_to_matrix`) names the file, and keeps its class and line."""
     stats = StreamStats()
-    columns = _read_trial(path, stats, error_budget)
     try:
+        columns = _read_trial(path, stats, error_budget)
         return *_columns_to_matrix(*columns, policy, trial_start, stats), stats
     except ContractError as exc:
-        raise ContractError(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
@@ -837,17 +837,20 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     per-frame or per-timestep object; a file with any record `read_stream`
     would skip, or any value the column checks cannot vouch for, is read by
     `read_stream` instead (same warnings, skip counts and errors, and its
-    own `error_budget`) and its frames then take the same pass. The files
-    are read in up to one process per CPU (`core.map_in_order`), each
-    returning only a trial's two arrays and its counters; every trial adds
-    its counters to `stats` when provided, and its log records are handed
-    on, in manifest order, so counters, warnings and the first error are
-    those of reading the files one by one.
+    own `error_budget`) and its frames then take the same pass; a contract
+    error of a frame file names the file. Reading file i is task i of
+    `core.map_in_order` (up to one process per CPU), which returns only a
+    trial's two arrays and its counters; every trial adds its counters to
+    `stats` when provided, and its log records come in manifest order, so
+    counters, warnings and the first error are those of reading the files
+    one by one.
 
     The manifest and the annotations are checked before any frame file is
-    read: a manifest that does not decode as UTF-8 JSON, or whose shape is
-    not the documented one, is a `ContractError`, and so is a bad
-    annotation file (see `read_annotations`).
+    read: a manifest that does not decode as UTF-8 JSON, whose shape is not
+    the documented one, or that lists no trials, is a `ContractError`, and
+    so is a bad annotation file (see `read_annotations`) or a row whose
+    participant or error type is not its manifest entry's. Rows of trials
+    the manifest does not list are ignored, with one warning naming them.
     """
     check_error_budget(error_budget)
     policy = policy or ArbitrationPolicy()
@@ -860,30 +863,27 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     entries = _manifest_trials(manifest)
     ann_path = os.path.join(corpus_dir, "annotations.csv")
     annotations = read_annotations(ann_path) if os.path.exists(ann_path) else {}
+    if not entries:
+        raise ContractError(f"corpus at {corpus_dir} lists no trials")
+    for trial_id, participant_id, error_type, _, _ in entries:
+        ann = annotations.get(trial_id)
+        for key, value in (("participant_id", participant_id), ("error_type", error_type)):
+            if ann is not None and ann[key] != value:
+                raise ContractError(f"trial {trial_id}: manifest/annotation {key} mismatch")
+    unmatched = sorted(annotations.keys() - {entry[0] for entry in entries})
+    if unmatched:
+        logger.warning("%s: ignoring the rows of trials manifest.json does not list: %s",
+                       ann_path, ", ".join(unmatched))
     paths = [(os.path.join(corpus_dir, frames), trial_start)
              for _, _, _, frames, trial_start in entries]
-    decoded = map_in_order(_trial_matrix, (paths, policy, error_budget), len(paths))
+    decoded = map_in_order(lambda i: _trial_matrix(*paths[i], policy, error_budget),
+                           len(paths))
     trials = []
     for (trial_id, participant_id, error_type, _, trial_start), (au, valid, counts) in zip(
             entries, decoded):
         stats.add(counts)
         ann = annotations.get(trial_id)
-        if ann is not None:
-            for key, value in (("participant_id", participant_id),
-                               ("error_type", error_type)):
-                if ann[key] != value:
-                    raise ContractError(
-                        f"trial {trial_id}: manifest/annotation {key} mismatch"
-                    )
         trials.append(TrialRecord(
-            trial_id=trial_id,
-            participant_id=participant_id,
-            error_type=error_type,
-            au=au,
-            valid_face=valid,
-            trial_start=trial_start,
-            annotations=ann["ground_truth"] if ann is not None else None,
-        ))
-    if not trials:
-        raise ContractError(f"corpus at {corpus_dir} lists no trials")
+            trial_id, participant_id, error_type, au, valid, trial_start,
+            annotations=ann["ground_truth"] if ann is not None else None))
     return trials

@@ -894,6 +894,13 @@ def _annotation_cell(at, value):
     return corrupt
 
 
+def _edit_frames(change):
+    def corrupt(corpus):
+        path = corpus / "frames" / "p00_t00.jsonl"
+        path.write_text("".join(change(path.read_text().splitlines(True))))
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (_edit_manifest(lambda manifest: [1, 2]), "manifest.json"),
     (_edit_manifest(lambda manifest: dict(manifest, trials=5)), "trials"),
@@ -912,11 +919,16 @@ def _annotation_cell(at, value):
     (_annotation_cell(3, "-1"),
      "annotations.csv: trial p00_t00: annotation indices must be non-negative"),
     (_annotation_cell(5, "60"), "trial p00_t00: annotation indices exceed trial length 60"),
+    # These two once named no file.
+    (_edit_frames(lambda lines: [lines[0].replace('"AU01"', '"AU99"')] + lines[1:]),
+     "p00_t00.jsonl: line 1: stream catalog does not match the canonical AU ordering"),
+    (_edit_frames(lambda lines: lines[:5] + ["garbage\n"] * 11 + lines[5:]),
+     "p00_t00.jsonl: line 16: error budget exceeded (11 malformed records)"),
 ], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
         "trial-start-number-text", "trial-start-bool", "trial-start-400-digits",
         "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text",
         "annotations-field-past-the-size-limit", "reversed-interval", "negative-index",
-        "index-past-the-trial"])
+        "index-past-the-trial", "frames-catalog", "frames-past-the-error-budget"])
 def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
                                             corrupt, named):
     corpus = tmp_path / "corpus"

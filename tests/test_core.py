@@ -270,7 +270,8 @@ def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, capl
     for n in (1, 2, 5):
         caplog.clear()
         with caplog.at_level("WARNING"):
-            results = list(map_in_order(_task_under_lock, threading.Lock(), n))
+            lock = threading.Lock()
+            results = list(map_in_order(lambda i: _task_under_lock(lock, i), n))
         assert [square for square, _ in results] == [i * i for i in range(n)]
         assert [r.getMessage() for r in caplog.records] == [f"task {i}" for i in range(n)]
         # Worker w runs tasks w, w + W, w + 2W, ... of W = min(n, CPUs) workers.
@@ -285,7 +286,7 @@ def test_map_in_order_yields_results_and_records_in_task_order(monkeypatch, capl
 def test_map_in_order_raises_the_first_failure_after_the_records_before_it(
         monkeypatch, caplog, cpus):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-    results = map_in_order(_logged_task, 2, 5)
+    results = map_in_order(lambda i: _logged_task(2, i), 5)
     with caplog.at_level("WARNING"):
         assert [square for square, _ in (next(results), next(results))] == [0, 1]
         with pytest.raises(ContractError, match="task 2 failed"):
@@ -302,7 +303,8 @@ def test_a_pool_leaves_no_exiting_thread_behind(monkeypatch):
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     left = []
     for _ in range(10):
-        assert [square for square, _ in map_in_order(_logged_task, None, 2)] == [0, 1]
+        results = map_in_order(lambda i: _logged_task(None, i), 2)
+        assert [square for square, _ in results] == [0, 1]
         with open("/proc/self/stat") as fh:  # field 20 is the thread count
             left.append(int(fh.read().rpartition(")")[2].split()[17]))
     assert left == [threading.active_count()] * 10

@@ -1277,6 +1277,23 @@ def test_read_corpus_reads_clean_files_without_frames(tmp_path, monkeypatch):
         assert trial.valid_face.tolist() == valid.tolist()
 
 
+def test_read_corpus_warns_of_annotation_rows_no_trial_matches(tmp_path, caplog):
+    # A row whose trial id the manifest does not list was dropped unnoticed,
+    # and with it the ground truth of the trial it was meant for.
+    write_corpus(generate(ScenarioSpec(participants=2, trials_per_participant=1, seed=3,
+                                       errors=(ErrorPlan("physical", 10.0),),
+                                       trial_len_s=20.0)), tmp_path)
+    path = tmp_path / "annotations.csv"
+    path.write_text(path.read_text().replace("p01_t00,", "p01_t0O,"))
+    with caplog.at_level("WARNING"):
+        trials = read_corpus(tmp_path)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
+        "WARNING",
+        f"{path}: ignoring the rows of trials manifest.json does not list: p01_t0O")]
+    assert [(t.trial_id, t.annotations is None) for t in trials] == [
+        ("p00_t00", False), ("p01_t00", True)]
+
+
 # ---------------------------------------------------------------------------
 # Annotations
 

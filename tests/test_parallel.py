@@ -208,7 +208,7 @@ def test_an_unreadable_first_line_keeps_its_error(corpus, tmp_path, monkeypatch)
         with pytest.raises(StreamFormatError) as exc:
             read_corpus(corpus)
         assert exc.value.line_no == 1
-        assert str(exc.value) == ("line 1: unreadable first record: "
+        assert str(exc.value) == (f"{frames}: line 1: unreadable first record: "
                                   "Expecting property name enclosed in double quotes: "
                                   "line 1 column 2 (char 1)")
 
@@ -241,6 +241,24 @@ def test_files_with_skipped_lines_keep_their_warnings_and_counters(corpus, tmp_p
     assert (counters["records_skipped"], counters["frames_read"]) == (2, frame_lines - 2)
 
 
+def test_a_mismatched_annotation_is_refused_before_any_frame_file_is_read(
+        corpus, tmp_path, monkeypatch, capsys):
+    # The first trial's frame file is gone and the last row names another
+    # participant: the mismatch (exit 2) comes first, not the missing file
+    # (exit 1), as the manifest and annotations are checked before decoding.
+    corpus = _copy(corpus, tmp_path)
+    (corpus / "frames" / "p00_t00.jsonl").unlink()
+    path = corpus / "annotations.csv"
+    *rows, last = path.read_text().splitlines(True)
+    trial_id, _, rest = last.split(",", 2)
+    path.write_text("".join(rows) + f"{trial_id},p99,{rest}")
+    for cpus in WORKER_COUNTS:
+        use_cpus(monkeypatch, cpus)
+        assert main(["evaluate", "--corpus", str(corpus), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trial {trial_id}: manifest/annotation participant_id mismatch\n")
+
+
 def test_two_tasks_fork_on_two_cpus_whatever_their_size(corpus, tmp_path, monkeypatch):
     # Usable CPUs and the task count alone choose: the 3x2 corpus of 12 s
     # trials and 1-epoch folds fork min(tasks, CPUs) workers, and one CPU
@@ -248,9 +266,9 @@ def test_two_tasks_fork_on_two_cpus_whatever_their_size(corpus, tmp_path, monkey
     forks = []
     forked = core._forked
 
-    def spy(task, shared, n, workers):
+    def spy(task, n, workers):
         forks.append((n, workers))
-        return forked(task, shared, n, workers)
+        return forked(task, n, workers)
 
     monkeypatch.setattr(core, "_forked", spy)
     one_trial = _copy(corpus, tmp_path)
@@ -341,7 +359,7 @@ def test_a_dead_worker_is_a_child_process_error_and_leaves_no_child():
         "seen = []\n"
         "for dying in (0, 1):\n"
         "    try:\n"
-        "        raised = len(list(core.map_in_order(task, dying, 4)))\n"
+        "        raised = len(list(core.map_in_order(lambda i: task(dying, i), 4)))\n"
         "    except ChildProcessError as exc:\n"
         "        raised = str(exc)\n"
         "    seen.append([raised, no_child_left()])\n"
@@ -357,7 +375,7 @@ def test_an_interrupted_pool_leaves_no_worker():
     # Task 1 interrupts the parent while worker 0 is still in task 2, a
     # minute long: the parent kills it rather than wait for it.
     code = _TWO_CPUS + (
-        "def task(shared, i):\n"
+        "def task(i):\n"
         "    if i == 1:\n"
         "        os.kill(os.getppid(), signal.SIGINT)\n"
         "    elif i == 2:\n"
@@ -365,7 +383,7 @@ def test_an_interrupted_pool_leaves_no_worker():
         "    return i\n"
         "start = time.monotonic()\n"
         "try:\n"
-        "    ended = list(core.map_in_order(task, None, 4))\n"
+        "    ended = list(core.map_in_order(task, 4))\n"
         "except KeyboardInterrupt:\n"
         "    ended = 'interrupted'\n"
         "print(json.dumps([ended, no_child_left(), time.monotonic() - start < 30]))\n"
@@ -375,6 +393,27 @@ def test_an_interrupted_pool_leaves_no_worker():
     assert json.loads(done.stdout) == ["interrupted", True, True]
 
 
+def test_each_worker_warning_reaches_stderr_once(corpus, tmp_path):
+    # Two files hold garbage lines, so two workers warn; the parent alone
+    # writes their records, in manifest order, and no worker writes its own.
+    corpus = _copy(corpus, tmp_path)
+    for name, line_no in (("p00_t01.jsonl", 5), ("p02_t00.jsonl", 9)):
+        path = corpus / "frames" / name
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(lines[:line_no] + ["garbage\n"] + lines[line_no:]))
+    code = _TWO_CPUS + (
+        "import sys\n"
+        "from ausentinel.cli import main\n"
+        "sys.exit(main(['evaluate', '--corpus', sys.argv[1], '--epochs', '5']))\n"
+    )
+    done = _run_fresh(code, corpus)
+    assert done.returncode == 0, done.stderr
+    skipped = [line.split(": ")[:2] for line in done.stderr.splitlines()
+               if "skipping malformed record" in line]
+    assert skipped == [["WARNING ausentinel.ingest", "skipping malformed record at line 6"],
+                       ["WARNING ausentinel.ingest", "skipping malformed record at line 10"]]
+
+
 def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
     # The second fold's worker dies before it returns the fold.
     code = _TWO_CPUS + (
@@ -382,10 +421,10 @@ def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
         "from ausentinel import evaluation\n"
         "from ausentinel.cli import main\n"
         "fold_work = evaluation._fold_work\n"
-        "def dying(shared, k):\n"
-        "    if k == 1:\n"
+        "def dying(corpus, held, *rest):\n"
+        "    if held[0].participant_id == 'p01':\n"
         "        os._exit(3)\n"
-        "    return fold_work(shared, k)\n"
+        "    return fold_work(corpus, held, *rest)\n"
         "evaluation._fold_work = dying\n"
         "sys.exit(main(['evaluate', '--corpus', sys.argv[1], '--epochs', '5']))\n"
     )
