@@ -10,7 +10,8 @@ values. All outputs are deterministic given identical inputs and seeds.
 
 Frame streams (``--input``, stdin, ``--listen``) are decoded as UTF-8 with
 undecodable bytes replaced by U+FFFD, so a garbage byte costs at most the
-record that holds it (see `ingest.read_stream`).
+record that holds it (see `ingest.read_stream`). `detect` writes each event
+as it fires to ``--out``, or, if that is absent or empty, to stdout, left open.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import sys
 
 from ausentinel.core import (
+    PERTURB_KINDS,
     RATE_HZ,
     AusentinelError,
     ContractError,
@@ -40,6 +42,7 @@ from ausentinel.ingest import (
     ArbitrationPolicy,
     TimestepBuilder,
     check_error_budget,
+    open_text,
     read_corpus,
     read_stream,
 )
@@ -157,7 +160,7 @@ def build_parser():
     sub = commands.add_parser("simulate", help="generate a synthetic corpus")
     sub.add_argument("--spec", required=True, help="scenario spec JSON")
     sub.add_argument("--out", required=True, help="corpus directory to write")
-    sub.add_argument("--perturb", choices=("novelty", "occlusion", "amplitude-scale"),
+    sub.add_argument("--perturb", choices=PERTURB_KINDS,
                      help="contaminate the corpus after generation")
     sub.add_argument("--magnitude", type=_finite, default=1.0,
                      help="perturbation strength (see simulate docs)")
@@ -253,26 +256,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-class _EventWriter:
-    def __init__(self, path: str | None, stats: StreamStats):
-        self._own = path is not None
-        self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
-        self._stats = stats
-
-    def write(self, trial_id: str, event, trial_start: float) -> None:
-        self._fh.write(canonical_json(event_to_obj(trial_id, event, trial_start)) + "\n")
-        self._fh.flush()  # live consumers see events as they fire
-        self._stats.events += 1
-        if not event.merged:
-            self._stats.unmerged_events += 1
-
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
-
-
-def _detect_stream(source, args, policy, cfg, params, writer, stats: StreamStats) -> None:
-    """Consume one frame stream (a text stream or a path), counting on `stats`."""
+def _detect_stream(source, args, policy, cfg, params, write, stats: StreamStats) -> None:
+    """Consume one frame stream (a text stream or a path) into `write`, counting on `stats`."""
     builder = TimestepBuilder(policy, args.trial_start, stats)
     state = DetectorState()
 
@@ -282,7 +267,7 @@ def _detect_stream(source, args, policy, cfg, params, writer, stats: StreamStats
             weight = classify_timestep(params, ts.au[None]).item()
             event = step(state, ts.index, weight, cfg)
             if event is not None:
-                writer.write(args.trial_id, event, args.trial_start)
+                write(args.trial_id, event, args.trial_start)
 
     for frame in read_stream(source, args.format, error_budget=args.error_budget,
                              stats=stats):
@@ -319,13 +304,19 @@ def cmd_detect(args) -> int:
     policy, cfg = _policy(args), _window(args)
     params = load(args.model)
     stats = StreamStats()
-    writer = _EventWriter(args.out, stats)
-    try:
+    with open_text(args.out or sys.stdout, "w") as out:
+        def write(trial_id: str, event, trial_start: float) -> None:
+            out.write(canonical_json(event_to_obj(trial_id, event, trial_start)) + "\n")
+            out.flush()  # live consumers see events as they fire
+            stats.events += 1
+            if not event.merged:
+                stats.unmerged_events += 1
+
         if args.corpus:
             for trial in read_corpus(args.corpus, policy, stats,
                                      error_budget=args.error_budget):
                 for event in run_trial(trial, params, cfg):
-                    writer.write(trial.trial_id, event, trial.trial_start)
+                    write(trial.trial_id, event, trial.trial_start)
                 stats.timesteps += len(trial)
         elif args.listen:
             host, _, port = args.listen.rpartition(":")
@@ -335,26 +326,21 @@ def cmd_detect(args) -> int:
                 raise ContractError(f"--listen wants host:port, port 0-65535: {args.listen!r}")
             import socket  # only --listen needs it; `detect` starts leaner without
 
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-                server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                server.bind((host or "127.0.0.1", int(port)))
-                server.listen(1)
+            with socket.create_server((host or "127.0.0.1", int(port)), backlog=1) as server:
                 logger.info("listening on %s", args.listen)
                 conn, peer = server.accept()
                 conn.settimeout(LISTEN_IDLE_S)
                 logger.info("stream from %s", peer)
                 with conn, io.TextIOWrapper(io.BufferedReader(_UntilIdle(conn)),
                                             encoding="utf-8", errors="replace") as fh:
-                    _detect_stream(fh, args, policy, cfg, params, writer, stats)
+                    _detect_stream(fh, args, policy, cfg, params, write, stats)
         elif args.input:
-            _detect_stream(args.input, args, policy, cfg, params, writer, stats)
+            _detect_stream(args.input, args, policy, cfg, params, write, stats)
         else:
             reconfigure = getattr(sys.stdin, "reconfigure", None)
             if reconfigure is not None:  # a text file; not a stand-in such as StringIO
                 reconfigure(errors="replace")
-            _detect_stream(sys.stdin, args, policy, cfg, params, writer, stats)
-    finally:
-        writer.close()
+            _detect_stream(sys.stdin, args, policy, cfg, params, write, stats)
     if stats.records_skipped:
         logger.warning("skipped %d malformed records", stats.records_skipped)
     print(canonical_json(vars(stats)), file=sys.stderr)

@@ -73,6 +73,9 @@ AU_NAMES: dict[str, str] = {
 
 ERROR_TYPES = ("physical", "concept", "generalization", "none")
 
+# The contaminations `simulate --perturb` applies (see `simgen.perturb`).
+PERTURB_KINDS = ("novelty", "occlusion", "amplitude-scale")
+
 
 # SHA-256 hex digest of ",".join(AU_IDS). Kept as a literal so that loading
 # the package does not load hashlib (and with it OpenSSL's libcrypto); a test

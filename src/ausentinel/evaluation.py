@@ -38,9 +38,7 @@ from ausentinel.core import (
     timesteps_to_seconds,
 )
 from ausentinel.detector import WindowConfig, run_trial
-# `finetune_recipe` is named here too, for callers of `loocv_folds`.
-from ausentinel.model import (ModelParams, TrainConfig, corpus_matrices, finetune,
-                              finetune_recipe, train)
+from ausentinel.model import ModelParams, TrainConfig, corpus_matrices, finetune, train
 
 logger = logging.getLogger(__name__)
 

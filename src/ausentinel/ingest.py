@@ -29,9 +29,9 @@ line is only decoded, the record checks run on whole columns, and
 whole-trial numpy operations slot, de-duplicate and arbitrate the frames,
 as a builder fed the frames in time order would. A file that fails any
 check is read again by `read_stream`, so malformed records are skipped,
-counted, logged and budgeted in one place, and its frames then take the
-same batch pass, which fills the trial's matrix with no `Timestep`. Either
-way, `aggregate` reduces each timestep's winning ticks to its sample.
+counted, logged (the file named) and budgeted in one place, and its frames
+then take the same batch pass, which fills the matrix with no `Timestep`.
+Either way, `aggregate` reduces each timestep's winning ticks to its sample.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from ausentinel.core import (
     AU_IDS,
     AU_INTENSITY_MAX,
     AU_INTENSITY_MIN,
+    ERROR_TYPES,
     MAX_TRIAL_S,
     N_AUS,
     RATE_HZ,
@@ -198,9 +199,8 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDG
     one logged.
     """
     check_error_budget(error_budget)
-    if stats is None:
-        stats = StreamStats()
-    with _text(source, "r", errors="replace", newline="") as source:
+    stats = StreamStats() if stats is None else stats
+    with open_text(source, "r", errors="replace", newline="") as source:
         if format == "jsonl":
             records, keys = _jsonl_records(source), _JSONL_KEYS
         elif format == "csv":
@@ -360,8 +360,8 @@ def _csv_records(lines):
         yield line_no, row
 
 
-def _text(target, mode: str, **kwargs):
-    """`target` opened as UTF-8 text if it is a path, else the caller's open stream."""
+def open_text(target, mode: str, **kwargs):
+    """`target` as UTF-8 text: a path opened here, else the caller's stream, left open."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         return open(target, mode, encoding="utf-8", **kwargs)
     return contextlib.nullcontext(target)
@@ -381,7 +381,7 @@ def frame_to_obj(frame: AuFrame) -> dict:
 def write_frames_jsonl(path, frames, *, catalog_header: bool = True) -> int:
     """Write frames as JSONL to a path or text stream; returns how many."""
     n = 0
-    with _text(path, "w") as fh:
+    with open_text(path, "w") as fh:
         if catalog_header:
             fh.write(canonical_json({"catalog": list(AU_IDS)}) + "\n")
         for frame in frames:
@@ -392,7 +392,7 @@ def write_frames_jsonl(path, frames, *, catalog_header: bool = True) -> int:
 
 def write_frames_csv(path, frames) -> int:
     n = 0
-    with _text(path, "w", newline="") as fh:
+    with open_text(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for frame in frames:
@@ -654,7 +654,7 @@ def _decode_trial(path, stats: StreamStats):
     (source ranks, t, confidence, clamped au).
     """
     sources, times, confs, aus, blocks = [], [], [], [], []
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+    with open_text(path, "r", errors="replace", newline="") as fh:
         for _, obj in _jsonl_records(fh):
             if isinstance(obj, Exception):
                 return None
@@ -716,55 +716,70 @@ def _read_trial(path, stats: StreamStats, error_budget: int):
     return columns
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Within it, what `ingest` logs and each `ContractError` raised read
+    `<path>: <own text>`, the error keeping its class. Streams are not read in it."""
+
+    def name(record) -> bool:
+        record.msg, record.args = f"{path}: {record.getMessage()}", None
+        return True
+
+    logger.addFilter(name)
+    try:
+        yield
+    except ContractError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    finally:
+        logger.removeFilter(name)
+
+
 def read_annotations(path) -> dict[str, dict]:
     """Read the annotation CSV into {trial_id: row} with parsed GroundTruth.
 
     Only trials with an annotated reaction appear in the file; error-free
     trials are listed in the corpus manifest alone. The file must be UTF-8
     and its three index columns integers that make a valid `GroundTruth`;
-    anything else is a `StreamFormatError` naming the file (and the line,
-    column and trial, where known), since a ground truth is never guessed.
+    anything else is a `StreamFormatError`, `<path>: line N: <check>` naming
+    the column and trial where known, since a ground truth is never guessed.
     """
     rows: dict[str, dict] = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _naming(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-                raise StreamFormatError(f"{path}: annotation CSV header mismatch", line_no=1)
+                raise StreamFormatError("annotation CSV header mismatch", line_no=1)
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(ANNOTATION_HEADER):
-                    raise StreamFormatError(
-                        f"{path}: expected {len(ANNOTATION_HEADER)} columns", line_no=line_no
-                    )
+                    raise StreamFormatError(f"expected {len(ANNOTATION_HEADER)} columns",
+                                            line_no=line_no)
                 trial_id = row[0]
                 if trial_id in rows:
-                    raise StreamFormatError(f"{path}: duplicate trial_id {trial_id!r}",
-                                            line_no=line_no)
+                    raise StreamFormatError(f"duplicate trial_id {trial_id!r}", line_no=line_no)
                 indices = []
                 for name, cell in zip(ANNOTATION_HEADER[3:], row[3:]):
                     try:
                         indices.append(int(cell))
                     except ValueError:
-                        raise StreamFormatError(
-                            f"{path}: {name} {cell!r} is not an integer", line_no=line_no
-                        ) from None
+                        raise StreamFormatError(f"{name} {cell!r} is not an integer",
+                                                line_no=line_no) from None
                 try:
                     ground_truth = GroundTruth(*indices)
                 except ContractError as exc:
-                    raise StreamFormatError(f"{path}: trial {trial_id}: {exc}",
-                                            line_no=line_no) from None
+                    raise StreamFormatError(f"trial {trial_id}: {exc}", line_no=line_no) from None
                 rows[trial_id] = {
                     "participant_id": row[1],
                     "error_type": row[2],
                     "ground_truth": ground_truth,
                 }
-    except UnicodeDecodeError as exc:
-        raise StreamFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except csv.Error as exc:
-        raise StreamFormatError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise StreamFormatError(f"not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise StreamFormatError(str(exc)) from None
     return rows
 
 
@@ -790,9 +805,9 @@ _TRIAL_FIELDS = {"trial_id": (str,), "participant_id": (str,), "error_type": (st
 
 def _manifest_trials(manifest) -> list[tuple]:
     """The trial entries of a decoded manifest, each as (trial_id,
-    participant_id, error_type, frames, trial_start); any other shape, or a
-    trial_id listed twice, is a `ContractError` naming the entry and the
-    field."""
+    participant_id, error_type, frames, trial_start); any other shape, an
+    error_type outside `core.ERROR_TYPES`, or a trial_id listed twice, is a
+    `ContractError` naming the entry and the field."""
     check_field("manifest.json", manifest, dict)
     trials, first_pos = [], {}
     for pos, entry in enumerate(check_field("manifest.json trials",
@@ -804,7 +819,9 @@ def _manifest_trials(manifest) -> list[tuple]:
                                 for key, rule in _TRIAL_FIELDS.items()))
         except KeyError as exc:
             raise ContractError(f"{where} lacks {exc.args[0]}") from None
-        trial_id = trials[-1][0]
+        trial_id, _, error_type, _, _ = trials[-1]
+        if error_type not in ERROR_TYPES:
+            raise ContractError(f"{where} error_type {error_type!r} is not one of {ERROR_TYPES}")
         if trial_id in first_pos:
             raise ContractError(f"{where} repeats trial_id {trial_id!r} "
                                 f"of trial {first_pos[trial_id]}")
@@ -815,15 +832,12 @@ def _manifest_trials(manifest) -> list[tuple]:
 def _trial_matrix(path, trial_start: float, policy: ArbitrationPolicy,
                   error_budget: int):
     """The trial file at `path` as (AU matrix, valid_face mask, the file's
-    own counters). A contract error of its frames (see `_read_trial` and
-    `_columns_to_matrix`) names the file, and keeps its class and line."""
+    own counters). Its warnings and contract errors (see `_read_trial` and
+    `_columns_to_matrix`) name the file (see `_naming`)."""
     stats = StreamStats()
-    try:
+    with _naming(path):
         columns = _read_trial(path, stats, error_budget)
         return *_columns_to_matrix(*columns, policy, trial_start, stats), stats
-    except ContractError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
@@ -837,8 +851,8 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     per-frame or per-timestep object; a file with any record `read_stream`
     would skip, or any value the column checks cannot vouch for, is read by
     `read_stream` instead (same warnings, skip counts and errors, and its
-    own `error_budget`) and its frames then take the same pass; a contract
-    error of a frame file names the file. Reading file i is task i of
+    own `error_budget`) and its frames then take the same pass; warnings and
+    contract errors of a frame file name the file. Reading file i is task i of
     `core.map_in_order` (up to one process per CPU), which returns only a
     trial's two arrays and its counters; every trial adds its counters to
     `stats` when provided, and its log records come in manifest order, so
@@ -846,8 +860,8 @@ def read_corpus(corpus_dir, policy: ArbitrationPolicy | None = None,
     one by one.
 
     The manifest and the annotations are checked before any frame file is
-    read: a manifest that does not decode as UTF-8 JSON, whose shape is not
-    the documented one, or that lists no trials, is a `ContractError`, and
+    read: a manifest that is not UTF-8 JSON of the documented shape, with
+    known error types, or that lists no trials, is a `ContractError`, and
     so is a bad annotation file (see `read_annotations`) or a row whose
     participant or error type is not its manifest entry's. Rows of trials
     the manifest does not list are ignored, with one warning naming them.

@@ -33,6 +33,7 @@ from ausentinel.core import (
     ERROR_TYPES,
     MAX_TRIAL_S,
     N_AUS,
+    PERTURB_KINDS,
     RATE_HZ,
     AuFrame,
     ContractError,
@@ -70,8 +71,6 @@ DEFAULT_AMPLITUDES: dict[str, float] = {
     "AU25": 2.0,
     "AU26": 2.4,
 }
-
-PERTURB_KINDS = ("novelty", "occlusion", "amplitude-scale")
 
 _VALID_CONF = (0.75, 0.98)   # per-timestep confidence ranges, source A
 _VALID_CONF_B = (0.55, 0.97)  # source B: usually loses, sometimes wins

@@ -20,9 +20,9 @@ from ausentinel import core
 from ausentinel.cli import main
 from ausentinel.core import N_AUS, GroundTruth, StreamStats, Timestep, TrialRecord
 from ausentinel.detector import WindowConfig
-from ausentinel.evaluation import finetune_recipe, loocv_folds
+from ausentinel.evaluation import loocv_folds
 from ausentinel.ingest import ArbitrationPolicy, TimestepBuilder
-from ausentinel.model import TrainConfig, train
+from ausentinel.model import TrainConfig, finetune_recipe, train
 from ausentinel.simgen import ErrorPlan, ScenarioSpec, generate
 
 # One line per acceptance criterion, printed in the terminal summary so the

@@ -65,9 +65,8 @@ def test_flag_defaults_are_the_librarys():
     # Each flag with a library counterpart defaults to it, of the same kind,
     # in every command that has it; and evaluate's fine-tune is the one recipe.
     from ausentinel.detector import WindowConfig
-    from ausentinel.evaluation import finetune_recipe
     from ausentinel.ingest import ERROR_BUDGET, ArbitrationPolicy
-    from ausentinel.model import TrainConfig
+    from ausentinel.model import TrainConfig, finetune_recipe
 
     policy, window, hyper = ArbitrationPolicy(), WindowConfig(), TrainConfig()
     recipe = finetune_recipe(hyper)
@@ -351,6 +350,62 @@ def test_evaluate_loocv_with_finetune(cli_env, tmp_path, capsys, monkeypatch):
     assert "fine-tuning: mean delay" in capsys.readouterr().out
 
 
+def _keep_trials(corpus, keep):
+    """Drop from the manifest each trial whose id `keep` refuses."""
+    path = corpus / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["trials"] = [t for t in manifest["trials"] if keep(t["trial_id"])]
+    path.write_text(json.dumps(manifest))
+
+
+_QUICK_FINETUNE = ["--epochs", "1", "--finetune-per-participant", "--finetune-epochs", "1"]
+
+
+def test_evaluate_finetune_passes_over_a_participant_with_one_trial(cli_env, tmp_path):
+    # p03 keeps one trial: its fold is fine-tuned on nothing and scores
+    # nothing after, and the comparison lists the three other participants.
+    from ausentinel.evaluation import loocv_folds
+    from ausentinel.ingest import read_corpus
+    from ausentinel.model import TrainConfig, finetune_recipe
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_env["corpus"], corpus)
+    _keep_trials(corpus, lambda trial_id: trial_id[:3] != "p03" or trial_id == "p03_t00")
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--corpus", str(corpus), *_QUICK_FINETUNE,
+                 "--report-json", str(report)]) == 0
+    rows = json.loads(report.read_text())["finetune"]["per_participant"]
+    assert [(r["participant_id"], r["adapt_trial_id"], len(r["tuned_delays_s"]))
+            for r in rows] == [("p00", "p00_t00", 2), ("p01", "p01_t00", 2),
+                               ("p02", "p02_t00", 2)]
+    hyper = TrainConfig(epochs=1)
+    folds = loocv_folds(read_corpus(corpus), hyper, finetune_hyper=finetune_recipe(hyper))
+    assert [(f.participant_id, f.tuned is None, len(f.tuned_scored)) for f in folds] == [
+        ("p00", False, 2), ("p01", False, 2), ("p02", False, 2), ("p03", True, 0)]
+
+
+def test_evaluate_finetune_of_one_trial_per_participant_is_exit_2(cli_env, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_env["corpus"], corpus)
+    _keep_trials(corpus, lambda trial_id: trial_id.endswith("_t00"))
+    assert main(["evaluate", "--corpus", str(corpus), *_QUICK_FINETUNE]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: fine-tuning comparison needs a participant with at least 2 trials\n")
+
+
+def test_evaluate_finetune_says_when_no_held_out_detection_matched(cli_env, tmp_path,
+                                                                  capsys):
+    # No window of an untrained model reaches the top threshold, so neither
+    # model has a delay to compare.
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--corpus", str(cli_env["corpus"]), *_QUICK_FINETUNE,
+                 "--threshold", "11", "--report-json", str(report)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "fine-tuning: no matched held-out detections to compare\n")
+    finetune = json.loads(report.read_text())["finetune"]
+    assert (finetune["base_mean_delay_s"], finetune["tuned_mean_delay_s"]) == (None, None)
+
+
 def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch):
     from ausentinel import evaluation
 
@@ -371,6 +426,19 @@ def test_evaluate_finetune_reuses_the_loocv_folds(cli_env, tmp_path, monkeypatch
         calls.clear()
         assert main(argv + ["--report-json", str(tmp_path / "report.json")]) == 0, argv
         assert len(calls) == passes, argv
+
+
+def test_detect_out_empty_writes_to_stdout_and_leaves_it_open(cli_env, tmp_path, capsys):
+    # `--out ""` wrote to stdout and then closed it, under the caller of main.
+    stream = cli_env["corpus"] / "frames" / "p00_t00.jsonl"
+    argv = ["detect", "--model", str(cli_env["model"]), "--input", str(stream)]
+    events = tmp_path / "ev.jsonl"
+    assert main(argv + ["--out", str(events)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--out", ""]) == 0
+    assert not sys.stdout.closed
+    out = capsys.readouterr().out
+    assert out and out == events.read_text()
 
 
 def test_detect_skips_a_non_finite_time(tmp_path, capsys, caplog):
@@ -865,9 +933,9 @@ def _edit_manifest(change):
     return corrupt
 
 
-def _edit_trial(key, value=None):
+def _edit_trial(key, value=None, at=0):
     def change(manifest):
-        entry = manifest["trials"][0]
+        entry = manifest["trials"][at]
         if value is None:
             del entry[key]
         else:
@@ -901,6 +969,15 @@ def _edit_frames(change):
     return corrupt
 
 
+def _without_the_first_frame_file(corrupt):
+    """`corrupt`, then the first trial's frame file deleted: a check made
+    only once the frame files are read fails on that file first (exit 1)."""
+    def both(corpus):
+        corrupt(corpus)
+        (corpus / "frames" / "p00_t00.jsonl").unlink()
+    return both
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (_edit_manifest(lambda manifest: [1, 2]), "manifest.json"),
     (_edit_manifest(lambda manifest: dict(manifest, trials=5)), "trials"),
@@ -910,14 +987,18 @@ def _edit_frames(change):
     (_edit_trial("trial_start", True), "trial_start"),
     (_edit_trial("trial_start", 10 ** 400), "trial_start"),
     (_edit_trial("frames", 3), "frames"),
+    # Once refused only after every frame file was read, naming no entry.
+    (_without_the_first_frame_file(_edit_trial("error_type", "bogus", at=1)),
+     "manifest.json trial 1 error_type 'bogus' is not one of"),
     (_insert_byte("manifest.json", b'"trials"'), "manifest.json"),
     (_insert_byte("annotations.csv", b"\np00"), "annotations.csv"),
     (_annotation_cell(3, "x"), "reaction_start"),
     (_annotation_cell(1, "p" * 200_000), "field larger than field limit"),
     # These three once named no file, line or trial.
-    (_annotation_cell(3, "999"), "annotations.csv: trial p00_t00: reaction_start 999 > "),
+    (_annotation_cell(3, "999"),
+     "annotations.csv: line 2: trial p00_t00: reaction_start 999 > "),
     (_annotation_cell(3, "-1"),
-     "annotations.csv: trial p00_t00: annotation indices must be non-negative"),
+     "annotations.csv: line 2: trial p00_t00: annotation indices must be non-negative"),
     (_annotation_cell(5, "60"), "trial p00_t00: annotation indices exceed trial length 60"),
     # These two once named no file.
     (_edit_frames(lambda lines: [lines[0].replace('"AU01"', '"AU99"')] + lines[1:]),
@@ -926,9 +1007,10 @@ def _edit_frames(change):
      "p00_t00.jsonl: line 16: error budget exceeded (11 malformed records)"),
 ], ids=["manifest-list", "trials-number", "no-participant-id", "trial-start-text",
         "trial-start-number-text", "trial-start-bool", "trial-start-400-digits",
-        "frames-number", "manifest-byte", "annotations-byte", "reaction-start-text",
-        "annotations-field-past-the-size-limit", "reversed-interval", "negative-index",
-        "index-past-the-trial", "frames-catalog", "frames-past-the-error-budget"])
+        "frames-number", "unknown-error-type", "manifest-byte", "annotations-byte",
+        "reaction-start-text", "annotations-field-past-the-size-limit", "reversed-interval",
+        "negative-index", "index-past-the-trial", "frames-catalog",
+        "frames-past-the-error-budget"])
 def test_evaluate_refuses_a_malformed_corpus(two_trial_corpus, tmp_path, capsys,
                                             corrupt, named):
     corpus = tmp_path / "corpus"

@@ -14,7 +14,6 @@ from ausentinel.evaluation import (
     CorpusScore,
     detection_delay,
     finetune_comparison,
-    finetune_recipe,
     format_table,
     internal_delay,
     loocv_folds,
@@ -27,7 +26,7 @@ from ausentinel.evaluation import (
     welch_ttest,
     write_report_csv,
 )
-from ausentinel.model import TrainConfig
+from ausentinel.model import TrainConfig, finetune_recipe
 
 
 def ev(detected_at, estimated_start, merged=False):

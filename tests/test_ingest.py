@@ -676,6 +676,32 @@ def test_read_stream_skips_integers_too_large_for_a_float():
     assert stats.records_skipped == 2
 
 
+def test_read_stream_skips_a_record_that_is_not_an_object(caplog):
+    # Each decodes as JSON, but to a list or a number: one skip apiece.
+    good = json.dumps(frame_to_obj(frame(t=0.0)))
+    stats = StreamStats()
+    with caplog.at_level("WARNING"):
+        got = list(read_stream(io.StringIO(f"{good}\n[1, 2]\n3\n"), stats=stats))
+    assert (len(got), stats.records_skipped) == (1, 2)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping malformed record at line 2: record is not an object",
+        "skipping malformed record at line 3: record is not an object"]
+
+
+def test_read_stream_passes_over_blank_lines_uncounted(caplog):
+    # Blank and whitespace-only lines after the first record are no record:
+    # nothing is skipped, and line numbers still count them.
+    good = [json.dumps(frame_to_obj(frame(t=k / 30.0))) for k in range(2)]
+    text = f"{good[0]}\n\n  \t\n{good[1]}\n \n{{bad\n"
+    stats = StreamStats()
+    with caplog.at_level("WARNING"):
+        got = list(read_stream(io.StringIO(text), stats=stats))
+    assert [f.t for f in got] == [0.0, 1 / 30.0]
+    assert (stats.frames_read, stats.records_skipped) == (2, 1)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "skipping malformed record at line 6"]
+
+
 # Lines that once crashed the reader: an integer past Python's digit limit
 # (a plain ValueError) and nesting deeper than the decoder recurses.
 HUGE_INT_LINE = '{"source_id": "cam_a", "t": ' + "9" * 5000 + "}"
@@ -1026,6 +1052,10 @@ def _bad_lines(good: dict, first: dict) -> list[str]:
         dump(dict(good, source_id="cam_z", t=good["t"] + 2 * ingest.MAX_GAP_S)),
         HUGE_INT_LINE,
         DEEP_LINE,
+        # Decoded objects whose fields the column decoder cannot take.
+        dump({key: value for key, value in good.items() if key != "source_id"}),
+        dump(dict(good, t="x")),
+        dump(dict(good, confidence=None)),
     ]
 
 
@@ -1067,7 +1097,7 @@ def trial_files(draw):
         queue = queues[rng.choice([i for i, q in enumerate(queues) if q])]
         interleaved.append(queue.pop(0))
     n_bad = draw(st.sampled_from((0, 0, 1, 3, 12)))
-    bad_kinds = draw(st.lists(st.integers(0, 8), min_size=n_bad, max_size=n_bad))
+    bad_kinds = draw(st.lists(st.integers(0, 11), min_size=n_bad, max_size=n_bad))
     return policy, trial_start, interleaved, bad_kinds, rng, draw(st.booleans())
 
 
@@ -1327,7 +1357,7 @@ def test_annotations_duplicate_trial_fatal(tmp_path):
              "t0,p0,physical,3,4,3"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(StreamFormatError,
-                       match=f"^line 3: {re.escape(str(path))}: duplicate trial_id 't0'$"):
+                       match=f"^{re.escape(str(path))}: line 3: duplicate trial_id 't0'$"):
         read_annotations(path)
 
 
@@ -1335,7 +1365,7 @@ def test_annotations_short_row_fatal(tmp_path):
     path = tmp_path / "annotations.csv"
     path.write_text(",".join(ANNOTATION_HEADER) + "\nt0,p0,physical,1,2\n")
     with pytest.raises(StreamFormatError,
-                       match=f"^line 2: {re.escape(str(path))}: expected 6 columns$"):
+                       match=f"^{re.escape(str(path))}: line 2: expected 6 columns$"):
         read_annotations(path)
 
 
@@ -1354,5 +1384,5 @@ def test_annotations_header_mismatch(tmp_path):
     path = tmp_path / "annotations.csv"
     path.write_text("trial,participant\n")
     with pytest.raises(StreamFormatError,
-                       match=f"^line 1: {re.escape(str(path))}: annotation CSV header mismatch$"):
+                       match=f"^{re.escape(str(path))}: line 1: annotation CSV header mismatch$"):
         read_annotations(path)

@@ -234,8 +234,9 @@ def test_files_with_skipped_lines_keep_their_warnings_and_counters(corpus, tmp_p
                        for t in trials])
     assert seen[1] == seen[2]
     messages, counters, _ = seen[1]
-    assert [m.split(":")[0] for m in messages] == [
-        "skipping malformed record at line 6", "skipping malformed record at line 10"]
+    assert [m.split(": ")[:2] for m in messages] == [
+        [str(corpus / "frames" / "p00_t01.jsonl"), "skipping malformed record at line 6"],
+        [str(corpus / "frames" / "p02_t00.jsonl"), "skipping malformed record at line 10"]]
     frame_lines = sum(len(path.read_text().splitlines()) - 1  # less the catalog header
                       for path in (corpus / "frames").iterdir())
     assert (counters["records_skipped"], counters["frames_read"]) == (2, frame_lines - 2)
@@ -408,10 +409,13 @@ def test_each_worker_warning_reaches_stderr_once(corpus, tmp_path):
     )
     done = _run_fresh(code, corpus)
     assert done.returncode == 0, done.stderr
-    skipped = [line.split(": ")[:2] for line in done.stderr.splitlines()
+    skipped = [line.split(": ")[:3] for line in done.stderr.splitlines()
                if "skipping malformed record" in line]
-    assert skipped == [["WARNING ausentinel.ingest", "skipping malformed record at line 6"],
-                       ["WARNING ausentinel.ingest", "skipping malformed record at line 10"]]
+    assert skipped == [
+        ["WARNING ausentinel.ingest", str(corpus / "frames" / "p00_t01.jsonl"),
+         "skipping malformed record at line 6"],
+        ["WARNING ausentinel.ingest", str(corpus / "frames" / "p02_t00.jsonl"),
+         "skipping malformed record at line 10"]]
 
 
 def test_a_dead_worker_is_exit_1_with_one_error_line(corpus):
