@@ -213,7 +213,8 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
     With `finetune_hyper` (`model.finetune_recipe(hyper)`, or `evaluate`'s
     flags), each fold's model is also fine-tuned on the held-out
     participant's first trial (by trial id) and run again on their other
-    trials (see `Fold`).
+    trials (see `Fold`); a corpus where no participant has a trial left to
+    run again is refused before any fold trains.
     Fold k's `_fold_work` is task k of `core.map_in_order`, which runs the
     folds in up to one process per CPU. A task returns its models and
     event lists only; the trials are paired with them here. Models, log
@@ -227,6 +228,8 @@ def loocv_folds(corpus: list[TrialRecord], hyper: TrainConfig | None = None,
         raise ContractError("cross validation needs at least 2 participants")
     held_out = [[t for t in corpus if t.participant_id == p] for p in participants]
     by_id = [sorted(trials, key=lambda t: t.trial_id) for trials in held_out]
+    if finetune_hyper is not None and all(len(trials) < 2 for trials in by_id):
+        raise ContractError("fine-tuning comparison needs a participant with at least 2 trials")
     outcomes = map_in_order(
         lambda k: _fold_work(corpus, held_out[k], by_id[k], hyper, cfg, finetune_hyper),
         len(participants))
@@ -287,9 +290,9 @@ class FinetuneComparison:
 def finetune_comparison(folds: list[Fold]) -> FinetuneComparison:
     """Compare each participant's fold model with its fine-tuned copy.
 
-    `folds` are the corpus's LOOCV folds as `loocv_folds` returns them given
-    a fine-tune recipe; a fold without a fine-tuned result is refused. The
-    folds hold every event, so nothing is trained or run here.
+    `folds` come from `loocv_folds` given a fine-tune recipe, which refuses
+    a corpus with nothing to compare; a fold without a fine-tuned result is
+    refused. The folds hold every event, so nothing is trained or run here.
     """
     base_scored: list[ScoredTrial] = []
     tuned_scored: list[ScoredTrial] = []
@@ -304,10 +307,6 @@ def finetune_comparison(folds: list[Fold]) -> FinetuneComparison:
         base_scored.extend(scored[1:])
         tuned_scored.extend(fold.tuned_scored)
         held_out.append((fold.participant_id, scored[0][0].trial_id, len(scored) - 1))
-    if not base_scored:
-        raise ContractError(
-            "fine-tuning comparison needs a participant with at least 2 trials"
-        )
     base_score = score_corpus(base_scored)
     tuned_score = score_corpus(tuned_scored)
     # Both scores list their trials participant by participant, as scored.

@@ -190,13 +190,14 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDG
     this stream is fatal. AU values outside [0, 5] of the records yielded
     are clamped, not rejected, and counted as `values_clamped`. Counters
     accumulate on `stats` when provided, so one `StreamStats` may span many
-    streams; each stream's budget counts only its own skips.
+    streams; the budget counts only this stream's own skips, in this loop.
 
     A format only splits its lines into records and checks their shape
     (`_jsonl_records`, `_csv_records`). One loop here then checks every
-    record of either format for its source id, time, AU vector, confidence
-    and time order, in that order; the first check a record fails is the
-    one logged.
+    record of either format, in this order: its source id; that its time
+    converts to a number; its AU vector; that its confidence converts; that
+    the time is finite and the confidence in [0, 1] (`AuFrame`); its time
+    order. The first check a record fails is the one logged.
     """
     check_error_budget(error_budget)
     stats = StreamStats() if stats is None else stats
@@ -208,7 +209,7 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDG
         else:
             raise ContractError(f"unknown stream format {format!r}")
         src_key, t_key, au_key, confidence_key = keys
-        start = stats.records_skipped
+        skipped = 0  # this stream's own skips, against its budget
         last_t: dict[str, float] = {}
         latest = None  # the latest time yielded
         for line_no, record in records:
@@ -228,25 +229,18 @@ def read_stream(source, format: str = "jsonl", *, error_budget: int = ERROR_BUDG
                     raise ContractError(f"time jumped {t - latest:.6g} s ahead")
             except _RECORD_ERRORS as exc:
                 stats.values_clamped = clamped  # count clamps of yielded records only
-                _check_budget(stats, start, error_budget, line_no, exc)
+                stats.records_skipped += 1
+                skipped += 1
+                logger.warning("skipping malformed record at line %d: %s", line_no, exc)
+                if skipped > error_budget:
+                    raise StreamFormatError(
+                        f"error budget exceeded ({skipped} malformed records)", line_no=line_no)
                 continue
             last_t[src] = t
             if latest is None or t > latest:
                 latest = t
             stats.frames_read += 1
             yield frame
-
-
-def _check_budget(stats: StreamStats, start: int, error_budget: int, line_no: int,
-                  exc: Exception) -> None:
-    """Count a skip; fail once the stream's own skips (past `start`) exceed the budget."""
-    stats.records_skipped += 1
-    logger.warning("skipping malformed record at line %d: %s", line_no, exc)
-    skipped = stats.records_skipped - start
-    if skipped > error_budget:
-        raise StreamFormatError(
-            f"error budget exceeded ({skipped} malformed records)", line_no=line_no
-        )
 
 
 # Decoding one line raises JSONDecodeError (a ValueError) for bad JSON, a
@@ -500,10 +494,7 @@ class TimestepBuilder:
     def finish(self) -> list[Timestep]:
         """Flush everything up to the last observed slot; ends the trial."""
         self._finished = True
-        out = []
-        while self._next_index <= self._lead // self._fpt:
-            out.append(self._emit(self._next_index))
-        return out
+        return self._emit_before(self._lead // self._fpt + 1)
 
     def _drain(self) -> list[Timestep]:
         """Emit every timestep the watermark has passed.
@@ -521,35 +512,36 @@ class TimestepBuilder:
                 behind, low = src, slot
         self._behind = behind
         watermark = max(low, self._lead - self._skew_slots)
-        out = []
-        while self._next_index < watermark // self._fpt:
-            out.append(self._emit(self._next_index))
-        return out
+        return self._emit_before(watermark // self._fpt)
 
-    def _emit(self, index: int) -> Timestep:
+    def _emit_before(self, stop: int) -> list[Timestep]:
+        """Emit every timestep not yet emitted whose index is below `stop`."""
         fpt = self._fpt
         floor = self.policy.min_confidence
         pending = self._pending
-        winners = []
-        for slot in range(index * fpt, (index + 1) * fpt):
-            frame = pending.pop(slot, None)
-            if frame is None:
-                continue
-            if frame.__class__ is dict:  # two or more sources
-                per_source = frame
-                srcs = sorted(per_source)
-                frame = per_source[srcs[0]]
-                for src in srcs[1:]:  # ties stay with the first source id
-                    if per_source[src].confidence > frame.confidence:
-                        frame = per_source[src]
-            if frame.confidence > floor:
-                winners.append(frame.au)
-        self._next_index = index + 1
-        self._end = (index + 2) * fpt
-        k = len(winners)
-        rows = np.fromiter(itertools.chain.from_iterable(winners), np.float64,
-                           k * N_AUS).reshape(k, N_AUS)
-        return Timestep(index, aggregate(rows, self.policy), k > 0)
+        out = []
+        for index in range(self._next_index, stop):
+            winners = []
+            for slot in range(index * fpt, (index + 1) * fpt):
+                frame = pending.pop(slot, None)
+                if frame is None:
+                    continue
+                if frame.__class__ is dict:  # two or more sources
+                    per_source = frame
+                    srcs = sorted(per_source)
+                    frame = per_source[srcs[0]]
+                    for src in srcs[1:]:  # ties stay with the first source id
+                        if per_source[src].confidence > frame.confidence:
+                            frame = per_source[src]
+                if frame.confidence > floor:
+                    winners.append(frame.au)
+            self._next_index = index + 1
+            self._end = (index + 2) * fpt
+            k = len(winners)
+            rows = np.fromiter(itertools.chain.from_iterable(winners), np.float64,
+                               k * N_AUS).reshape(k, N_AUS)
+            out.append(Timestep(index, aggregate(rows, self.policy), k > 0))
+        return out
 
 
 def _check_first_frame(t: float, trial_start: float, fps: float, opens_trial: bool) -> None:
@@ -653,16 +645,17 @@ def _decode_trial(path, stats: StreamStats):
     to `stats`, which a file that is not clean leaves untouched. Returns
     (source ranks, t, confidence, clamped au).
     """
+    src_key, t_key, au_key, confidence_key = _JSONL_KEYS
     sources, times, confs, aus, blocks = [], [], [], [], []
     with open_text(path, "r", errors="replace", newline="") as fh:
         for _, obj in _jsonl_records(fh):
             if isinstance(obj, Exception):
                 return None
             try:
-                aus.append(obj["au"])
-                sources.append(str(obj["source_id"]))
-                times.append(float(obj["t"]))
-                confs.append(float(obj["confidence"]))
+                aus.append(obj[au_key])
+                sources.append(str(obj[src_key]))
+                times.append(float(obj[t_key]))
+                confs.append(float(obj[confidence_key]))
             except (KeyError, TypeError, ValueError, OverflowError):
                 return None
             if len(aus) == _BLOCK_LINES:

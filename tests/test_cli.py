@@ -384,12 +384,23 @@ def test_evaluate_finetune_passes_over_a_participant_with_one_trial(cli_env, tmp
         ("p00", False, 2), ("p01", False, 2), ("p02", False, 2), ("p03", True, 0)]
 
 
-def test_evaluate_finetune_of_one_trial_per_participant_is_exit_2(cli_env, tmp_path, capsys):
+def test_evaluate_finetune_of_one_trial_per_participant_is_exit_2(cli_env, tmp_path, capsys,
+                                                                   monkeypatch):
+    # Nothing could be compared, so the run is refused before any fold
+    # trains and prints no score table.
+    from ausentinel import evaluation
+
+    def never(*args):
+        raise AssertionError("a fold trained")
+
+    monkeypatch.setattr(evaluation, "_fold_work", never)
     corpus = tmp_path / "corpus"
     shutil.copytree(cli_env["corpus"], corpus)
     _keep_trials(corpus, lambda trial_id: trial_id.endswith("_t00"))
     assert main(["evaluate", "--corpus", str(corpus), *_QUICK_FINETUNE]) == 2
-    assert capsys.readouterr().err.endswith(
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
         "error: fine-tuning comparison needs a participant with at least 2 trials\n")
 
 

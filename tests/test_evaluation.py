@@ -181,6 +181,20 @@ def test_loocv_needs_two_participants(tiny_corpus):
                     WindowConfig())
 
 
+def test_loocv_folds_refuse_a_finetune_with_nothing_to_compare(tiny_corpus, monkeypatch):
+    # With one trial per participant, every trial adapts and none is left to
+    # compare on: the folds are refused before any of them trains.
+    def never(*args):
+        raise AssertionError("a fold trained")
+
+    monkeypatch.setattr(evaluation, "_fold_work", never)
+    firsts = [t for t in tiny_corpus if t.trial_id.endswith("_t00")]
+    hyper = TrainConfig(epochs=1, learning_rate=0.1, seed=0)
+    with pytest.raises(ContractError, match="^fine-tuning comparison needs a participant "
+                                            "with at least 2 trials$"):
+        loocv_folds(firsts, hyper, WindowConfig(), finetune_recipe(hyper))
+
+
 def test_finetune_comparison_protocol(tiny_corpus):
     hyper = TrainConfig(epochs=60, learning_rate=0.3, seed=0)
     cmp_ = finetune_comparison(loocv_folds(tiny_corpus, hyper, WindowConfig(),

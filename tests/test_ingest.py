@@ -818,7 +818,21 @@ def whole_stream_csv(lines, error_budget, stats):
     This is the loop `ingest._read_csv` ran before it split plain lines
     itself, with one change that both keep: a record the parser refuses is
     a malformed record (and a header it refuses a bad header), not a crash.
+    The budget rule is stated here too: every skip is counted and logged,
+    and the one past `error_budget` ends the stream.
     """
+    logger = logging.getLogger("ausentinel.ingest")
+    skipped = 0
+
+    def skip(line_no, exc):
+        nonlocal skipped
+        skipped += 1
+        stats.records_skipped += 1
+        logger.warning("skipping malformed record at line %d: %s", line_no, exc)
+        if skipped > error_budget:
+            raise StreamFormatError(f"error budget exceeded ({skipped} malformed records)",
+                                    line_no=line_no)
+
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
@@ -838,7 +852,7 @@ def whole_stream_csv(lines, error_budget, stats):
         except StopIteration:
             break
         except csv.Error as exc:
-            ingest._check_budget(stats, 0, error_budget, line_no, exc)
+            skip(line_no, exc)
             continue
         if not row:
             continue
@@ -857,7 +871,7 @@ def whole_stream_csv(lines, error_budget, stats):
                 raise ContractError(f"time jumped {t - latest:.6g} s ahead")
         except (ContractError, TypeError, ValueError) as exc:
             stats.values_clamped = clamped
-            ingest._check_budget(stats, 0, error_budget, line_no, exc)
+            skip(line_no, exc)
             continue
         last_t[src] = t
         if latest is None or t > latest:
